@@ -10,8 +10,7 @@ reproduce the experiments lives behind the ``oib`` command-line tool.
 
 from .complexity_model import (MacsBreakdown, fft_macs, linear_macs,
                                macs_table, network_macs, pipeline_macs,
-                               saving_baseline, saving_percent,
-                               training_cost_estimate)
+                               saving_baseline, saving_percent)
 from .config import (DatasetConfig, ExperimentConfig, RetrainSection,
                      SeedsConfig, TrainSection, apply_overrides,
                      config_from_dict, config_to_dict, load_config)
@@ -29,13 +28,13 @@ from .gib_compressor import (Compressor, CompressorKind, GibSolution,
                              compressor_at_beta, compressor_at_size, encode,
                              pca_compressor, solve_gib)
 from .inference_net import (MlpModel, RegressionTargetSet, TrainConfig,
-                            accuracy, extract_l0, finetune_head, forward,
+                            accuracy, finetune_head, forward,
                             forward_from_layer, head_logits, head_model,
-                            init_mlp, make_regression_targets, retrain_head,
-                            train, train_head_on_z, train_multi_rho_head)
-from .info_metrics import (EntropyReport, LoadingInvarianceReport,
+                            init_mlp, make_regression_targets, train,
+                            train_head_on_z, train_multi_rho_head)
+from .info_metrics import (LoadingInvarianceReport,
                            ProjectionOptimalityReport, encoding_mi,
-                           entropy_report, gaussian_entropy, gaussian_mi,
+                           gaussian_entropy, gaussian_mi,
                            mi_loading_invariance_check, power_normalize,
                            random_projection_optimality_check)
 from .pipeline import (EvalRecord, ExperimentResult, HzRecord,

@@ -1,14 +1,17 @@
 """Command-line entry point for the compression experiments.
 
-Subcommands mirror the pipeline stages and compose through the output
+Subcommands run the pipeline's own stages and compose through the output
 directory: ``train-base`` writes the base model checkpoints, ``fit-oib``
 reads them and writes compressors and re-expanders, ``evaluate`` reads
-everything and writes the report, ``retrain`` builds the shared or
-per-size heads, ``hz-test`` compares domain normality, ``macs`` prints
-the complexity table, and ``synth-check`` runs the synthetic-Gaussian
-oracle suites.  Datasets are regenerated from their seeds, so commands
-started in separate processes agree bitwise when they share the numpy/BLAS
-build, CPU kernel and BLAS thread count.
+everything and writes the report, ``retrain`` fine-tunes the shared and
+per-size heads (``per_rho_head``) or trains one classifier per size on the
+codes themselves (``per_rho_on_z``), ``hz-test`` compares domain normality
+without any network, ``macs`` prints the complexity table, and
+``synth-check`` runs the synthetic-Gaussian oracle suites.  ``evaluate``
+and ``retrain`` load the compressors instead of re-solving the
+eigensystem.  Datasets are regenerated from their seeds, so commands
+started in separate processes agree bitwise with ``run_experiment`` when
+they share the numpy/BLAS build, CPU kernel and BLAS thread count.
 
 Exit codes: 0 success, 2 configuration or input-file problems, 3
 numerical failures.
@@ -32,9 +35,9 @@ from .gib_compressor import (cca_compressor, compressor_at_beta,
                              compressor_at_size, solve_gib)
 from .info_metrics import (gaussian_entropy, mi_loading_invariance_check,
                            random_projection_optimality_check)
-from .pipeline import (RAW, TRANSFORM, DomainData, ExperimentResult,
-                       artifact_stem, build_dataset, domain_features,
-                       fit_all_domains, train_base_models)
+from .pipeline import (RAW, TRANSFORM, DomainData, artifact_stem,
+                       build_dataset, domain_features, fit_all_domains,
+                       train_base_models)
 from .reexpander import fit_lmmse, fit_ls, mse_entropy_gap, reexpand
 from .serialization import (load_compressor, load_model, load_reexpander,
                             save_model)
@@ -51,35 +54,25 @@ def _resolve_config(args):
                            encoding=args.encoding, subset_n=args.subset)
 
 
-def _prepare(config, load_models=False):
-    train_set, test_set = build_dataset(config)
-    plan, features = domain_features(config, train_set, test_set)
-    if load_models:
-        domains = {}
-        for name in (TRANSFORM, RAW):
-            stem = os.path.join(config.output_dir, "base_%s" % name)
-            if not os.path.exists(stem + ".json"):
-                raise ConfigError("missing base checkpoint %s.json; run "
-                                  "train-base first" % stem)
-            x_tr, x_te = features[name]
-            domains[name] = DomainData(name=name, x_train=x_tr, x_test=x_te,
-                                       model=load_model(stem), losses=[])
-    else:
-        domains = train_base_models(config, features, train_set.labels)
-    return train_set, test_set, plan, domains
+def _load_base_models(config, features, train_labels):
+    """The base networks ``train-base`` wrote, around both domains' data."""
+    domains = {}
+    for name, (x_tr, x_te) in features.items():
+        stem = pipeline.base_stem(config.output_dir, name)
+        if not os.path.exists(stem + ".json"):
+            raise ConfigError("missing base checkpoint %s.json; run "
+                              "train-base first" % stem)
+        domains[name] = DomainData(name=name, x_train=x_tr, x_test=x_te,
+                                   model=load_model(stem), losses=[])
+    return domains
 
 
-def _shell_result(config, train_set, test_set, plan, domains):
-    return ExperimentResult(config=config, plan=plan,
-                            train_labels=train_set.labels,
-                            test_labels=test_set.labels, domains=domains,
-                            compressors={}, reexpanders={})
-
-
-def _load_artifacts(config, kinds):
-    compressors, reexpanders = {}, {}
+def _load_artifacts(result):
+    """The compressors and re-expanders ``fit-oib`` wrote for the grid."""
+    config = result.config
+    result.compressors, result.reexpanders = {}, {}
     for n_z in config.n_z_grid:
-        for kind in kinds:
+        for kind in config.compressor_kinds:
             comp_stem = artifact_stem(config.output_dir, "compressors",
                                       kind, n_z)
             rx_stem = artifact_stem(config.output_dir, "reexpanders", kind,
@@ -88,48 +81,36 @@ def _load_artifacts(config, kinds):
                 if not os.path.exists(stem + ".json"):
                     raise ConfigError("missing artifact %s.json; run "
                                       "fit-oib first" % stem)
-            compressors[(kind, n_z)] = load_compressor(comp_stem)
-            reexpanders[(kind, n_z)] = load_reexpander(rx_stem)
-    return compressors, reexpanders
+            result.compressors[(kind, n_z)] = load_compressor(comp_stem)
+            result.reexpanders[(kind, n_z)] = load_reexpander(rx_stem)
+    return result
 
 
 def cmd_train_base(config):
-    train_set, test_set, plan, domains = _prepare(config)
-    result = _shell_result(config, train_set, test_set, plan, domains)
+    result = pipeline.prepare(config, train_base_models)
     pipeline.write_base_artifacts(result, config.output_dir)
     _emit({"output_dir": config.output_dir,
            "baseline": pipeline.baseline_accuracies(result),
-           "final_epoch_loss": {name: domains[name].losses[-1]
-                                for name in domains
-                                if domains[name].losses}})
+           "final_epoch_loss": {name: domain.losses[-1]
+                                for name, domain in result.domains.items()
+                                if domain.losses}})
     return 0
 
 
 def cmd_fit_oib(config):
-    train_set, test_set, plan, domains = _prepare(config, load_models=True)
-    fit_all_domains(config, domains)
-    compressors = pipeline.build_compressors(config, domains)
-    reexpanders = pipeline.fit_reexpanders(config, domains, compressors)
-    result = _shell_result(config, train_set, test_set, plan, domains)
-    result.compressors, result.reexpanders = compressors, reexpanders
+    result = pipeline.fit(pipeline.prepare(config, _load_base_models))
     pipeline.write_fit_artifacts(result, config.output_dir)
     _emit({"output_dir": config.output_dir,
-           "artifacts": len(compressors) + len(reexpanders),
-           "noise_lambda": {name: domains[name].targets.noise_lambda
-                            for name in domains}})
+           "artifacts": len(result.compressors) + len(result.reexpanders),
+           "noise_lambda": {name: domain.targets.noise_lambda
+                            for name, domain in result.domains.items()}})
     return 0
 
 
 def cmd_evaluate(config):
-    train_set, test_set, plan, domains = _prepare(config, load_models=True)
-    fit_all_domains(config, domains)
-    compressors, reexpanders = _load_artifacts(config,
-                                               config.compressor_kinds)
-    result = _shell_result(config, train_set, test_set, plan, domains)
-    result.compressors, result.reexpanders = compressors, reexpanders
-    result.records, result.reconstructions_train, \
-        result.reconstructions_test = pipeline.evaluate_grid(
-            config, domains, compressors, reexpanders, test_set.labels)
+    result = _load_artifacts(pipeline.prepare(config, _load_base_models))
+    fit_all_domains(config, result.domains, with_gib=False)
+    pipeline.evaluate(result)
     pipeline.write_evaluation(result, config.output_dir)
     _emit({"report": os.path.join(config.output_dir, "report.json"),
            "csv": os.path.join(config.output_dir, "records.csv"),
@@ -138,56 +119,33 @@ def cmd_evaluate(config):
 
 
 def cmd_retrain(config, mode):
-    train_set, test_set, plan, domains = _prepare(config, load_models=True)
-    fit_all_domains(config, domains)
-    compressors, reexpanders = _load_artifacts(config, ["oib"])
-    oib_config = dataclasses.replace(config, compressor_kinds=["oib"])
-    result = _shell_result(oib_config, train_set, test_set, plan, domains)
-    result.compressors, result.reexpanders = compressors, reexpanders
-
+    config = dataclasses.replace(config, compressor_kinds=["oib"])
+    result = _load_artifacts(pipeline.prepare(config, _load_base_models))
     if mode == "per_rho_on_z":
-        heads, records = pipeline.retrain_bank(oib_config, result)
+        heads, records = pipeline.retrain_bank(config, result)
         heads_dir = os.path.join(config.output_dir, "heads")
         os.makedirs(heads_dir, exist_ok=True)
         for n_z, head in heads.items():
             save_model(head, os.path.join(heads_dir, "bank_%03d" % n_z),
                        seed=config.seeds.head_per_rho_base + n_z)
-        payload = {"mode": mode, "records": records}
+        payload = pipeline.write_retrain_report(mode, records,
+                                                config.output_dir)
     else:
-        result.records, result.reconstructions_train, \
-            result.reconstructions_test = pipeline.evaluate_grid(
-                oib_config, domains, compressors, reexpanders,
-                test_set.labels)
+        fit_all_domains(config, result.domains, with_gib=False)
+        pipeline.evaluate(result)
         result.average_head, result.per_rho_heads, \
-            result.retrain_records = pipeline.retrain_heads(oib_config,
-                                                            result)
-        if mode == "average":
-            records = [{"n_z": r.n_z,
-                        "accuracy_non_retrained": r.accuracy_non_retrained,
-                        "accuracy_average": r.accuracy_average}
-                       for r in result.retrain_records]
-        else:
-            records = [dataclasses.asdict(r) for r in result.retrain_records]
-        pipeline.write_retrain_artifacts(result, config.output_dir)
-        payload = {"mode": mode, "records": records}
-    report_path = os.path.join(config.output_dir, "retrain_report.json")
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            result.retrain_records = pipeline.retrain_heads(config, result)
+        payload = pipeline.write_retrain_artifacts(result, config.output_dir)
     _emit(payload)
     return 0
 
 
 def cmd_hz_test(config):
-    train_set, test_set, plan, domains = _prepare(config)
-    records = pipeline.hz_compare(config, domains[RAW].x_test,
-                                  domains[TRANSFORM].x_test)
-    result = _shell_result(config, train_set, test_set, plan, domains)
-    result.hz_records = records
-    pipeline.write_hz_report(result, config.output_dir)
-    _emit({"projections": [dataclasses.asdict(r) for r in records],
-           "transform_wins": sum(r.p_transform > r.p_raw for r in records),
-           "total": len(records)})
+    train_set, test_set = build_dataset(config)
+    _, features = domain_features(config, train_set, test_set)
+    records = pipeline.hz_compare(config, features[RAW][1],
+                                  features[TRANSFORM][1])
+    _emit(pipeline.write_hz_report(records, config.output_dir))
     return 0
 
 
@@ -310,8 +268,7 @@ def make_parser():
                              help="retrain classifier heads on "
                                   "reconstructions")
     retrain.add_argument("--mode", default="per_rho_head",
-                         choices=["average", "per_rho_head",
-                                  "per_rho_on_z"])
+                         choices=["per_rho_head", "per_rho_on_z"])
     sub.add_parser("hz-test", parents=[common],
                    help="normality comparison of raw vs transform domain")
     sub.add_parser("macs", parents=[common],

@@ -12,7 +12,6 @@ original network's cost up to its last hidden layer, since the compressed
 path re-uses the final projection unchanged.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +39,6 @@ class MacsBreakdown:
         """Sum of stages whose name is ``group`` or starts with 'group:'."""
         return sum(m for name, m in self.per_stage
                    if name == group or name.startswith(group + ":"))
-
-    def to_json(self):
-        return json.dumps({"per_stage": [[name, int(m)]
-                                         for name, m in self.per_stage],
-                           "total": int(self.total)}, indent=2)
 
 
 def linear_macs(in_dim, out_dim):
@@ -109,23 +103,6 @@ def saving_percent(pipeline, baseline_macs):
     if baseline_macs <= 0:
         raise ValueError("baseline must be positive")
     return 100.0 * (1.0 - pipeline.total / baseline_macs)
-
-
-def training_cost_estimate(n_x, n_z, n_train):
-    """Asymptotic training-time cost terms, for budgeting only.
-
-    Returns the four dominant terms as plain magnitudes: the n_x^3
-    eigendecomposition, the n_x^2 N covariance accumulation, the
-    N n_x log2(n_x) transform pass, and the n_z^2 N re-expansion fit.
-    """
-    if n_x < 1 or n_z < 0 or n_train < 0:
-        raise ValueError("dimensions must be non-negative (n_x >= 1)")
-    return {
-        "eigendecomposition": float(n_x) ** 3,
-        "covariance_accumulation": float(n_x) ** 2 * n_train,
-        "transform_pass": float(n_train) * n_x * np.log2(n_x),
-        "reexpansion_fit": float(n_z) ** 2 * n_train,
-    }
 
 
 def macs_table(n_x, n_z_values, head_layer_dims, layer_sizes):

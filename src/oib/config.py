@@ -3,7 +3,8 @@
 Every tunable in the pipeline lives here with a working default, so an
 empty config runs the reference experiment end to end.  Loading rejects
 unknown keys recursively (typos fail loudly instead of silently running
-the defaults) and validates value ranges at construction.
+the defaults) and validates value ranges, and the sample sizes the grid
+and the normality test need, at construction.
 
 Seeds are stage-scoped: each consumer of randomness owns a named seed so
 results stay reproducible when stages are re-run in isolation.  A global
@@ -18,6 +19,9 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 SEED_STRIDE = 100003
+# Coordinates per Henze-Zirkler projection; the test needs more samples
+# than dimensions, so n_test must exceed it.
+HZ_PROJECTION_DIM = 10
 
 
 @dataclass
@@ -113,7 +117,6 @@ class ExperimentConfig:
     encoding: str = "deterministic"
     seeds: SeedsConfig = field(default_factory=SeedsConfig)
     output_dir: str = "results"
-    workers: int = 4
 
     def __post_init__(self):
         if not self.n_z_grid or sorted(self.n_z_grid) != list(self.n_z_grid):
@@ -139,8 +142,15 @@ class ExperimentConfig:
                               "stochastic")
         if not 0.0 <= self.shrinkage < 1.0:
             raise ConfigError("shrinkage must lie in [0, 1)")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
+        if self.dataset.n_train <= self.n_z_grid[-1]:
+            raise ConfigError("dataset.n_train (%d) must exceed the largest "
+                              "n_z (%d): the least-squares re-expansion "
+                              "needs an over-determined system"
+                              % (self.dataset.n_train, self.n_z_grid[-1]))
+        if self.dataset.n_test <= HZ_PROJECTION_DIM:
+            raise ConfigError("dataset.n_test (%d) must exceed the %d "
+                              "coordinates of a normality-test projection"
+                              % (self.dataset.n_test, HZ_PROJECTION_DIM))
 
 
 def _build(cls, data, path):

@@ -93,7 +93,6 @@ class MlpModel:
 class RegressionTargetSet:
     """First-layer pre-activations plus seeded noise, ready for regression."""
 
-    x_tilde: np.ndarray
     y_tilde: np.ndarray
     noise_lambda: float
 
@@ -280,12 +279,6 @@ def train(model, x, labels, cfg):
     return MlpModel(layers), losses
 
 
-def extract_l0(model):
-    """Weights and bias of the first layer, copied."""
-    w, b = model.layers[0]
-    return w.copy(), b.copy()
-
-
 def make_regression_targets(model, x_tilde, noise_lambda=None, seed=0):
     """First-layer pre-activations plus scaled Gaussian noise.
 
@@ -304,8 +297,7 @@ def make_regression_targets(model, x_tilde, noise_lambda=None, seed=0):
     if noise_lambda > 0.0:
         rng = np.random.default_rng(seed)
         y = pre + noise_lambda * rng.standard_normal(pre.shape)
-    return RegressionTargetSet(x_tilde=x, y_tilde=y,
-                               noise_lambda=noise_lambda)
+    return RegressionTargetSet(y_tilde=y, noise_lambda=noise_lambda)
 
 
 def _relu32(values, dtype):
@@ -317,16 +309,6 @@ def head_model(model):
     if len(model.layers) < 2:
         raise DimensionError("model has no head beyond its first layer")
     return MlpModel([(w.copy(), b.copy()) for w, b in model.layers[1:]])
-
-
-def retrain_head(model, reconstructed, labels, cfg):
-    """Retrain layers 1..end on re-expanded pre-activations.
-
-    The first layer is discarded; the reconstructed inputs pass through
-    ReLU and feed the head directly.  Returns the head as its own model.
-    """
-    head = head_model(model)
-    return finetune_head(head, reconstructed, labels, cfg)
 
 
 def finetune_head(head, reconstructed, labels, cfg):
@@ -360,7 +342,8 @@ def train_multi_rho_head(model, pools, labels, cfg):
     ``pools`` maps each compression size to that size's re-expanded
     training matrix (all aligned to the same samples).  Each mini-batch
     draws one pool uniformly, so the head amortizes over every size.  A
-    single-entry mapping reduces exactly to retrain_head.
+    single-entry mapping reduces exactly to
+    ``finetune_head(head_model(model), ...)``.
     """
     if not pools:
         raise ValueError("pools must contain at least one compression size")

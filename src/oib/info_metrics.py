@@ -25,25 +25,6 @@ LOG_2PIE = float(np.log(2.0 * np.pi * np.e))
 
 
 @dataclass
-class EntropyReport:
-    """Entropy of one encoding size, with the log-determinant it came from."""
-
-    n_z: int
-    entropy_nats: float
-    normalized: bool
-    covariance_logdet: float
-
-    def __post_init__(self):
-        expected = 0.5 * (self.n_z * LOG_2PIE + self.covariance_logdet)
-        if abs(self.entropy_nats - expected) > 1e-9 * (1 + abs(expected)):
-            raise ValueError("entropy_nats does not match its own logdet")
-
-    @property
-    def entropy_bits(self):
-        return self.entropy_nats / float(np.log(2.0))
-
-
-@dataclass
 class LoadingInvarianceReport:
     """Spread of MI across random loadings, and the noisy-case comparison."""
 
@@ -72,15 +53,6 @@ def gaussian_entropy(sigma):
                              % (sigma.shape,))
     n = sigma.shape[0]
     return 0.5 * (n * LOG_2PIE + logdet_psd(sigma))
-
-
-def entropy_report(sigma, normalized=False):
-    """EntropyReport for a covariance, recording its log-determinant."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    ld = logdet_psd(sigma)
-    n = sigma.shape[0]
-    return EntropyReport(n_z=n, entropy_nats=0.5 * (n * LOG_2PIE + ld),
-                         normalized=normalized, covariance_logdet=ld)
 
 
 def power_normalize(z_samples):

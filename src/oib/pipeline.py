@@ -13,14 +13,17 @@ Stages, in dependency order:
    (kind, n_z), and a least-squares re-expander per compressor.
 5. evaluate: per (kind, n_z), accuracy through the frozen head, entropy of
    power-normalized stochastic encodings, Gaussian MI, reconstruction MSE,
-   and the MACs split.  Fan-out across worker threads, merged in grid
-   order.
+   and the MACs split, in grid order (n_z outer, kind inner).
 6. retrain: a single average head trained on the mixture of all grid
    reconstructions, then one fine-tuned head per n_z with early stopping
    on a validation split (keeping the average head when fine-tuning does
    not help).
 7. normality: Henze-Zirkler p-values of random coordinate projections,
    raw versus transform domain.
+
+``run_experiment`` and the ``oib`` subcommands share one path:
+``prepare`` (stages 1-3, with the base networks trained or loaded),
+``fit`` and ``evaluate``.
 
 Every stage draws randomness only from its named seed in the config, so
 stages rerun in isolation reproduce their outputs bitwise on the same
@@ -32,17 +35,15 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import gaussianizer
 from .complexity_model import (CLASSIFICATION, COMPRESSION, pipeline_macs)
-from .config import config_to_dict
+from .config import HZ_PROJECTION_DIM, config_to_dict
 from .datasets import load_idx, subset, synthetic_digits
-from .errors import ConfigError
-from .gib_compressor import (Compressor, cca_compressor, compressor_at_size,
+from .gib_compressor import (cca_compressor, compressor_at_size,
                              pca_compressor, solve_gib)
 from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
                             forward_from_layer, head_logits, init_mlp,
@@ -57,6 +58,7 @@ from .tensor_stats import CovariancePair, DataMatrix, center, \
 
 TRANSFORM = "transform"
 RAW = "raw"
+HZ_PROJECTIONS = 20
 
 
 @dataclass
@@ -109,8 +111,8 @@ class ExperimentResult:
     train_labels: np.ndarray
     test_labels: np.ndarray
     domains: dict
-    compressors: dict
-    reexpanders: dict
+    compressors: dict = None
+    reexpanders: dict = None
     records: list = None
     reconstructions_train: dict = None
     reconstructions_test: dict = None
@@ -207,9 +209,12 @@ def fit_domain(config, domain, targets_seed, with_gib):
     return domain
 
 
-def fit_all_domains(config, domains):
+def fit_all_domains(config, domains, with_gib=True):
+    """Both domains' targets and covariances; the transform domain's
+    eigensystem too when ``with_gib`` (compressors loaded from disk do not
+    need it)."""
     fit_domain(config, domains[TRANSFORM], config.seeds.targets_transform,
-               with_gib=True)
+               with_gib=with_gib)
     fit_domain(config, domains[RAW], config.seeds.targets_raw,
                with_gib=False)
     return domains
@@ -289,24 +294,16 @@ def _eval_one(config, domains, compressors, reexpanders, test_labels,
 def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
     """All (kind, n_z) records, plus the OIB reconstructions for retraining.
 
-    Work items fan out across threads; results are merged back in grid
-    order, n_z outer and kind inner, so reports are deterministic.
+    Records come in grid order, n_z outer and kind inner.
     """
-    pairs = [(kind, n_z) for n_z in config.n_z_grid
-             for kind in config.compressor_kinds]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = {pair: pool.submit(_eval_one, config, domains,
-                                     compressors, reexpanders, test_labels,
-                                     *pair)
-                   for pair in pairs}
-        outcomes = {pair: fut.result() for pair, fut in futures.items()}
-    records = [outcomes[pair][0] for pair in pairs]
-    rec_train = {n_z: outcomes[("oib", n_z)][1][0]
-                 for n_z in config.n_z_grid
-                 if ("oib", n_z) in outcomes and outcomes[("oib", n_z)][1]}
-    rec_test = {n_z: outcomes[("oib", n_z)][1][1]
-                for n_z in config.n_z_grid
-                if ("oib", n_z) in outcomes and outcomes[("oib", n_z)][1]}
+    records, rec_train, rec_test = [], {}, {}
+    for n_z in config.n_z_grid:
+        for kind in config.compressor_kinds:
+            record, extras = _eval_one(config, domains, compressors,
+                                       reexpanders, test_labels, kind, n_z)
+            records.append(record)
+            if extras:
+                rec_train[n_z], rec_test[n_z] = extras
     return records, rec_train, rec_test
 
 
@@ -375,10 +372,8 @@ def retrain_bank(config, result):
         z_train = result.transform.x_train @ comp.matrix_a.T
         z_test = result.transform.x_test @ comp.matrix_a.T
         sizes = [n_z] + list(config.model_layer_sizes[2:])
-        cfg = TrainConfig(epochs=config.train.epochs,
-                          learning_rate=config.train.learning_rate,
-                          batch_size=config.train.batch_size,
-                          seed=config.seeds.head_per_rho_base + n_z)
+        cfg = replace(base_train_config(config),
+                      seed=config.seeds.head_per_rho_base + n_z)
         head = train_head_on_z(z_train, result.train_labels, sizes, cfg)
         heads[n_z] = head
         records.append({"n_z": n_z,
@@ -387,7 +382,7 @@ def retrain_bank(config, result):
     return heads, records
 
 
-def hz_compare(config, x_raw, x_tf, n_projections=20, projection_dim=10):
+def hz_compare(config, x_raw, x_tf):
     """Henze-Zirkler p-values on shared coordinate projections.
 
     Each projection draws the same coordinate subset for both domains from
@@ -396,32 +391,51 @@ def hz_compare(config, x_raw, x_tf, n_projections=20, projection_dim=10):
     """
     rng = np.random.default_rng(config.seeds.hz_projections)
     records = []
-    for i in range(n_projections):
-        idx = rng.choice(x_raw.shape[1], size=projection_dim, replace=False)
+    for i in range(HZ_PROJECTIONS):
+        idx = rng.choice(x_raw.shape[1], size=HZ_PROJECTION_DIM,
+                         replace=False)
         p_raw = gaussianizer.henze_zirkler(x_raw[:, idx]).p_value
         p_tf = gaussianizer.henze_zirkler(x_tf[:, idx]).p_value
         records.append(HzRecord(index=i, p_raw=p_raw, p_transform=p_tf))
     return records
 
 
-def run_experiment(config, out_dir=None, with_retrain=True, with_hz=True):
-    """Run every stage in order; optionally persist artifacts under out_dir."""
+def prepare(config, base_models):
+    """Stages 1-3: the dataset, both domains' features and base networks.
+
+    ``base_models(config, features, train_labels)`` returns one DomainData
+    per domain: ``train_base_models`` trains them, the CLI loads the
+    checkpoints ``train-base`` wrote.
+    """
     train_set, test_set = build_dataset(config)
     plan, features = domain_features(config, train_set, test_set)
-    domains = train_base_models(config, features, train_set.labels)
-    fit_all_domains(config, domains)
-    compressors = build_compressors(config, domains)
-    reexpanders = fit_reexpanders(config, domains, compressors)
+    return ExperimentResult(
+        config=config, plan=plan, train_labels=train_set.labels,
+        test_labels=test_set.labels,
+        domains=base_models(config, features, train_set.labels))
 
-    result = ExperimentResult(config=config, plan=plan,
-                              train_labels=train_set.labels,
-                              test_labels=test_set.labels,
-                              domains=domains, compressors=compressors,
-                              reexpanders=reexpanders)
+
+def fit(result):
+    """Stage 4: the eigensystem, every compressor and its re-expander."""
+    config, domains = result.config, result.domains
+    fit_all_domains(config, domains)
+    result.compressors = build_compressors(config, domains)
+    result.reexpanders = fit_reexpanders(config, domains, result.compressors)
+    return result
+
+
+def evaluate(result):
+    """Stage 5 on the result's compressors and re-expanders."""
     result.records, result.reconstructions_train, \
         result.reconstructions_test = evaluate_grid(
-            config, domains, compressors, reexpanders, test_set.labels)
+            result.config, result.domains, result.compressors,
+            result.reexpanders, result.test_labels)
+    return result
 
+
+def run_experiment(config, out_dir=None, with_retrain=True, with_hz=True):
+    """Run every stage in order; optionally persist artifacts under out_dir."""
+    result = evaluate(fit(prepare(config, train_base_models)))
     if with_retrain and "oib" in config.compressor_kinds:
         result.average_head, result.per_rho_heads, \
             result.retrain_records = retrain_heads(config, result)
@@ -493,11 +507,15 @@ def _write_json(payload, path):
         fh.write("\n")
 
 
+def base_stem(out_dir, domain):
+    return os.path.join(out_dir, "base_%s" % domain)
+
+
 def write_base_artifacts(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     for name in (TRANSFORM, RAW):
         domain = result.domains[name]
-        save_model(domain.model, os.path.join(out_dir, "base_%s" % name),
+        save_model(domain.model, base_stem(out_dir, name),
                    train_config=base_train_config(result.config),
                    seed=result.config.seeds.model_init)
     trace = {name: result.domains[name].losses for name in (TRANSFORM, RAW)}
@@ -526,6 +544,13 @@ def write_evaluation(result, out_dir):
     write_records_csv(result.records, os.path.join(out_dir, "records.csv"))
 
 
+def write_retrain_report(mode, records, out_dir):
+    """``retrain_report.json`` for one retrain mode; returns its payload."""
+    payload = {"mode": mode, "records": records}
+    _write_json(payload, os.path.join(out_dir, "retrain_report.json"))
+    return payload
+
+
 def write_retrain_artifacts(result, out_dir):
     heads_dir = os.path.join(out_dir, "heads")
     os.makedirs(heads_dir, exist_ok=True)
@@ -534,18 +559,20 @@ def write_retrain_artifacts(result, out_dir):
     for n_z, head in result.per_rho_heads.items():
         save_model(head, os.path.join(heads_dir, "per_rho_%03d" % n_z),
                    seed=result.config.seeds.head_per_rho_base + n_z)
-    _write_json({"records": [asdict(r) for r in result.retrain_records]},
-                os.path.join(out_dir, "retrain_report.json"))
+    return write_retrain_report(
+        "per_rho_head", [asdict(r) for r in result.retrain_records], out_dir)
 
 
-def write_hz_report(result, out_dir):
+def write_hz_report(hz_records, out_dir):
+    """``hz_report.json`` for the given projections; returns its payload."""
     os.makedirs(out_dir, exist_ok=True)
-    records = [asdict(r) for r in result.hz_records]
-    wins = sum(r["p_transform"] > r["p_raw"] for r in records)
-    _write_json({"projections": records,
-                 "transform_wins": wins,
-                 "total": len(records)},
-                os.path.join(out_dir, "hz_report.json"))
+    records = [asdict(r) for r in hz_records]
+    payload = {"projections": records,
+               "transform_wins": sum(r["p_transform"] > r["p_raw"]
+                                     for r in records),
+               "total": len(records)}
+    _write_json(payload, os.path.join(out_dir, "hz_report.json"))
+    return payload
 
 
 def write_artifacts(result, out_dir):
@@ -556,4 +583,4 @@ def write_artifacts(result, out_dir):
     if result.retrain_records is not None:
         write_retrain_artifacts(result, out_dir)
     if result.hz_records is not None:
-        write_hz_report(result, out_dir)
+        write_hz_report(result.hz_records, out_dir)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .gib_compressor import Compressor, CompressorKind
-from .inference_net import MlpModel, TrainConfig
+from .inference_net import MlpModel
 from .reexpander import FitMethod, Reexpander
 
 F64 = np.dtype("<f8")
@@ -143,10 +143,6 @@ def load_model(stem):
         offset += b.nbytes
         layers.append((w.astype(np.float32), b.astype(np.float32)))
     return MlpModel(layers)
-
-
-def train_config_from_dict(data):
-    return TrainConfig(**data)
 
 
 def config_hash(config_dict):

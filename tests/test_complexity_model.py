@@ -1,14 +1,11 @@
 """MAC accounting for the compressed pipeline and its reference network."""
 
-import json
-
 import pytest
 
 from oib.complexity_model import (CLASSIFICATION, COMPRESSION, MacsBreakdown,
                                   fft_macs, linear_macs, macs_table,
                                   network_macs, pipeline_macs,
-                                  saving_baseline, saving_percent,
-                                  training_cost_estimate)
+                                  saving_baseline, saving_percent)
 
 MODEL_LAYERS = [784, 256, 128, 64, 16, 10]
 HEAD_DIMS = [256, 128, 64, 16, 10]
@@ -94,7 +91,7 @@ def test_pipeline_validation():
         pipeline_macs(784, 10, [256])
 
 
-def test_breakdown_invariants_and_json():
+def test_breakdown_invariants():
     with pytest.raises(ValueError):
         MacsBreakdown(per_stage=[("a", 5)], total=6)
     with pytest.raises(ValueError):
@@ -102,21 +99,6 @@ def test_breakdown_invariants_and_json():
     bd = MacsBreakdown(per_stage=[("g:x", 2), ("g:y", 3), ("h", 4)], total=9)
     assert bd.subtotal("g") == 5
     assert bd.subtotal("h") == 4
-    parsed = json.loads(bd.to_json())
-    assert parsed["total"] == 9
-    assert parsed["per_stage"][0] == ["g:x", 2]
-
-
-def test_training_cost_terms():
-    terms = training_cost_estimate(784, 50, 10_000)
-    assert terms["eigendecomposition"] == pytest.approx(784.0 ** 3)
-    assert terms["covariance_accumulation"] == pytest.approx(
-        784.0 ** 2 * 10_000)
-    assert terms["transform_pass"] == pytest.approx(
-        10_000 * 784 * 9.614709844115208)
-    assert terms["reexpansion_fit"] == pytest.approx(50.0 ** 2 * 10_000)
-    with pytest.raises(ValueError):
-        training_cost_estimate(0, 50, 100)
 
 
 def test_macs_table_lists_every_grid_point():

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from oib import cli, pipeline
 from oib.cli import main
 from oib.config import (ExperimentConfig, SEED_STRIDE, apply_overrides,
                         config_from_dict, config_to_dict, load_config)
@@ -18,7 +19,6 @@ TINY = {
     "n_z_grid": [5, 10],
     "retrain": {"average_epochs": 2, "average_decay_at": 1,
                 "finetune_epochs": 1},
-    "workers": 2,
 }
 
 
@@ -63,8 +63,11 @@ def test_config_value_validation():
         config_from_dict({"encoding": "noisy"})
     with pytest.raises(ConfigError, match="shrinkage"):
         config_from_dict({"shrinkage": 1.0})
-    with pytest.raises(ConfigError, match="workers"):
-        config_from_dict({"workers": 0})
+    with pytest.raises(ConfigError, match="over-determined"):
+        config_from_dict({"dataset": {"n_train": 100}})
+    with pytest.raises(ConfigError, match="normality"):
+        config_from_dict({"dataset": {"n_test": 10}})
+    config_from_dict({"dataset": {"n_train": 101, "n_test": 11}})
     with pytest.raises(ConfigError, match="four"):
         config_from_dict({"dataset": {"train_images": "a.idx"}})
     with pytest.raises(ConfigError):
@@ -140,6 +143,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["evaluate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "train-base" in err
+    # a subset too small for the grid fails before any training
+    assert main(["train-base", "--subset", "50",
+                 "--out", str(tmp_path / "small")]) == 2
+    assert "over-determined" in capsys.readouterr().err
+    assert not (tmp_path / "small").exists()
 
 
 def test_cli_module_invocation_exit_code():
@@ -185,11 +193,16 @@ def test_cli_stage_composition(cli_run, capsys):
     assert (out_dir / "heads" / "bank_005.json").exists()
     assert (out_dir / "heads" / "bank_010.json").exists()
 
-    assert main(["retrain", "--config", cfg, "--mode", "average"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["retrain", "--config", cfg, "--mode", "average"])
+    assert exc.value.code == 2
+    assert main(["retrain", "--config", cfg]) == 0
     retrain_report = json.loads((out_dir / "retrain_report.json").read_text())
-    assert retrain_report["mode"] == "average"
+    assert retrain_report["mode"] == "per_rho_head"
     assert {r["n_z"] for r in retrain_report["records"]} == {5, 10}
+    assert all("accuracy_average" in r for r in retrain_report["records"])
     assert (out_dir / "heads" / "average.json").exists()
+    assert (out_dir / "heads" / "per_rho_010.json").exists()
 
     assert main(["hz-test", "--config", cfg]) == 0
     hz = json.loads((out_dir / "hz_report.json").read_text())
@@ -210,6 +223,42 @@ def test_evaluate_is_deterministic_across_runs(cli_run, capsys):
     first_report["metadata"].pop("created")
     second_report["metadata"].pop("created")
     assert first_report == second_report
+
+
+def test_cli_records_equal_run_experiment(cli_run, tmp_path):
+    cfg, out_dir = cli_run
+    config = apply_overrides(load_config(cfg), out=str(tmp_path))
+    pipeline.run_experiment(config, out_dir=str(tmp_path),
+                            with_retrain=False, with_hz=False)
+    assert (tmp_path / "records.csv").read_bytes() == \
+        (out_dir / "records.csv").read_bytes()
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_stages_skip_work_they_do_not_use(cli_run, monkeypatch, capsys):
+    cfg, _ = cli_run
+    trained = counting(monkeypatch, pipeline, "train")
+    loaded = counting(monkeypatch, cli, "load_model")
+    assert main(["hz-test", "--config", cfg]) == 0
+    assert trained == [] and loaded == []
+
+    solved = counting(monkeypatch, pipeline, "solve_gib")
+    for command in (["evaluate"], ["retrain"],
+                    ["retrain", "--mode", "per_rho_on_z"]):
+        assert main(command + ["--config", cfg]) == 0
+    assert solved == [] and trained == []
+    assert len(loaded) == 3 * 2
+    capsys.readouterr()
 
 
 def test_synth_check_passes(capsys):

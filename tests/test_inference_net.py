@@ -5,11 +5,10 @@ import pytest
 
 from oib.errors import DimensionError, NumericalError
 from oib.inference_net import (MlpModel, TrainConfig, _batch_loss_grads,
-                               accuracy, extract_l0, finetune_head, forward,
+                               accuracy, finetune_head, forward,
                                forward_from_layer, head_logits, head_model,
-                               init_mlp, make_regression_targets,
-                               retrain_head, train, train_head_on_z,
-                               train_multi_rho_head)
+                               init_mlp, make_regression_targets, train,
+                               train_head_on_z, train_multi_rho_head)
 
 
 def blob_data(seed, n=240, d=6, classes=3):
@@ -188,7 +187,7 @@ def test_make_regression_targets_default_noise_scale():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((300, 6))
     targets = make_regression_targets(model, x, seed=21)
-    w0, b0 = extract_l0(model)
+    w0, b0 = model.layers[0]
     pre = x @ w0.astype(np.float64).T + b0.astype(np.float64)
     want_lambda = 0.1 * np.sqrt(np.mean(pre.var(axis=0)))
     assert targets.noise_lambda == pytest.approx(want_lambda, rel=1e-12)
@@ -206,14 +205,14 @@ def test_head_retraining_on_reconstructions():
     model = init_mlp([6, 16, 8, 3], seed=0)
     model, _ = train(model, x, labels,
                      TrainConfig(epochs=6, learning_rate=1e-2, seed=1))
-    w0, b0 = extract_l0(model)
+    w0, b0 = model.layers[0]
     pre = x @ w0.T + b0
     # corrupt the pre-activations, then let the head adapt
     noisy = pre + 0.5 * np.random.default_rng(15).standard_normal(pre.shape)
     head = head_model(model)
     base_acc = float(np.mean(head_logits(head, noisy).argmax(1) == labels))
-    tuned = retrain_head(model, noisy, labels,
-                         TrainConfig(epochs=6, learning_rate=1e-3, seed=2))
+    tuned = finetune_head(head_model(model), noisy, labels,
+                          TrainConfig(epochs=6, learning_rate=1e-3, seed=2))
     tuned_acc = float(np.mean(head_logits(tuned, noisy).argmax(1) == labels))
     assert tuned_acc >= base_acc
     assert tuned.layer_sizes == model.layer_sizes[1:]

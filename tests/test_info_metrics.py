@@ -9,9 +9,9 @@ from oib.errors import DimensionError, NumericalError
 from oib.tensor_stats import CovariancePair, DataMatrix, center, \
     sample_covariance
 from oib.gib_compressor import solve_gib
-from oib.info_metrics import (LOG_2PIE, EntropyReport, encoding_mi,
-                              entropy_report, gaussian_entropy, gaussian_mi,
-                              mi_loading_invariance_check, power_normalize,
+from oib.info_metrics import (LOG_2PIE, encoding_mi, gaussian_entropy,
+                              gaussian_mi, mi_loading_invariance_check,
+                              power_normalize,
                               random_projection_optimality_check)
 
 
@@ -53,21 +53,6 @@ def test_gaussian_entropy_agrees_with_knn_estimator():
     h_analytic = gaussian_entropy(cov)
     h_sampled = knn_entropy(samples)
     assert abs(h_sampled - h_analytic) / abs(h_analytic) < 0.02
-
-
-def test_entropy_report_consistency():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 4))
-    sigma = a @ a.T + np.eye(4)
-    rep = entropy_report(sigma, normalized=True)
-    assert rep.n_z == 4
-    assert rep.normalized
-    assert rep.entropy_nats == pytest.approx(gaussian_entropy(sigma),
-                                             rel=1e-9)
-    assert rep.entropy_bits == pytest.approx(rep.entropy_nats / np.log(2.0))
-    with pytest.raises(ValueError):
-        EntropyReport(n_z=4, entropy_nats=1.0, normalized=False,
-                      covariance_logdet=0.0)
 
 
 def test_power_normalize_sets_mean_unit_power():

@@ -12,7 +12,7 @@ from oib.reexpander import FitMethod, Reexpander
 from oib.serialization import (config_hash, load_compressor, load_model,
                                load_reexpander, report_schema,
                                save_compressor, save_model, save_reexpander,
-                               train_config_from_dict, validate_report)
+                               validate_report)
 
 
 def sample_report():
@@ -91,7 +91,7 @@ def test_model_round_trip(tmp_path):
     manifest = json.loads((tmp_path / "model.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["train_config"]["epochs"] == 4
-    rebuilt = train_config_from_dict(manifest["train_config"])
+    rebuilt = TrainConfig(**manifest["train_config"])
     assert rebuilt == cfg
 
 
