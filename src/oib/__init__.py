@@ -26,7 +26,7 @@ from .gaussianizer import inverse as dft_inverse
 from .gib_compressor import (Compressor, CompressorKind, GibSolution,
                              beta_for_size, cca_compressor,
                              compressor_at_beta, compressor_at_size, encode,
-                             pca_compressor, solve_gib)
+                             pca_basis, pca_compressor, solve_gib)
 from .inference_net import (MlpModel, RegressionTargetSet, TrainConfig,
                             accuracy, finetune_head, forward,
                             forward_from_layer, head_logits, head_model,
@@ -45,8 +45,7 @@ from .serialization import (config_hash, load_compressor, load_model,
                             load_reexpander, save_compressor, save_model,
                             save_reexpander, validate_report)
 from .tensor_stats import (CovariancePair, DataMatrix,
-                           GeneralizedEigenResult, center,
-                           conditional_covariance, gib_eigensystem,
-                           logdet_psd, sample_covariance)
+                           GeneralizedEigenResult, conditional_covariance,
+                           gib_eigensystem, logdet_psd, sample_covariance)
 
 __version__ = "0.1.0"

@@ -103,7 +103,8 @@ def cmd_fit_oib(config):
     _emit({"output_dir": config.output_dir,
            "artifacts": len(result.compressors) + len(result.reexpanders),
            "noise_lambda": {name: domain.targets.noise_lambda
-                            for name, domain in result.domains.items()}})
+                            for name, domain in result.domains.items()
+                            if domain.targets is not None}})
     return 0
 
 

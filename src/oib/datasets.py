@@ -37,7 +37,6 @@ class LabeledImageSet:
     labels: np.ndarray
     height: int
     width: int
-    channels: int = 1
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels)
@@ -49,12 +48,12 @@ class LabeledImageSet:
             raise IdxCountMismatchError(
                 "%d images but %d labels" % (self.images.n_samples,
                                              len(self.labels)))
-        n_x = self.height * self.width * self.channels
+        n_x = self.height * self.width
         if self.images.n_features != n_x:
             raise DimensionError("images have %d features, expected "
-                                 "%dx%dx%d = %d"
+                                 "%dx%d = %d"
                                  % (self.images.n_features, self.height,
-                                    self.width, self.channels, n_x))
+                                    self.width, n_x))
 
     @property
     def n_samples(self):
@@ -146,8 +145,7 @@ def subset(image_set, n, seed):
     keep = np.sort(np.concatenate(chosen))
     return LabeledImageSet(images=DataMatrix(image_set.images.values[keep]),
                            labels=image_set.labels[keep],
-                           height=image_set.height, width=image_set.width,
-                           channels=image_set.channels)
+                           height=image_set.height, width=image_set.width)
 
 
 @dataclass

@@ -16,24 +16,22 @@ from scipy import linalg
 from scipy.stats import lognorm
 
 from .errors import DimensionError, NumericalError
-from .tensor_stats import DataMatrix
 
 _SQRT2 = np.sqrt(2.0)
 
 
 @dataclass
 class RealDft2dPlan:
-    """Precomputed packing indices for a height x width (x channels) image."""
+    """Precomputed packing indices for a height x width image."""
 
     height: int
     width: int
-    channels: int = 1
     real_slots: np.ndarray = field(init=False, repr=False)
     pair_repr: np.ndarray = field(init=False, repr=False)
     pair_conj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.channels < 1:
+        if self.height < 1 or self.width < 1:
             raise DimensionError("plan dimensions must be positive")
         k = np.arange(self.height)[:, None]
         l = np.arange(self.width)[None, :]
@@ -44,12 +42,8 @@ class RealDft2dPlan:
         self.pair_conj = conj.ravel()[self.pair_repr]
 
     @property
-    def n_pixels(self):
-        return self.height * self.width
-
-    @property
     def n_features(self):
-        return self.height * self.width * self.channels
+        return self.height * self.width
 
 
 def _as_batch(plan, x):
@@ -65,31 +59,28 @@ def _as_batch(plan, x):
 def forward(plan, x):
     """Real-packed orthonormal 2D-DFT of one vector or a batch of rows."""
     batch, single = _as_batch(plan, x)
-    n, hw = len(batch), plan.n_pixels
-    per_channel = batch.reshape(n * plan.channels, plan.height, plan.width)
-    f = np.fft.fft2(per_channel, norm="ortho").reshape(n * plan.channels, hw)
-    packed = np.concatenate([f[:, plan.real_slots].real,
-                             _SQRT2 * f[:, plan.pair_repr].real,
-                             _SQRT2 * f[:, plan.pair_repr].imag], axis=1)
-    out = packed.reshape(n, plan.channels * hw)
+    n = len(batch)
+    images = batch.reshape(n, plan.height, plan.width)
+    f = np.fft.fft2(images, norm="ortho").reshape(n, plan.n_features)
+    out = np.concatenate([f[:, plan.real_slots].real,
+                          _SQRT2 * f[:, plan.pair_repr].real,
+                          _SQRT2 * f[:, plan.pair_repr].imag], axis=1)
     return out[0] if single else out
 
 
 def inverse(plan, coeffs):
     """Exact inverse of forward()."""
     batch, single = _as_batch(plan, coeffs)
-    n, hw = len(batch), plan.n_pixels
-    per_channel = batch.reshape(n * plan.channels, hw)
     n_real = plan.real_slots.size
     n_pair = plan.pair_repr.size
-    f = np.zeros((n * plan.channels, hw), dtype=np.complex128)
-    f[:, plan.real_slots] = per_channel[:, :n_real]
-    rep = (per_channel[:, n_real:n_real + n_pair]
-           + 1j * per_channel[:, n_real + n_pair:]) / _SQRT2
+    f = np.zeros((len(batch), plan.n_features), dtype=np.complex128)
+    f[:, plan.real_slots] = batch[:, :n_real]
+    rep = (batch[:, n_real:n_real + n_pair]
+           + 1j * batch[:, n_real + n_pair:]) / _SQRT2
     f[:, plan.pair_repr] = rep
     f[:, plan.pair_conj] = rep.conj()
     img = np.fft.ifft2(f.reshape(-1, plan.height, plan.width), norm="ortho")
-    out = img.real.reshape(n, plan.channels * hw)
+    out = img.real.reshape(len(batch), plan.n_features)
     return out[0] if single else out
 
 
@@ -117,8 +108,7 @@ def henze_zirkler(data, level=0.05):
     b = ((N (2d + 1) / 4) ** (1 / (d + 4))) / sqrt(2) and a p-value from the
     log-normal approximation of the null distribution.
     """
-    x = data.values if isinstance(data, DataMatrix) else np.asarray(data,
-                                                                dtype=float)
+    x = np.asarray(data, dtype=np.float64)
     n, d = x.shape
     if n <= d:
         raise DimensionError("Henze-Zirkler needs more samples than "

@@ -10,7 +10,10 @@ with
 
 The CCA baseline keeps the same directions with unit loadings; the PCA
 baseline projects on the top-variance eigenvectors of sigma_x instead.
-Encoding is z = A x, optionally plus unit-variance Gaussian noise.
+Both solutions are nested: the compressor of every size is built from a
+prefix of one basis (the GIB eigenvectors, or the PCA eigenvectors as
+rows), so each basis is solved once and sliced per n_z.  Encoding is the
+deterministic linear map z = A x.
 """
 
 import enum
@@ -45,21 +48,18 @@ class GibSolution:
 
 @dataclass
 class Compressor:
-    """A fitted linear feature extractor with an optional noise model."""
+    """A fitted linear feature extractor z = A x."""
 
     kind: CompressorKind
     matrix_a: np.ndarray
     n_z: int
     beta: float = None
-    noise_std: float = 0.0
 
     def __post_init__(self):
         self.matrix_a = np.asarray(self.matrix_a, dtype=np.float64)
         if self.matrix_a.ndim != 2 or self.matrix_a.shape[0] != self.n_z:
             raise DimensionError("matrix_a must have n_z=%d rows, got shape "
                                  "%s" % (self.n_z, self.matrix_a.shape))
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be non-negative")
 
     @property
     def n_x(self):
@@ -81,22 +81,27 @@ def solve_gib(cov):
                        n_x=eigen.dim)
 
 
-def _loadings(sol, beta, n_z):
+def _check_size(n_z, n_x):
+    if not 1 <= n_z <= n_x:
+        raise ValueError("n_z must lie in [1, %d], got %d" % (n_x, n_z))
+
+
+def _oib_compressor(sol, beta, n_z):
+    """Loadings alpha_i(beta) on the first n_z eigendirections."""
     lam = sol.eigen.eigenvalues[:n_z]
     r = sol.eigen.r_values[:n_z]
     num = np.maximum(beta * (1.0 - lam) - 1.0, 0.0)
-    return np.sqrt(num / (lam * r))
+    alpha = np.sqrt(num / (lam * r))
+    matrix = alpha[:, None] * sol.eigen.left_eigenvectors[:n_z]
+    return Compressor(kind=CompressorKind.OIB, matrix_a=matrix, n_z=n_z,
+                      beta=float(beta))
 
 
-def compressor_at_beta(sol, beta, noise_std=0.0):
+def compressor_at_beta(sol, beta):
     """Compressor whose row count is the number of critical betas below beta."""
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
-    n_z = int(np.sum(beta > sol.beta_critical))
-    alpha = _loadings(sol, beta, n_z)
-    matrix = alpha[:, None] * sol.eigen.left_eigenvectors[:n_z]
-    return Compressor(kind=CompressorKind.OIB, matrix_a=matrix, n_z=n_z,
-                      beta=float(beta), noise_std=noise_std)
+    return _oib_compressor(sol, beta, int(np.sum(beta > sol.beta_critical)))
 
 
 def beta_for_size(sol, n_z):
@@ -105,48 +110,39 @@ def beta_for_size(sol, n_z):
     The interval above the last critical value is closed off at twice its
     lower end so every n_z up to n_x has a finite representative beta.
     """
-    if not 1 <= n_z <= sol.n_x:
-        raise ValueError("n_z must lie in [1, %d], got %d" % (sol.n_x, n_z))
+    _check_size(n_z, sol.n_x)
     upper = np.append(sol.beta_critical, 2.0 * sol.beta_critical[-1])
     return float(np.sqrt(sol.beta_critical[n_z - 1] * upper[n_z]))
 
 
-def compressor_at_size(sol, n_z, noise_std=0.0):
+def compressor_at_size(sol, n_z):
     """Compressor with exactly n_z rows, with beta chosen inside its interval."""
-    beta = beta_for_size(sol, n_z)
-    alpha = _loadings(sol, beta, n_z)
-    matrix = alpha[:, None] * sol.eigen.left_eigenvectors[:n_z]
-    return Compressor(kind=CompressorKind.OIB, matrix_a=matrix, n_z=n_z,
-                      beta=beta, noise_std=noise_std)
+    return _oib_compressor(sol, beta_for_size(sol, n_z), n_z)
 
 
-def cca_compressor(sol, n_z, noise_std=0.0):
+def cca_compressor(sol, n_z):
     """Unit-loading compressor on the first n_z eigendirections."""
-    if not 1 <= n_z <= sol.n_x:
-        raise ValueError("n_z must lie in [1, %d], got %d" % (sol.n_x, n_z))
-    matrix = sol.eigen.left_eigenvectors[:n_z].copy()
-    return Compressor(kind=CompressorKind.CCA, matrix_a=matrix, n_z=n_z,
-                      beta=None, noise_std=noise_std)
+    _check_size(n_z, sol.n_x)
+    return Compressor(kind=CompressorKind.CCA,
+                      matrix_a=sol.eigen.left_eigenvectors[:n_z].copy(),
+                      n_z=n_z)
 
 
-def pca_compressor(sigma_x, n_z, noise_std=0.0):
-    """Projection on the n_z largest-variance eigenvectors of sigma_x."""
-    sigma_x = np.asarray(sigma_x, dtype=np.float64)
-    if not 1 <= n_z <= sigma_x.shape[0]:
-        raise ValueError("n_z must lie in [1, %d], got %d"
-                         % (sigma_x.shape[0], n_z))
-    _, vecs = np.linalg.eigh(sigma_x)
-    matrix = vecs[:, ::-1][:, :n_z].T.copy()
-    return Compressor(kind=CompressorKind.PCA, matrix_a=matrix, n_z=n_z,
-                      beta=None, noise_std=noise_std)
+def pca_basis(sigma_x):
+    """Eigenvectors of sigma_x as rows, in descending order of variance."""
+    _, vecs = np.linalg.eigh(np.asarray(sigma_x, dtype=np.float64))
+    return vecs[:, ::-1].T
 
 
-def encode(comp, x, rng=None):
-    """z = A x, plus seeded Gaussian noise when the compressor is stochastic.
+def pca_compressor(basis, n_z):
+    """Projection on the first n_z rows of a ``pca_basis``."""
+    _check_size(n_z, basis.shape[0])
+    return Compressor(kind=CompressorKind.PCA, matrix_a=basis[:n_z].copy(),
+                      n_z=n_z)
 
-    ``rng`` may be an integer seed or a numpy Generator; it is required
-    whenever noise_std > 0 so that encodings stay reproducible.
-    """
+
+def encode(comp, x):
+    """z = A x for one vector or a batch of rows."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     batch = x[None, :] if single else x
@@ -154,11 +150,4 @@ def encode(comp, x, rng=None):
         raise DimensionError("expected inputs of length %d, got shape %s"
                              % (comp.n_x, x.shape))
     z = batch @ comp.matrix_a.T
-    if comp.noise_std > 0.0:
-        if rng is None:
-            raise ValueError("stochastic encoding requires a seed or "
-                             "Generator for reproducibility")
-        gen = rng if isinstance(rng, np.random.Generator) \
-            else np.random.default_rng(rng)
-        z = z + comp.noise_std * gen.standard_normal(z.shape)
     return z[0] if single else z

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .tensor_stats import DataMatrix, logdet_psd
+from .tensor_stats import logdet_psd
 
 LOG_2PIE = float(np.log(2.0 * np.pi * np.e))
 
@@ -63,16 +63,14 @@ def power_normalize(z_samples):
     is exactly n_z.  Doubling the inputs therefore does not change the
     output.
     """
-    if not isinstance(z_samples, DataMatrix):
-        z_samples = DataMatrix(np.asarray(z_samples, dtype=np.float64))
-    x = z_samples.values
+    x = np.asarray(z_samples, dtype=np.float64)
     xc = x - x.mean(axis=0)
     total_power = float(np.sum(xc * xc)) / x.shape[0]
     if total_power <= 0.0:
         raise NumericalError("cannot power-normalize samples with zero "
                              "variance")
-    scale = np.sqrt(z_samples.n_features / total_power)
-    return DataMatrix(x * scale, centered=z_samples.centered)
+    scale = np.sqrt(x.shape[1] / total_power)
+    return x * scale
 
 
 def gaussian_mi(sigma_z, sigma_z_given_y):

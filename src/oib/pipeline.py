@@ -9,8 +9,11 @@ Stages, in dependency order:
    normality comparison are measured on its native inputs).
 4. fit: regression targets from the first layer, covariance pair through
    the analytic route (Sigma_xy = Sigma_x W0', Sigma_y = W0 Sigma_x W0' +
-   lambda^2 I), the generalized eigensystem, compressors for every
-   (kind, n_z), and a least-squares re-expander per compressor.
+   lambda^2 I), the generalized eigensystem, and a least-squares
+   re-expander per compressor.  The raw domain is fitted only when PCA is
+   on the grid.  Each basis (the transform domain's GIB eigenvectors, the
+   raw domain's PCA eigenvectors) is solved once, and the compressor of
+   every (kind, n_z) is a row prefix of it.
 5. evaluate: per (kind, n_z), accuracy through the frozen head, entropy of
    power-normalized stochastic encodings, Gaussian MI, reconstruction MSE,
    and the MACs split, in grid order (n_z outer, kind inner).
@@ -43,8 +46,8 @@ from . import gaussianizer
 from .complexity_model import (CLASSIFICATION, COMPRESSION, pipeline_macs)
 from .config import HZ_PROJECTION_DIM, config_to_dict
 from .datasets import load_idx, subset, synthetic_digits
-from .gib_compressor import (cca_compressor, compressor_at_size,
-                             pca_compressor, solve_gib)
+from .gib_compressor import (cca_compressor, compressor_at_size, encode,
+                             pca_basis, pca_compressor, solve_gib)
 from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
                             forward_from_layer, head_logits, init_mlp,
                             make_regression_targets, train,
@@ -53,8 +56,8 @@ from .info_metrics import encoding_mi, gaussian_entropy, power_normalize
 from .reexpander import fit_ls, reexpand
 from .serialization import (config_hash, save_compressor, save_model,
                             save_reexpander, validate_report)
-from .tensor_stats import CovariancePair, DataMatrix, center, \
-    conditional_covariance, sample_covariance
+from .tensor_stats import CovariancePair, conditional_covariance, \
+    sample_covariance
 
 TRANSFORM = "transform"
 RAW = "raw"
@@ -192,8 +195,7 @@ def fit_domain(config, domain, targets_seed, with_gib):
     domain.targets = make_regression_targets(domain.model, domain.x_train,
                                              noise_lambda=config.noise_lambda,
                                              seed=targets_seed)
-    centered, _ = center(DataMatrix(domain.x_train))
-    sigma_x = sample_covariance(centered, shrinkage=config.shrinkage)
+    sigma_x = sample_covariance(domain.x_train, shrinkage=config.shrinkage)
     w0 = domain.model.layers[0][0].astype(np.float64)
     b0 = domain.model.layers[0][1].astype(np.float64)
     lam = domain.targets.noise_lambda
@@ -210,13 +212,14 @@ def fit_domain(config, domain, targets_seed, with_gib):
 
 
 def fit_all_domains(config, domains, with_gib=True):
-    """Both domains' targets and covariances; the transform domain's
-    eigensystem too when ``with_gib`` (compressors loaded from disk do not
-    need it)."""
+    """Targets and covariances of the transform domain, and of the raw
+    domain when PCA is on the grid; the transform domain's eigensystem too
+    when ``with_gib`` (compressors loaded from disk do not need it)."""
     fit_domain(config, domains[TRANSFORM], config.seeds.targets_transform,
                with_gib=with_gib)
-    fit_domain(config, domains[RAW], config.seeds.targets_raw,
-               with_gib=False)
+    if "pca" in config.compressor_kinds:
+        fit_domain(config, domains[RAW], config.seeds.targets_raw,
+                   with_gib=False)
     return domains
 
 
@@ -226,6 +229,9 @@ def domain_for_kind(kind):
 
 
 def build_compressors(config, domains):
+    """Every (kind, n_z) compressor, each a row prefix of its kind's basis."""
+    basis = pca_basis(domains[RAW].cov.sigma_x) \
+        if "pca" in config.compressor_kinds else None
     compressors = {}
     for n_z in config.n_z_grid:
         for kind in config.compressor_kinds:
@@ -234,7 +240,7 @@ def build_compressors(config, domains):
             elif kind == "cca":
                 comp = cca_compressor(domains[TRANSFORM].gib, n_z)
             else:
-                comp = pca_compressor(domains[RAW].cov.sigma_x, n_z)
+                comp = pca_compressor(basis, n_z)
             compressors[(kind, n_z)] = comp
     return compressors
 
@@ -243,7 +249,7 @@ def fit_reexpanders(config, domains, compressors):
     reexpanders = {}
     for (kind, n_z), comp in compressors.items():
         domain = domains[domain_for_kind(kind)]
-        z_train = domain.x_train @ comp.matrix_a.T
+        z_train = encode(comp, domain.x_train)
         reexpanders[(kind, n_z)] = fit_ls(z_train,
                                           domain.targets.y_tilde,
                                           ridge=config.ridge)
@@ -254,9 +260,7 @@ def _entropy_of_encodings(z_train, n_z, seed):
     """Entropy of power-normalized stochastic encodings z + xi."""
     rng = np.random.default_rng(seed)
     z_stochastic = z_train + rng.standard_normal(z_train.shape)
-    normalized = power_normalize(DataMatrix(z_stochastic))
-    centered, _ = center(normalized)
-    return gaussian_entropy(sample_covariance(centered))
+    return gaussian_entropy(sample_covariance(power_normalize(z_stochastic)))
 
 
 def _eval_one(config, domains, compressors, reexpanders, test_labels,
@@ -265,7 +269,7 @@ def _eval_one(config, domains, compressors, reexpanders, test_labels,
     comp = compressors[(kind, n_z)]
     rx = reexpanders[(kind, n_z)]
 
-    z_test = domain.x_test @ comp.matrix_a.T
+    z_test = encode(comp, domain.x_test)
     if config.encoding == "stochastic":
         rng = np.random.default_rng([config.seeds.entropy_base, n_z, 1])
         z_test = z_test + rng.standard_normal(z_test.shape)
@@ -273,7 +277,7 @@ def _eval_one(config, domains, compressors, reexpanders, test_labels,
     logits = forward_from_layer(domain.model, 1, y_rec_test)
     acc = float(np.mean(logits.argmax(axis=1) == test_labels))
 
-    z_train = domain.x_train @ comp.matrix_a.T
+    z_train = encode(comp, domain.x_train)
     entropy = _entropy_of_encodings(z_train, n_z,
                                     config.seeds.entropy_base + n_z)
     mi = encoding_mi(comp.matrix_a, domain.cov)
@@ -369,8 +373,8 @@ def retrain_bank(config, result):
     records = []
     for n_z in config.n_z_grid:
         comp = result.compressors[("oib", n_z)]
-        z_train = result.transform.x_train @ comp.matrix_a.T
-        z_test = result.transform.x_test @ comp.matrix_a.T
+        z_train = encode(comp, result.transform.x_train)
+        z_test = encode(comp, result.transform.x_test)
         sizes = [n_z] + list(config.model_layer_sizes[2:])
         cfg = replace(base_train_config(config),
                       seed=config.seeds.head_per_rho_base + n_z)

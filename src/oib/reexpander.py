@@ -14,7 +14,6 @@ import numpy as np
 from scipy import linalg
 
 from .errors import DimensionError, NumericalError
-from .tensor_stats import DataMatrix
 
 DEFAULT_RIDGE_SCALE = 1e-8
 
@@ -68,21 +67,15 @@ def fit_lmmse(c_yz, c_zz, ridge=0.0, target_mean=None):
                       target_mean=np.asarray(target_mean, dtype=np.float64))
 
 
-def _as_values(m):
-    return m.values if isinstance(m, DataMatrix) else np.asarray(m,
-                                                                dtype=float)
-
-
-def fit_ls(z_train, y_train, ridge=None, svd_fallback=False):
+def fit_ls(z_train, y_train, ridge=None):
     """Least-squares fit of the normal equations on training encodings.
 
     ``ridge=None`` applies the default stabilization
     DEFAULT_RIDGE_SCALE * tr(Z'Z) / n_z; pass 0.0 for the raw normal
-    equations.  A rank-deficient system with ridge 0 raises unless
-    ``svd_fallback`` asks for the SVD pseudo-inverse solution.
+    equations.  A singular system raises NumericalError.
     """
-    z = _as_values(z_train)
-    y = _as_values(y_train)
+    z = np.asarray(z_train, dtype=np.float64)
+    y = np.asarray(y_train, dtype=np.float64)
     if len(z) != len(y):
         raise DimensionError("z and y must have the same number of rows")
     n, n_z = z.shape
@@ -95,18 +88,11 @@ def fit_ls(z_train, y_train, ridge=None, svd_fallback=False):
     if ridge is None:
         ridge = DEFAULT_RIDGE_SCALE * np.trace(gram) / n_z
     gram[np.diag_indices_from(gram)] += ridge
-    rhs = zc.T @ yc
-    if ridge > 0.0:
-        theta = np.linalg.solve(gram, rhs).T
-    else:
-        try:
-            theta = np.linalg.solve(gram, rhs).T
-        except np.linalg.LinAlgError as exc:
-            if not svd_fallback:
-                raise NumericalError(
-                    "Z'Z is singular with ridge 0; pass svd_fallback=True "
-                    "to solve via the SVD pseudo-inverse") from exc
-            theta = np.linalg.lstsq(zc, yc, rcond=None)[0].T
+    try:
+        theta = np.linalg.solve(gram, zc.T @ yc).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("Z'Z + ridge*I is singular with ridge %g; "
+                             "increase ridge" % ridge) from exc
     target_mean = y_mean - theta @ z_mean
     return Reexpander(theta=theta, fit_method=FitMethod.LS_SAMPLE,
                       target_mean=target_mean)

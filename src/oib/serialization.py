@@ -66,7 +66,6 @@ def save_compressor(comp, stem):
         "n_x": comp.n_x,
         "n_z": comp.n_z,
         "beta": comp.beta,
-        "noise_std": comp.noise_std,
         "dtype": F64.str,
     }
     blob = np.ascontiguousarray(comp.matrix_a, dtype=F64).tobytes()
@@ -82,8 +81,7 @@ def load_compressor(stem):
     return Compressor(kind=CompressorKind(manifest["kind"]),
                       matrix_a=matrix.astype(np.float64),
                       n_z=n_z,
-                      beta=manifest["beta"],
-                      noise_std=manifest["noise_std"])
+                      beta=manifest["beta"])
 
 
 def save_reexpander(rx, stem):

@@ -26,7 +26,6 @@ class DataMatrix:
     """N x d matrix of samples (rows) by features (columns)."""
 
     values: np.ndarray
-    centered: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -37,12 +36,6 @@ class DataMatrix:
         if n < 1 or d < 1:
             raise DimensionError("DataMatrix needs at least one row and one "
                                  "column, got shape %s" % (self.values.shape,))
-        if self.centered:
-            mu = self.values.mean(axis=0)
-            tol = 1e-9 * (self.values.std(axis=0) + 1.0)
-            if np.any(np.abs(mu) > tol):
-                raise ValueError("matrix marked centered but column means "
-                                 "reach %g" % float(np.max(np.abs(mu))))
 
     @property
     def n_samples(self):
@@ -103,27 +96,15 @@ class GeneralizedEigenResult:
         return self.eigenvalues.shape[0]
 
 
-def center(data):
-    """Remove column means; returns the centered matrix and the mean vector."""
-    values = data.values if isinstance(data, DataMatrix) else np.asarray(data,
-                                                                dtype=float)
-    mean = values.mean(axis=0)
-    return DataMatrix(values - mean, centered=True), mean
-
-
-def sample_covariance(data, shrinkage=0.0):
-    """Shrinkage covariance (1-g)*X'X/N + g*(tr/d)*I of centered data."""
-    if isinstance(data, DataMatrix):
-        if not data.centered:
-            raise ValueError("sample_covariance requires centered data; "
-                             "call center() first")
-        x = data.values
-    else:
-        x = np.asarray(data, dtype=np.float64)
+def sample_covariance(x, shrinkage=0.0):
+    """Shrinkage covariance (1-g)*Xc'Xc/N + g*(tr/d)*I of the samples (rows)
+    of x, where Xc is x with its column means removed."""
+    x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise DimensionError("cannot estimate covariance from zero samples")
     if not 0.0 <= shrinkage < 1.0:
         raise ValueError("shrinkage must lie in [0, 1)")
+    x = x - x.mean(axis=0)
     s = x.T @ x / x.shape[0]
     s = 0.5 * (s + s.T)
     if shrinkage > 0.0:

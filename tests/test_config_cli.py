@@ -253,11 +253,18 @@ def test_stages_skip_work_they_do_not_use(cli_run, monkeypatch, capsys):
     assert trained == [] and loaded == []
 
     solved = counting(monkeypatch, pipeline, "solve_gib")
+    fitted = counting(monkeypatch, pipeline, "fit_domain")
+    fitted_per_command = []
     for command in (["evaluate"], ["retrain"],
                     ["retrain", "--mode", "per_rho_on_z"]):
         assert main(command + ["--config", cfg]) == 0
+        fitted_per_command.append(len(fitted))
+        fitted.clear()
     assert solved == [] and trained == []
     assert len(loaded) == 3 * 2
+    # evaluate fits both domains (PCA is on the grid); retrain fits only
+    # the transform domain, and per_rho_on_z fits nothing
+    assert fitted_per_command == [2, 1, 0]
     capsys.readouterr()
 
 

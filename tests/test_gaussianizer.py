@@ -31,7 +31,7 @@ def hz_reference(x):
 def test_plan_packing_covers_every_pixel():
     for h, w in ((28, 28), (27, 28), (4, 4), (5, 3), (1, 8)):
         plan = RealDft2dPlan(height=h, width=w)
-        assert plan.n_pixels == h * w
+        assert plan.n_features == h * w
         assert plan.real_slots.size + 2 * plan.pair_repr.size == h * w
         # representative and conjugate index sets are disjoint
         overlap = np.intersect1d(plan.pair_repr, plan.pair_conj)

@@ -1,14 +1,17 @@
 """Closed-form compressor loadings, critical betas, and baselines."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from oib import pipeline
 from oib.errors import DimensionError
 from oib.tensor_stats import CovariancePair
 from oib.gib_compressor import (CompressorKind, Compressor, beta_for_size,
                                 cca_compressor, compressor_at_beta,
-                                compressor_at_size, encode, pca_compressor,
-                                solve_gib)
+                                compressor_at_size, encode, pca_basis,
+                                pca_compressor, solve_gib)
 
 
 def make_instance(seed, dim=6):
@@ -131,7 +134,7 @@ def test_pca_compressor_takes_top_variance_directions():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 5))
     sigma = a @ a.T + 0.1 * np.eye(5)
-    comp = pca_compressor(sigma, 2)
+    comp = pca_compressor(pca_basis(sigma), 2)
     assert comp.kind is CompressorKind.PCA
     vals = np.linalg.eigvalsh(sigma)
     captured = np.einsum("ij,jk,ik->i", comp.matrix_a, sigma, comp.matrix_a)
@@ -142,6 +145,25 @@ def test_pca_compressor_takes_top_variance_directions():
                                atol=1e-12)
 
 
+def test_pca_compressors_are_prefixes_of_one_basis():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((7, 7))
+    sigma = a @ a.T + 0.1 * np.eye(7)
+    basis = pca_basis(sigma)
+    assert basis.shape == (7, 7)
+    variances = np.einsum("ij,jk,ik->i", basis, sigma, basis)
+    assert np.all(np.diff(variances) <= 1e-12)
+    vecs = np.linalg.eigh(sigma)[1]
+    for n_z in range(1, 8):
+        comp = pca_compressor(basis, n_z)
+        assert np.array_equal(comp.matrix_a, basis[:n_z])
+        # the same matrix a per-size eigendecomposition produces
+        assert np.array_equal(comp.matrix_a, vecs[:, ::-1][:, :n_z].T)
+    for bad in (0, 8):
+        with pytest.raises(ValueError):
+            pca_compressor(basis, bad)
+
+
 def test_encode_deterministic_and_stochastic():
     cov, _ = make_instance(8)
     sol = solve_gib(cov)
@@ -149,15 +171,11 @@ def test_encode_deterministic_and_stochastic():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((40, sol.n_x))
     z = encode(comp, x)
-    np.testing.assert_allclose(z, x @ comp.matrix_a.T)
-    noisy = Compressor(kind=comp.kind, matrix_a=comp.matrix_a, n_z=comp.n_z,
-                       beta=comp.beta, noise_std=1.0)
-    with pytest.raises(ValueError, match="seed"):
-        encode(noisy, x)
-    z1 = encode(noisy, x, rng=123)
-    z2 = encode(noisy, x, rng=123)
-    np.testing.assert_array_equal(z1, z2)
-    assert not np.allclose(z1, z)
+    np.testing.assert_array_equal(z, x @ comp.matrix_a.T)
+    np.testing.assert_array_equal(encode(comp, x), z)
+    # stochastic encodings add their noise outside the compressor
+    with pytest.raises(TypeError):
+        encode(comp, x, rng=123)
     single = encode(comp, x[0])
     assert single.shape == (3,)
     # single rows hit a different BLAS kernel than batches, so allow ulps
@@ -174,9 +192,51 @@ def test_encode_rejects_wrong_width():
 def test_compressor_validates_shape_and_noise():
     with pytest.raises(DimensionError):
         Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros((2, 4)), n_z=3)
-    with pytest.raises(ValueError):
+    # a compressor is a deterministic linear map with no noise model
+    with pytest.raises(TypeError):
         Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros((2, 4)), n_z=2,
-                   noise_std=-0.5)
+                   noise_std=1.0)
     comp = Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros((0, 4)),
                       n_z=0)
     assert comp.rho == float("inf")
+
+
+def _grid_domains(cov):
+    return {pipeline.TRANSFORM: SimpleNamespace(gib=solve_gib(cov)),
+            pipeline.RAW: SimpleNamespace(cov=cov)}
+
+
+def test_build_compressors_solves_pca_basis_once(monkeypatch):
+    cov, _ = make_instance(12)
+    domains = _grid_domains(cov)
+    config = SimpleNamespace(n_z_grid=[1, 2, 3, 4, 5, 6],
+                             compressor_kinds=["oib", "cca", "pca"])
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return eigh(matrix, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    compressors = pipeline.build_compressors(config, domains)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], cov.sigma_x)
+    monkeypatch.undo()
+    basis = pca_basis(cov.sigma_x)
+    for n_z in config.n_z_grid:
+        comp = compressors[("pca", n_z)]
+        assert comp.kind is CompressorKind.PCA
+        assert np.array_equal(comp.matrix_a, basis[:n_z])
+        assert np.array_equal(compressors[("cca", n_z)].matrix_a,
+                              domains[pipeline.TRANSFORM].gib.eigen
+                              .left_eigenvectors[:n_z])
+    assert len(compressors) == 3 * len(config.n_z_grid)
+
+
+def test_build_compressors_without_pca_leaves_raw_domain_alone():
+    cov, _ = make_instance(13)
+    domains = {pipeline.TRANSFORM: _grid_domains(cov)[pipeline.TRANSFORM]}
+    config = SimpleNamespace(n_z_grid=[2, 4], compressor_kinds=["oib", "cca"])
+    compressors = pipeline.build_compressors(config, domains)
+    assert sorted(compressors) == [("cca", 2), ("cca", 4), ("oib", 2),
+                                   ("oib", 4)]

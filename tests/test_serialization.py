@@ -46,14 +46,13 @@ def test_compressor_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     comp = Compressor(kind=CompressorKind.OIB,
                       matrix_a=rng.standard_normal((4, 9)), n_z=4,
-                      beta=3.25, noise_std=0.5)
+                      beta=3.25)
     stem = str(tmp_path / "comp")
     save_compressor(comp, stem)
     loaded = load_compressor(stem)
     assert loaded.kind is CompressorKind.OIB
     assert loaded.n_z == 4 and loaded.n_x == 9
     assert loaded.beta == comp.beta
-    assert loaded.noise_std == comp.noise_std
     np.testing.assert_array_equal(loaded.matrix_a, comp.matrix_a)
     # a second save produces byte-identical files
     stem2 = str(tmp_path / "comp2")
@@ -62,6 +61,12 @@ def test_compressor_round_trip(tmp_path):
         (tmp_path / "comp2.bin").read_bytes()
     assert (tmp_path / "comp.json").read_bytes() == \
         (tmp_path / "comp2.json").read_bytes()
+    # manifests written with the former noise_std key still load
+    manifest = json.loads((tmp_path / "comp.json").read_text())
+    (tmp_path / "comp.json").write_text(json.dumps(dict(manifest,
+                                                        noise_std=0.0)))
+    np.testing.assert_array_equal(load_compressor(stem).matrix_a,
+                                  comp.matrix_a)
 
 
 def test_reexpander_round_trip(tmp_path):

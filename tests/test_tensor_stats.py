@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oib.errors import DimensionError, NumericalError
-from oib.tensor_stats import (CLAMP_EPS, CovariancePair, DataMatrix, center,
+from oib.tensor_stats import (CLAMP_EPS, CovariancePair, DataMatrix,
                               conditional_covariance, gib_eigensystem,
                               logdet_psd, sample_covariance)
 
@@ -23,22 +23,6 @@ def random_conditional_pair(seed, dim=6):
                           sigma_x_given_y=0.5 * (sigma_xgy + sigma_xgy.T)), corr
 
 
-def test_center_removes_column_means():
-    rng = np.random.default_rng(0)
-    x = rng.normal(3.0, 2.0, size=(200, 5))
-    centered, mean = center(x)
-    assert centered.centered
-    np.testing.assert_allclose(centered.values.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(mean, x.mean(axis=0))
-    np.testing.assert_allclose(centered.values + mean, x)
-
-
-def test_center_accepts_data_matrix():
-    x = np.arange(12.0).reshape(4, 3)
-    centered, _ = center(DataMatrix(x))
-    np.testing.assert_allclose(centered.values.mean(axis=0), 0.0, atol=1e-12)
-
-
 def test_data_matrix_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         DataMatrix(np.zeros(5))
@@ -46,31 +30,31 @@ def test_data_matrix_rejects_bad_shapes():
         DataMatrix(np.zeros((0, 3)))
 
 
-def test_data_matrix_centered_flag_is_checked():
-    with pytest.raises(ValueError):
-        DataMatrix(np.ones((10, 2)), centered=True)
-
-
 def test_sample_covariance_matches_biased_estimator():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((500, 4))
-    centered, _ = center(x)
-    s = sample_covariance(centered)
+    s = sample_covariance(x)
     np.testing.assert_allclose(s, np.cov(x.T, bias=True), rtol=1e-12)
 
 
-def test_sample_covariance_requires_centered_flag():
-    with pytest.raises(ValueError, match="center"):
-        sample_covariance(DataMatrix(np.ones((10, 2))))
+def test_center_removes_column_means():
+    # centering happens inside sample_covariance, with the column-mean
+    # subtraction the covariance is defined by
+    rng = np.random.default_rng(0)
+    x = rng.normal(3.0, 2.0, size=(200, 5))
+    xc = x - x.mean(axis=0)
+    s = xc.T @ xc / len(x)
+    assert np.array_equal(sample_covariance(x), 0.5 * (s + s.T))
+    np.testing.assert_allclose(sample_covariance(x + 100.0),
+                               sample_covariance(x), rtol=1e-9)
 
 
 def test_sample_covariance_shrinkage_formula():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((300, 5))
-    centered, _ = center(x)
-    raw = sample_covariance(centered)
+    raw = sample_covariance(x)
     gamma = 0.1
-    shrunk = sample_covariance(centered, shrinkage=gamma)
+    shrunk = sample_covariance(x, shrinkage=gamma)
     mu = np.trace(raw) / raw.shape[0]
     expected = (1.0 - gamma) * raw + gamma * mu * np.eye(5)
     np.testing.assert_allclose(shrunk, expected, rtol=1e-12)
@@ -79,10 +63,10 @@ def test_sample_covariance_shrinkage_formula():
 
 
 def test_sample_covariance_validates_shrinkage_range():
-    centered, _ = center(np.random.default_rng(3).standard_normal((20, 2)))
+    x = np.random.default_rng(3).standard_normal((20, 2))
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
-            sample_covariance(centered, shrinkage=bad)
+            sample_covariance(x, shrinkage=bad)
 
 
 def test_conditional_covariance_matches_direct_inverse():
@@ -183,8 +167,7 @@ def test_logdet_psd_empty_and_failure():
        d=st.integers(1, 6))
 def test_sample_covariance_is_psd_and_symmetric(seed, n, d):
     x = np.random.default_rng(seed).standard_normal((n, d))
-    centered, _ = center(x)
-    s = sample_covariance(centered, shrinkage=1e-4)
+    s = sample_covariance(x, shrinkage=1e-4)
     np.testing.assert_allclose(s, s.T)
     assert np.min(np.linalg.eigvalsh(s)) >= -1e-10
 
