@@ -182,8 +182,7 @@ def _synth_checks():
         alpha = np.linalg.norm(comp.matrix_a, axis=1) / \
             np.linalg.norm(v, axis=1)
         lam = sol.eigen.eigenvalues[:n_z]
-        r = sol.eigen.r_values[:n_z]
-        resid = alpha ** 2 * lam * r + 1.0 - comp.beta * (1.0 - lam)
+        resid = alpha ** 2 * lam + 1.0 - comp.beta * (1.0 - lam)
         scaled = np.abs(resid) / np.maximum(1.0, comp.beta * (1.0 - lam))
         worst = max(worst, float(np.max(scaled)))
     checks["loading_structure_residual"] = {"value": worst,

@@ -78,6 +78,8 @@ class RetrainSection:
     def __post_init__(self):
         if self.average_epochs < 0 or self.finetune_epochs < 0:
             raise ConfigError("retrain epochs must be non-negative")
+        if self.average_learning_rate < 0 or self.finetune_learning_rate < 0:
+            raise ConfigError("retrain learning rates must be non-negative")
         if not 0.0 <= self.finetune_val_fraction < 1.0:
             raise ConfigError("finetune_val_fraction must lie in [0, 1)")
 
@@ -119,8 +121,11 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        if not self.n_z_grid or sorted(self.n_z_grid) != list(self.n_z_grid):
-            raise ConfigError("n_z_grid must be a non-empty ascending list")
+        grid = list(self.n_z_grid)
+        if not grid or grid[0] < 1 or sorted(set(grid)) != grid or \
+                not all(isinstance(n, int) for n in grid):
+            raise ConfigError("n_z_grid must be a non-empty, strictly "
+                              "ascending list of integer sizes >= 1")
         n_x = self.dataset.image_size ** 2
         if self.n_z_grid[-1] > n_x:
             raise ConfigError("n_z_grid exceeds the input dimension %d"
@@ -142,6 +147,9 @@ class ExperimentConfig:
                               "stochastic")
         if not 0.0 <= self.shrinkage < 1.0:
             raise ConfigError("shrinkage must lie in [0, 1)")
+        for name in ("noise_lambda", "ridge"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
+                raise ConfigError("%s must be non-negative" % name)
         if self.dataset.n_train <= self.n_z_grid[-1]:
             raise ConfigError("dataset.n_train (%d) must exceed the largest "
                               "n_z (%d): the least-squares re-expansion "

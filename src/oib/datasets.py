@@ -210,8 +210,7 @@ def synth_gaussian(spec):
     sigma_x_given_y = mix_x @ np.diag(residual) @ mix_x.T
     true_cov = CovariancePair(sigma_x=0.5 * (sigma_x + sigma_x.T),
                               sigma_x_given_y=0.5 * (sigma_x_given_y +
-                                                     sigma_x_given_y.T),
-                              shrinkage=0.0)
+                                                     sigma_x_given_y.T))
 
     eigenvalues = np.sort(residual)
     true_mi_curve = -0.5 * np.cumsum(np.log(eigenvalues))

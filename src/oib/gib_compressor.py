@@ -1,12 +1,14 @@
 """Closed-form Gaussian information-bottleneck compressor and baselines.
 
 Given the generalized eigensystem of (sigma_x_given_y, sigma_x) with
-ascending eigenvalues lam_i and Sigma_x-orthogonal directions v_i, the
+ascending eigenvalues lam_i and Sigma_x-orthonormal directions v_i, the
 optimal linear-Gaussian encoder at trade-off beta keeps every direction
 whose critical value beta_i^c = 1 / (1 - lam_i) is exceeded and loads it
 with
 
-    alpha_i = sqrt((beta (1 - lam_i) - 1) / (lam_i r_i)).
+    alpha_i = sqrt((beta (1 - lam_i) - 1) / lam_i);
+
+the general form also divides by v_i^T sigma_x v_i, which is 1 here.
 
 The CCA baseline keeps the same directions with unit loadings; the PCA
 baseline projects on the top-variance eigenvectors of sigma_x instead.
@@ -89,9 +91,7 @@ def _check_size(n_z, n_x):
 def _oib_compressor(sol, beta, n_z):
     """Loadings alpha_i(beta) on the first n_z eigendirections."""
     lam = sol.eigen.eigenvalues[:n_z]
-    r = sol.eigen.r_values[:n_z]
-    num = np.maximum(beta * (1.0 - lam) - 1.0, 0.0)
-    alpha = np.sqrt(num / (lam * r))
+    alpha = np.sqrt(np.maximum(beta * (1.0 - lam) - 1.0, 0.0) / lam)
     matrix = alpha[:, None] * sol.eigen.left_eigenvectors[:n_z]
     return Compressor(kind=CompressorKind.OIB, matrix_a=matrix, n_z=n_z,
                       beta=float(beta))

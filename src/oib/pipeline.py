@@ -203,8 +203,7 @@ def fit_domain(config, domain, targets_seed, with_gib):
     sigma_y = w0 @ sigma_x @ w0.T + lam ** 2 * np.eye(w0.shape[0])
     sigma_x_given_y = conditional_covariance(sigma_x, sigma_xy, sigma_y)
     domain.cov = CovariancePair(sigma_x=sigma_x,
-                                sigma_x_given_y=sigma_x_given_y,
-                                shrinkage=config.shrinkage)
+                                sigma_x_given_y=sigma_x_given_y)
     domain.pre_test = domain.x_test @ w0.T + b0
     if with_gib:
         domain.gib = solve_gib(domain.cov)
@@ -256,7 +255,7 @@ def fit_reexpanders(config, domains, compressors):
     return reexpanders
 
 
-def _entropy_of_encodings(z_train, n_z, seed):
+def _entropy_of_encodings(z_train, seed):
     """Entropy of power-normalized stochastic encodings z + xi."""
     rng = np.random.default_rng(seed)
     z_stochastic = z_train + rng.standard_normal(z_train.shape)
@@ -278,8 +277,7 @@ def _eval_one(config, domains, compressors, reexpanders, test_labels,
     acc = float(np.mean(logits.argmax(axis=1) == test_labels))
 
     z_train = encode(comp, domain.x_train)
-    entropy = _entropy_of_encodings(z_train, n_z,
-                                    config.seeds.entropy_base + n_z)
+    entropy = _entropy_of_encodings(z_train, config.seeds.entropy_base + n_z)
     mi = encoding_mi(comp.matrix_a, domain.cov)
     mse = float(np.mean((y_rec_test - domain.pre_test) ** 2))
     macs = pipeline_macs(comp.n_x, n_z, config.model_layer_sizes[1:])

@@ -52,7 +52,6 @@ class CovariancePair:
 
     sigma_x: np.ndarray
     sigma_x_given_y: np.ndarray
-    shrinkage: float = 0.0
 
     def __post_init__(self):
         self.sigma_x = np.asarray(self.sigma_x, dtype=np.float64)
@@ -63,8 +62,6 @@ class CovariancePair:
                 self.sigma_x.shape[0] != self.sigma_x.shape[1]:
             raise DimensionError("covariances must be square matrices of "
                                  "equal size")
-        if not 0.0 <= self.shrinkage < 1.0:
-            raise ValueError("shrinkage must lie in [0, 1)")
         for name, m in (("sigma_x", self.sigma_x),
                         ("sigma_x_given_y", self.sigma_x_given_y)):
             scale = max(float(np.max(np.abs(m))), 1e-300)
@@ -78,16 +75,15 @@ class CovariancePair:
 
 @dataclass
 class GeneralizedEigenResult:
-    """Ascending eigenvalues, Sigma_x-orthogonal left eigenvectors, r values.
+    """Ascending eigenvalues and Sigma_x-orthonormal left eigenvectors.
 
-    Row i of ``left_eigenvectors`` is v_i^T; ``r_values[i]`` stores
-    v_i^T sigma_x v_i.  ``clamped`` records whether any raw eigenvalue had
-    to be clipped into [CLAMP_EPS, 1 - CLAMP_EPS].
+    Row i of ``left_eigenvectors`` is v_i^T, with V sigma_x V^T = I.
+    ``clamped`` records whether any raw eigenvalue had to be clipped into
+    [CLAMP_EPS, 1 - CLAMP_EPS].
     """
 
     eigenvalues: np.ndarray
     left_eigenvectors: np.ndarray
-    r_values: np.ndarray
     clamped: bool = False
     raw_eigenvalues: np.ndarray = field(default=None, repr=False)
 
@@ -114,29 +110,29 @@ def sample_covariance(x, shrinkage=0.0):
     return s
 
 
-def conditional_covariance(sigma_x, sigma_xy, sigma_y, ridge=0.0):
-    """Schur complement sigma_x - sigma_xy (sigma_y + ridge I)^-1 sigma_yx."""
+def conditional_covariance(sigma_x, sigma_xy, sigma_y):
+    """Schur complement sigma_x - sigma_xy sigma_y^-1 sigma_yx."""
     sigma_x = np.asarray(sigma_x, dtype=np.float64)
     sigma_xy = np.asarray(sigma_xy, dtype=np.float64)
     sigma_y = np.asarray(sigma_y, dtype=np.float64)
-    sy = sigma_y + ridge * np.eye(sigma_y.shape[0])
     try:
-        cho = linalg.cho_factor(sy, lower=True)
+        cho = linalg.cho_factor(sigma_y, lower=True)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("sigma_y + ridge*I is not positive definite; "
-                             "increase ridge") from exc
+        raise NumericalError("sigma_y is not positive definite; raise "
+                             "noise_lambda") from exc
     m = sigma_x - sigma_xy @ linalg.cho_solve(cho, sigma_xy.T)
     return 0.5 * (m + m.T)
 
 
-def gib_eigensystem(cov, clamp_eps=CLAMP_EPS):
+def gib_eigensystem(cov):
     """Solve sigma_x_given_y v = lam sigma_x v by Cholesky whitening.
 
     sigma_x = L L^T, the symmetric eigenproblem of L^-1 sigma_x_given_y L^-T
     is solved, and v = L^-T u.  Because both matrices are symmetric, the v_i
-    are simultaneously left eigenvectors of sigma_x_given_y sigma_x^-1.
+    are simultaneously left eigenvectors of sigma_x_given_y sigma_x^-1, and
+    since the u_i are orthonormal, v_i^T sigma_x v_i = u_i^T u_i = 1.
     Eigenvalues come back ascending and clipped into
-    [clamp_eps, 1 - clamp_eps].
+    [CLAMP_EPS, 1 - CLAMP_EPS].
     """
     try:
         chol = np.linalg.cholesky(cov.sigma_x)
@@ -147,12 +143,10 @@ def gib_eigensystem(cov, clamp_eps=CLAMP_EPS):
     m = li @ cov.sigma_x_given_y @ li.T
     lam_raw, u = np.linalg.eigh(0.5 * (m + m.T))
     v = li.T @ u
-    lam = np.clip(lam_raw, clamp_eps, 1.0 - clamp_eps)
+    lam = np.clip(lam_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
     clamped = bool(np.any(lam != lam_raw))
-    r = np.einsum("ji,jk,ki->i", v, cov.sigma_x, v)
     return GeneralizedEigenResult(eigenvalues=lam,
                                   left_eigenvectors=v.T.copy(),
-                                  r_values=r,
                                   clamped=clamped,
                                   raw_eigenvalues=lam_raw)
 

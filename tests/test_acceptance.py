@@ -105,15 +105,14 @@ def test_loading_structure_identity_and_rank_schedule():
         assert edges[0] > 1.0 and np.all(np.diff(edges) > 0)
 
         # at a beta above every critical value each loading satisfies
-        # alpha^2 lambda r + 1 = beta (1 - lambda)
+        # alpha^2 lambda + 1 = beta (1 - lambda)
         beta = 3.0 * float(edges[-1])
         comp = compressor_at_beta(sol, beta)
         assert comp.n_z == sol.n_x
         lam = sol.eigen.eigenvalues
         v_sq = np.sum(sol.eigen.left_eigenvectors ** 2, axis=1)
         alpha_sq = np.sum(comp.matrix_a ** 2, axis=1) / v_sq
-        residual = alpha_sq * lam * sol.eigen.r_values + 1.0 \
-            - beta * (1.0 - lam)
+        residual = alpha_sq * lam + 1.0 - beta * (1.0 - lam)
         assert np.max(np.abs(residual)) < 1e-8
 
         # at or below the first critical value the compressor is empty

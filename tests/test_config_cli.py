@@ -1,17 +1,22 @@
-"""Config loading/validation and the command-line interface."""
+"""Config loading/validation, the command-line interface, and the
+pipeline paths a config selects (IDX files, stochastic encoding)."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from oib import cli, pipeline
 from oib.cli import main
 from oib.config import (ExperimentConfig, SEED_STRIDE, apply_overrides,
                         config_from_dict, config_to_dict, load_config)
+from oib.datasets import LabeledImageSet, save_idx
 from oib.errors import ConfigError
 from oib.serialization import config_hash
+from oib.tensor_stats import DataMatrix
 
 TINY = {
     "dataset": {"n_train": 400, "n_test": 100},
@@ -72,6 +77,18 @@ def test_config_value_validation():
         config_from_dict({"dataset": {"train_images": "a.idx"}})
     with pytest.raises(ConfigError):
         config_from_dict({"train": {"epochs": -1}})
+    # values that would otherwise fail only after training, or run with a
+    # covariance the targets do not have
+    for grid in ([0, 10], [10, 10], [5, 10, 10], [10.5, 20]):
+        with pytest.raises(ConfigError, match="n_z_grid"):
+            config_from_dict({"n_z_grid": grid})
+    for key in ("average_learning_rate", "finetune_learning_rate"):
+        with pytest.raises(ConfigError, match="learning rates"):
+            config_from_dict({"retrain": {key: -1e-4}})
+    for key in ("noise_lambda", "ridge"):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({key: -0.1})
+        config_from_dict({key: 0.0})
 
 
 def test_config_round_trip_and_hash_stability():
@@ -148,6 +165,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "small")]) == 2
     assert "over-determined" in capsys.readouterr().err
     assert not (tmp_path / "small").exists()
+    # a retrain setting that only the retrain stage reads fails before
+    # train-base trains or writes anything
+    bad_dir = tmp_path / "bad_lr"
+    bad_dir.mkdir()
+    bad_lr = tiny_config_file(bad_dir, retrain=dict(
+        TINY["retrain"], finetune_learning_rate=-1e-4))
+    assert main(["train-base", "--config", bad_lr]) == 2
+    assert "learning rates" in capsys.readouterr().err
+    assert not (bad_dir / "out").exists()
 
 
 def test_cli_module_invocation_exit_code():
@@ -277,3 +303,68 @@ def test_synth_check_passes(capsys):
     assert {"loading_structure_residual", "projection_optimality_margin",
             "loading_invariance_spread", "ls_vs_population_relative",
             "mse_entropy_gap", "all_zero_below_first_critical"} <= names
+
+
+def write_idx_pair(tmp_path, split, n, seed):
+    """28x28 IDX files with unequal class frequencies."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(10, size=n, p=np.arange(1, 11) / 55.0)
+    images = DataMatrix(np.round(rng.random((n, 784)) * 255.0) / 255.0)
+    image_set = LabeledImageSet(images=images, labels=labels, height=28,
+                                width=28)
+    paths = (str(tmp_path / (split + "_images.idx")),
+             str(tmp_path / (split + "_labels.idx")))
+    save_idx(image_set, *paths)
+    return image_set, paths
+
+
+def test_idx_files_feed_the_pipeline(tmp_path, capsys):
+    full_train, (train_images, train_labels) = write_idx_pair(
+        tmp_path, "train", 300, seed=1)
+    _, (test_images, test_labels) = write_idx_pair(tmp_path, "test", 60,
+                                                   seed=2)
+    data = dict(TINY, output_dir=str(tmp_path / "out"),
+                dataset={"train_images": train_images,
+                         "train_labels": train_labels,
+                         "test_images": test_images,
+                         "test_labels": test_labels,
+                         "n_train": 150, "n_test": 40})
+    config = config_from_dict(data)
+    assert config.dataset.from_files
+    train_set, test_set = pipeline.build_dataset(config)
+    assert (train_set.n_samples, test_set.n_samples) == (150, 40)
+    assert (train_set.height, train_set.width) == (28, 28)
+    # class-stratified: every class within one image of its share
+    for cls in range(10):
+        share = np.sum(full_train.labels == cls) * 150 / 300
+        assert abs(np.sum(train_set.labels == cls) - share) < 1.0
+    # rows are file rows, in file order
+    rows = {row.tobytes(): i for i, row in enumerate(full_train.images.values)}
+    order = [rows[row.tobytes()] for row in train_set.images.values]
+    assert order == sorted(order)
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["hz-test", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["total"] == 20
+    assert (tmp_path / "out" / "hz_report.json").exists()
+
+
+def test_stochastic_encoding_moves_only_accuracy_and_mse():
+    config = config_from_dict(TINY)
+    result = pipeline.fit(pipeline.prepare(config,
+                                           pipeline.train_base_models))
+
+    def records(encoding):
+        result.config = dataclasses.replace(config, encoding=encoding)
+        return pipeline.evaluate(result).records
+
+    stochastic = records("stochastic")
+    assert records("stochastic") == stochastic
+    deterministic = records("deterministic")
+    assert len(stochastic) == len(deterministic) == 6
+    for noisy, exact in zip(stochastic, deterministic):
+        assert noisy.mse != exact.mse
+        assert dataclasses.replace(noisy, accuracy=exact.accuracy,
+                                   mse=exact.mse) == exact

@@ -39,7 +39,9 @@ def test_critical_betas_follow_eigenvalues():
 
 
 def test_loading_structure_identity():
-    # alpha_i^2 lam_i r_i + 1 == beta (1 - lam_i) for every active row
+    # alpha_i^2 lam_i + 1 == beta (1 - lam_i) for every active row; the
+    # rows are alpha_i v_i with v_i' sigma_x v_i = 1, so the sigma_x-norm
+    # of row i is alpha_i^2
     for seed in range(10):
         cov, _ = make_instance(seed)
         sol = solve_gib(cov)
@@ -47,11 +49,9 @@ def test_loading_structure_identity():
         comp = compressor_at_beta(sol, beta)
         assert comp.n_z == sol.n_x
         lam = sol.eigen.eigenvalues
-        r = sol.eigen.r_values
-        norms = np.einsum("ij,jk,ik->i", comp.matrix_a, cov.sigma_x,
-                          comp.matrix_a)
-        alpha_sq = norms / r
-        residual = alpha_sq * lam * r + 1.0 - beta * (1.0 - lam)
+        alpha_sq = np.einsum("ij,jk,ik->i", comp.matrix_a, cov.sigma_x,
+                             comp.matrix_a)
+        residual = alpha_sq * lam + 1.0 - beta * (1.0 - lam)
         assert np.max(np.abs(residual)) < 1e-8
 
 

@@ -84,10 +84,10 @@ def test_conditional_covariance_singular_raises():
     sx = np.eye(3)
     sxy = np.zeros((3, 2))
     sy = np.zeros((2, 2))
-    with pytest.raises(NumericalError, match="ridge"):
+    with pytest.raises(NumericalError, match="noise_lambda"):
         conditional_covariance(sx, sxy, sy)
-    # a ridge rescues the same call
-    out = conditional_covariance(sx, sxy, sy, ridge=1e-6)
+    # target noise lambda^2 I on sigma_y rescues the same call
+    out = conditional_covariance(sx, sxy, sy + 1e-6 * np.eye(2))
     np.testing.assert_allclose(out, sx)
 
 
@@ -96,8 +96,9 @@ def test_covariance_pair_validation():
         CovariancePair(np.eye(3), np.eye(2))
     with pytest.raises(ValueError):
         CovariancePair(np.eye(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
-    with pytest.raises(ValueError):
-        CovariancePair(np.eye(2), np.eye(2), shrinkage=1.0)
+    # the pair carries no shrinkage: sample_covariance applies it
+    with pytest.raises(TypeError):
+        CovariancePair(np.eye(2), np.eye(2), shrinkage=0.1)
 
 
 def test_gib_eigensystem_solves_generalized_problem():
@@ -114,9 +115,33 @@ def test_gib_eigensystem_solves_generalized_problem():
         lhs = cov.sigma_x_given_y @ v
         rhs = lam[i] * (cov.sigma_x @ v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9 * np.linalg.norm(rhs))
-    # r_i stores v_i' sigma_x v_i
-    r_direct = np.einsum("ij,jk,ik->i", vecs, cov.sigma_x, vecs)
-    np.testing.assert_allclose(res.r_values, r_direct, rtol=1e-12)
+    # the eigenvectors are sigma_x-orthonormal: V sigma_x V' = I
+    assert _sigma_x_orthonormality_error(cov) <= 1e-9
+
+
+def _sigma_x_orthonormality_error(cov):
+    vecs = gib_eigensystem(cov).left_eigenvectors
+    return np.max(np.abs(vecs @ cov.sigma_x @ vecs.T - np.eye(cov.dim)))
+
+
+def test_gib_eigenvectors_are_sigma_x_orthonormal():
+    # v = L^-T u with sigma_x = L L' and orthonormal u, so the loadings
+    # need no v_i' sigma_x v_i normalization
+    for seed in range(10):
+        cov, _ = random_conditional_pair(seed=seed, dim=8)
+        assert _sigma_x_orthonormality_error(cov) <= 1e-9
+    # rank-deficient sample covariance (fewer samples than dimensions)
+    # regularized by shrinkage, with the pipeline's analytic conditional
+    rng = np.random.default_rng(12)
+    d, n, n_y = 120, 40, 30
+    x = rng.standard_normal((n, d)) * np.exp(rng.uniform(-2, 2, size=d))
+    sigma_x = sample_covariance(x, shrinkage=1e-4)
+    assert np.linalg.matrix_rank(sample_covariance(x)) < d
+    w0 = rng.standard_normal((n_y, d))
+    sigma_y = w0 @ sigma_x @ w0.T + 0.01 * np.eye(n_y)
+    cov = CovariancePair(sigma_x, conditional_covariance(
+        sigma_x, sigma_x @ w0.T, sigma_y))
+    assert _sigma_x_orthonormality_error(cov) <= 1e-9
 
 
 def test_gib_eigensystem_left_eigenvector_relation():
