@@ -77,7 +77,8 @@ class CovariancePair:
 class GeneralizedEigenResult:
     """Ascending eigenvalues and Sigma_x-orthonormal left eigenvectors.
 
-    Row i of ``left_eigenvectors`` is v_i^T, with V sigma_x V^T = I.
+    Row i of ``left_eigenvectors`` is v_i^T, with V sigma_x V^T = I, and
+    its largest-magnitude entry is positive.
     ``clamped`` records whether any raw eigenvalue had to be clipped into
     [CLAMP_EPS, 1 - CLAMP_EPS].
     """
@@ -131,6 +132,7 @@ def gib_eigensystem(cov):
     is solved, and v = L^-T u.  Because both matrices are symmetric, the v_i
     are simultaneously left eigenvectors of sigma_x_given_y sigma_x^-1, and
     since the u_i are orthonormal, v_i^T sigma_x v_i = u_i^T u_i = 1.
+    Each v_i is signed so that its largest-magnitude entry is positive.
     Eigenvalues come back ascending and clipped into
     [CLAMP_EPS, 1 - CLAMP_EPS].
     """
@@ -143,6 +145,9 @@ def gib_eigensystem(cov):
     m = li @ cov.sigma_x_given_y @ li.T
     lam_raw, u = np.linalg.eigh(0.5 * (m + m.T))
     v = li.T @ u
+    # fix each direction's sign: largest-magnitude entry positive
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v *= np.sign(pivots)
     lam = np.clip(lam_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
     clamped = bool(np.any(lam != lam_raw))
     return GeneralizedEigenResult(eigenvalues=lam,

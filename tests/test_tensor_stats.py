@@ -154,6 +154,28 @@ def test_gib_eigensystem_left_eigenvector_relation():
                                    atol=1e-8 * np.linalg.norm(v))
 
 
+def test_gib_eigenvector_signs_do_not_depend_on_the_target_basis():
+    # a rotation y -> Q y leaves the pair's information unchanged; the
+    # solver's sign rule (largest-magnitude entry positive) must give the
+    # same informative rows for both bases
+    rng = np.random.default_rng(13)
+    d, n_y = 12, 5
+    a = rng.standard_normal((d, d))
+    sigma_x = a @ a.T + 0.1 * np.eye(d)
+    w0 = rng.standard_normal((n_y, d))
+    sigma_xy = sigma_x @ w0.T
+    sigma_y = w0 @ sigma_xy + 0.09 * np.eye(n_y)
+    q, _ = np.linalg.qr(rng.standard_normal((n_y, n_y)))
+    rows = [gib_eigensystem(CovariancePair(sigma_x, conditional_covariance(
+        sigma_x, sxy, sy))).left_eigenvectors[:n_y]
+        for sxy, sy in ((sigma_xy, sigma_y),
+                        (sigma_xy @ q.T, q @ sigma_y @ q.T))]
+    np.testing.assert_allclose(rows[1], rows[0],
+                               atol=1e-10 * np.max(np.abs(rows[0])))
+    pivots = np.argmax(np.abs(rows[0]), axis=1)
+    assert np.all(rows[0][np.arange(n_y), pivots] > 0)
+
+
 def test_gib_eigensystem_clamps_unit_eigenvalues():
     # zero conditional covariance along one direction: raw eigenvalue 0,
     # identical marginal along another: raw eigenvalue 1
