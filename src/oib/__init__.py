@@ -45,7 +45,7 @@ from .serialization import (config_hash, load_compressor, load_model,
                             load_reexpander, save_compressor, save_model,
                             save_reexpander, validate_report)
 from .tensor_stats import (CovariancePair, DataMatrix,
-                           GeneralizedEigenResult, conditional_covariance,
+                           GeneralizedEigenResult, covariance_pair,
                            gib_eigensystem, logdet_psd, sample_covariance)
 
 __version__ = "0.1.0"

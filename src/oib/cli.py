@@ -176,7 +176,7 @@ def _synth_checks():
     checks = {}
 
     worst = 0.0
-    for n_z in range(1, spec.n_x + 1):
+    for n_z in range(1, sol.eigen.dim + 1):
         comp = compressor_at_size(sol, n_z)
         v = sol.eigen.left_eigenvectors[:n_z]
         alpha = np.linalg.norm(comp.matrix_a, axis=1) / \

@@ -142,6 +142,11 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError("unknown compressor kinds: %s"
                               % sorted(unknown))
+        n_y = self.model_layer_sizes[1]
+        if {"oib", "cca"} & set(self.compressor_kinds) and \
+                self.n_z_grid[-1] > n_y:
+            raise ConfigError("n_z_grid exceeds the %d informative "
+                              "directions oib and cca have" % n_y)
         if self.encoding not in ("deterministic", "stochastic"):
             raise ConfigError("encoding must be deterministic or "
                               "stochastic")

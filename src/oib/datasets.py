@@ -23,7 +23,7 @@ from scipy import ndimage
 
 from .errors import (DimensionError, IdxCountMismatchError, IdxMagicError,
                      IdxTruncatedError)
-from .tensor_stats import CovariancePair, DataMatrix
+from .tensor_stats import DataMatrix, covariance_pair
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -183,8 +183,9 @@ def _random_orthogonal(rng, n):
 def synth_gaussian(spec):
     """Sample the spec and return analytic ground truth alongside.
 
-    Returns (x, y, true_cov, true_mi_curve): the exact marginal and
-    conditional covariances of x given y, and true_mi_curve[k] = the
+    Returns (x, y, true_cov, true_mi_curve): the exact covariance pair of
+    x and y (sigma_xy = mix_x R q_y^T with R[i, i] = rho_i, and
+    sigma_y = I), and true_mi_curve[k] = the
     mutual information I(z; y) of the optimal k-dimensional linear
     encoding, -1/2 * sum of log of the k smallest generalized eigenvalues.
     """
@@ -205,13 +206,12 @@ def synth_gaussian(spec):
     y = y0 @ q_y.T
 
     sigma_x = mix_x @ mix_x.T
+    true_cov = covariance_pair(0.5 * (sigma_x + sigma_x.T),
+                               (mix_x[:, :m] * rho) @ q_y[:, :m].T,
+                               np.eye(spec.n_y))
+
     residual = np.ones(spec.n_x)
     residual[:m] = 1.0 - rho ** 2
-    sigma_x_given_y = mix_x @ np.diag(residual) @ mix_x.T
-    true_cov = CovariancePair(sigma_x=0.5 * (sigma_x + sigma_x.T),
-                              sigma_x_given_y=0.5 * (sigma_x_given_y +
-                                                     sigma_x_given_y.T))
-
     eigenvalues = np.sort(residual)
     true_mi_curve = -0.5 * np.cumsum(np.log(eigenvalues))
     return (DataMatrix(x), DataMatrix(y), true_cov, true_mi_curve)

@@ -1,6 +1,6 @@
 """Closed-form Gaussian information-bottleneck compressor and baselines.
 
-Given the generalized eigensystem of (sigma_x_given_y, sigma_x) with
+Given the generalized eigensystem of (sigma_x|y, sigma_x) with
 ascending eigenvalues lam_i and Sigma_x-orthonormal directions v_i, the
 optimal linear-Gaussian encoder at trade-off beta keeps every direction
 whose critical value beta_i^c = 1 / (1 - lam_i) is exceeded and loads it
@@ -9,6 +9,8 @@ with
     alpha_i = sqrt((beta (1 - lam_i) - 1) / lam_i);
 
 the general form also divides by v_i^T sigma_x v_i, which is 1 here.
+There are min(n_x, n_y) directions, so an OIB or CCA compressor has at
+most n_y rows.
 
 The CCA baseline keeps the same directions with unit loadings; the PCA
 baseline projects on the top-variance eigenvectors of sigma_x instead.
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor_stats import CovariancePair, GeneralizedEigenResult, \
-    gib_eigensystem
+from .tensor_stats import GeneralizedEigenResult, gib_eigensystem
 
 
 class CompressorKind(str, enum.Enum):
@@ -40,12 +41,6 @@ class GibSolution:
 
     eigen: GeneralizedEigenResult
     beta_critical: np.ndarray
-    n_x: int
-
-    def __post_init__(self):
-        if np.any(self.beta_critical <= 1.0):
-            raise ValueError("critical beta values must exceed 1; "
-                             "eigenvalues were not clamped into (0, 1)")
 
 
 @dataclass
@@ -79,13 +74,12 @@ def solve_gib(cov):
     """Solve the eigensystem of a CovariancePair and attach critical betas."""
     eigen = gib_eigensystem(cov)
     beta_critical = 1.0 / (1.0 - eigen.eigenvalues)
-    return GibSolution(eigen=eigen, beta_critical=beta_critical,
-                       n_x=eigen.dim)
+    return GibSolution(eigen=eigen, beta_critical=beta_critical)
 
 
-def _check_size(n_z, n_x):
-    if not 1 <= n_z <= n_x:
-        raise ValueError("n_z must lie in [1, %d], got %d" % (n_x, n_z))
+def _check_size(n_z, n_max):
+    if not 1 <= n_z <= n_max:
+        raise ValueError("n_z must lie in [1, %d], got %d" % (n_max, n_z))
 
 
 def _oib_compressor(sol, beta, n_z):
@@ -108,9 +102,9 @@ def beta_for_size(sol, n_z):
     """Log-space midpoint of the critical interval that yields n_z rows.
 
     The interval above the last critical value is closed off at twice its
-    lower end so every n_z up to n_x has a finite representative beta.
+    lower end so every feasible n_z has a finite representative beta.
     """
-    _check_size(n_z, sol.n_x)
+    _check_size(n_z, sol.eigen.dim)
     upper = np.append(sol.beta_critical, 2.0 * sol.beta_critical[-1])
     return float(np.sqrt(sol.beta_critical[n_z - 1] * upper[n_z]))
 
@@ -122,7 +116,7 @@ def compressor_at_size(sol, n_z):
 
 def cca_compressor(sol, n_z):
     """Unit-loading compressor on the first n_z eigendirections."""
-    _check_size(n_z, sol.n_x)
+    _check_size(n_z, sol.eigen.dim)
     return Compressor(kind=CompressorKind.CCA,
                       matrix_a=sol.eigen.left_eigenvectors[:n_z].copy(),
                       n_z=n_z)

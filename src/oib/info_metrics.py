@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .tensor_stats import logdet_psd
+from .tensor_stats import gib_eigensystem, logdet_psd
 
 LOG_2PIE = float(np.log(2.0 * np.pi * np.e))
 
@@ -92,15 +92,15 @@ def gaussian_mi(sigma_z, sigma_z_given_y):
 def encoding_mi(matrix_a, cov, noise_std=0.0):
     """MI between z = A x̃ + ξ and the regression target y.
 
-    Propagates the marginal and conditional input covariances through the
-    encoder and applies the Gaussian formula; ``noise_std`` is the standard
-    deviation of the isotropic encoder noise ξ.
+    Propagates the input covariances through the encoder, with
+    AΣ_{x|y}Aᵀ = AΣ_xAᵀ − (AKᵀ)(AKᵀ)ᵀ from the pair's K, and applies the
+    Gaussian formula; ``noise_std`` is the standard deviation of ξ.
     """
     a = np.asarray(matrix_a, dtype=np.float64)
     noise = float(noise_std) ** 2 * np.eye(a.shape[0])
     sigma_z = a @ cov.sigma_x @ a.T + noise
-    sigma_c = a @ cov.sigma_x_given_y @ a.T + noise
-    return gaussian_mi(sigma_z, sigma_c)
+    ak = a @ cov.cross.T
+    return gaussian_mi(sigma_z, sigma_z - ak @ ak.T)
 
 
 def mi_loading_invariance_check(sol, cov, n_z, trials=20, seed=0):
@@ -137,8 +137,6 @@ def random_projection_optimality_check(cov, n_z, trials=100, seed=0):
     MI(random projection); a non-negative margin confirms the subspace is
     MI-optimal at that rank.
     """
-    from .tensor_stats import gib_eigensystem
-
     eigen = gib_eigensystem(cov)
     mi_opt = encoding_mi(eigen.left_eigenvectors[:n_z], cov)
     rng = np.random.default_rng(seed)

@@ -9,7 +9,9 @@ Stages, in dependency order:
    normality comparison are measured on its native inputs).
 4. fit: regression targets from the first layer, covariance pair through
    the analytic route (Sigma_xy = Sigma_x W0', Sigma_y = W0 Sigma_x W0' +
-   lambda^2 I), the generalized eigensystem, and a least-squares
+   lambda^2 I, kept as Sigma_x and L_y^-1 Sigma_yx), the generalized
+   eigensystem in the target's n_y canonical-correlation directions (256
+   by default, so OIB and CCA sizes stop there), and a least-squares
    re-expander per compressor.  The raw domain is fitted only when PCA is
    on the grid.  Each basis (the transform domain's GIB eigenvectors, the
    raw domain's PCA eigenvectors) is solved once, and the compressor of
@@ -46,6 +48,7 @@ from . import gaussianizer
 from .complexity_model import (CLASSIFICATION, COMPRESSION, pipeline_macs)
 from .config import HZ_PROJECTION_DIM, config_to_dict
 from .datasets import load_idx, subset, synthetic_digits
+from .errors import ConfigError
 from .gib_compressor import (cca_compressor, compressor_at_size, encode,
                              pca_basis, pca_compressor, solve_gib)
 from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
@@ -56,8 +59,7 @@ from .info_metrics import encoding_mi, gaussian_entropy, power_normalize
 from .reexpander import fit_ls, reexpand
 from .serialization import (config_hash, save_compressor, save_model,
                             save_reexpander, validate_report)
-from .tensor_stats import CovariancePair, conditional_covariance, \
-    sample_covariance
+from .tensor_stats import CovariancePair, covariance_pair, sample_covariance
 
 TRANSFORM = "transform"
 RAW = "raw"
@@ -139,16 +141,23 @@ class ExperimentResult:
         raise KeyError((kind, n_z))
 
 
+def _idx_subset(images, labels, n, seed):
+    """``n`` images of an IDX pair, refused before any training if short."""
+    full = load_idx(images, labels)
+    if full.n_samples < n:
+        raise ConfigError("%s holds %d images, fewer than the %d the config "
+                          "asks for" % (images, full.n_samples, n))
+    return subset(full, n, seed)
+
+
 def build_dataset(config):
     """Training and test image sets per the dataset config."""
     ds = config.dataset
     if ds.from_files:
-        full_train = load_idx(ds.train_images, ds.train_labels)
-        full_test = load_idx(ds.test_images, ds.test_labels)
-        train_set = subset(full_train, min(ds.n_train, full_train.n_samples),
-                           config.seeds.data_train)
-        test_set = subset(full_test, min(ds.n_test, full_test.n_samples),
-                          config.seeds.data_test)
+        train_set = _idx_subset(ds.train_images, ds.train_labels, ds.n_train,
+                                config.seeds.data_train)
+        test_set = _idx_subset(ds.test_images, ds.test_labels, ds.n_test,
+                               config.seeds.data_test)
     else:
         train_set = synthetic_digits(ds.n_train, config.seeds.data_train,
                                      size=ds.image_size,
@@ -199,11 +208,8 @@ def fit_domain(config, domain, targets_seed, with_gib):
     w0 = domain.model.layers[0][0].astype(np.float64)
     b0 = domain.model.layers[0][1].astype(np.float64)
     lam = domain.targets.noise_lambda
-    sigma_xy = sigma_x @ w0.T
     sigma_y = w0 @ sigma_x @ w0.T + lam ** 2 * np.eye(w0.shape[0])
-    sigma_x_given_y = conditional_covariance(sigma_x, sigma_xy, sigma_y)
-    domain.cov = CovariancePair(sigma_x=sigma_x,
-                                sigma_x_given_y=sigma_x_given_y)
+    domain.cov = covariance_pair(sigma_x, sigma_x @ w0.T, sigma_y)
     domain.pre_test = domain.x_test @ w0.T + b0
     if with_gib:
         domain.gib = solve_gib(domain.cov)

@@ -1,14 +1,13 @@
-"""Sample statistics and the whitened generalized eigensolver.
+"""Sample statistics and the generalized eigensolver of the Gaussian IB.
 
 Everything downstream of the compressor rests on three operations defined
-here: shrinkage-regularized sample covariance, the Schur-complement
-conditional covariance, and the generalized symmetric eigenproblem
-
-    sigma_x_given_y @ v = lam * sigma_x @ v
-
-solved through Cholesky whitening.  The eigenvalues lie in [0, 1] whenever
-sigma_x_given_y <= sigma_x in the PSD order; they are clamped away from the
-boundary so that downstream loading formulas stay finite.
+here: shrinkage-regularized sample covariance, the covariance pair
+(sigma_x and the whitened cross-covariance K = L_y^-1 sigma_yx, with
+sigma_y = L_y L_y^T), and the generalized eigenproblem
+sigma_x|y v = lam sigma_x v with sigma_x|y = sigma_x - K^T K, solved in
+the target's min(n_x, n_y) dimensions without forming sigma_x|y.  The
+eigenvalues are clamped away from the boundary of [0, 1] so that
+downstream loading formulas stay finite.
 """
 
 from dataclasses import dataclass, field
@@ -48,25 +47,22 @@ class DataMatrix:
 
 @dataclass
 class CovariancePair:
-    """Covariance of x together with its conditional covariance given y."""
+    """Covariance of x together with the whitened cross-covariance
+    ``cross`` = K = L_y^-1 sigma_yx, so that sigma_x|y = sigma_x - K^T K."""
 
     sigma_x: np.ndarray
-    sigma_x_given_y: np.ndarray
+    cross: np.ndarray
 
     def __post_init__(self):
         self.sigma_x = np.asarray(self.sigma_x, dtype=np.float64)
-        self.sigma_x_given_y = np.asarray(self.sigma_x_given_y,
-                                          dtype=np.float64)
-        if self.sigma_x.shape != self.sigma_x_given_y.shape or \
-                self.sigma_x.ndim != 2 or \
-                self.sigma_x.shape[0] != self.sigma_x.shape[1]:
-            raise DimensionError("covariances must be square matrices of "
-                                 "equal size")
-        for name, m in (("sigma_x", self.sigma_x),
-                        ("sigma_x_given_y", self.sigma_x_given_y)):
-            scale = max(float(np.max(np.abs(m))), 1e-300)
-            if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
-                raise ValueError("%s is not symmetric within tolerance" % name)
+        self.cross = np.asarray(self.cross, dtype=np.float64)
+        if self.cross.ndim != 2 or \
+                self.sigma_x.shape != (self.cross.shape[1],) * 2:
+            raise DimensionError("sigma_x must be square with one row per "
+                                 "column of cross")
+        m = self.sigma_x
+        if np.max(np.abs(m - m.T)) > 1e-10 * max(np.max(np.abs(m)), 1e-300):
+            raise ValueError("sigma_x is not symmetric within tolerance")
 
     @property
     def dim(self):
@@ -77,10 +73,9 @@ class CovariancePair:
 class GeneralizedEigenResult:
     """Ascending eigenvalues and Sigma_x-orthonormal left eigenvectors.
 
-    Row i of ``left_eigenvectors`` is v_i^T, with V sigma_x V^T = I, and
-    its largest-magnitude entry is positive.
-    ``clamped`` records whether any raw eigenvalue had to be clipped into
-    [CLAMP_EPS, 1 - CLAMP_EPS].
+    Row i of ``left_eigenvectors`` is v_i^T, with V sigma_x V^T = I and its
+    largest-magnitude entry positive.  ``clamped`` records whether any raw
+    eigenvalue had to be clipped into [CLAMP_EPS, 1 - CLAMP_EPS].
     """
 
     eigenvalues: np.ndarray
@@ -111,43 +106,38 @@ def sample_covariance(x, shrinkage=0.0):
     return s
 
 
-def conditional_covariance(sigma_x, sigma_xy, sigma_y):
-    """Schur complement sigma_x - sigma_xy sigma_y^-1 sigma_yx."""
-    sigma_x = np.asarray(sigma_x, dtype=np.float64)
-    sigma_xy = np.asarray(sigma_xy, dtype=np.float64)
-    sigma_y = np.asarray(sigma_y, dtype=np.float64)
+def covariance_pair(sigma_x, sigma_xy, sigma_y):
+    """The pair of sigma_x and a target y, with K = L_y^-1 sigma_yx."""
     try:
-        cho = linalg.cho_factor(sigma_y, lower=True)
+        chol_y = np.linalg.cholesky(np.asarray(sigma_y, dtype=np.float64))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("sigma_y is not positive definite; raise "
                              "noise_lambda") from exc
-    m = sigma_x - sigma_xy @ linalg.cho_solve(cho, sigma_xy.T)
-    return 0.5 * (m + m.T)
+    return CovariancePair(sigma_x, linalg.solve_triangular(
+        chol_y, np.asarray(sigma_xy).T, lower=True))
 
 
 def gib_eigensystem(cov):
-    """Solve sigma_x_given_y v = lam sigma_x v by Cholesky whitening.
+    """Solve sigma_x|y v = lam sigma_x v from the thin SVD of L^-1 K^T.
 
-    sigma_x = L L^T, the symmetric eigenproblem of L^-1 sigma_x_given_y L^-T
-    is solved, and v = L^-T u.  Because both matrices are symmetric, the v_i
-    are simultaneously left eigenvectors of sigma_x_given_y sigma_x^-1, and
-    since the u_i are orthonormal, v_i^T sigma_x v_i = u_i^T u_i = 1.
-    Each v_i is signed so that its largest-magnitude entry is positive.
-    Eigenvalues come back ascending and clipped into
-    [CLAMP_EPS, 1 - CLAMP_EPS].
+    With sigma_x = L L^T and L^-1 K^T = P S Q^T, the whitened conditional
+    covariance is I - P S^2 P^T, so lam = 1 - s^2 ascends as the canonical
+    correlations s descend, and v = L^-T p is Sigma_x-orthonormal.  Only
+    these min(n_x, n_y) directions come back; every other one has lam = 1.
+    Each v_i has its largest-magnitude entry positive, and eigenvalues are
+    clipped into [CLAMP_EPS, 1 - CLAMP_EPS].
     """
     try:
         chol = np.linalg.cholesky(cov.sigma_x)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("sigma_x is not positive definite; raise the "
                              "shrinkage coefficient") from exc
-    li = linalg.solve_triangular(chol, np.eye(cov.dim), lower=True)
-    m = li @ cov.sigma_x_given_y @ li.T
-    lam_raw, u = np.linalg.eigh(0.5 * (m + m.T))
-    v = li.T @ u
-    # fix each direction's sign: largest-magnitude entry positive
+    g = linalg.solve_triangular(chol, cov.cross.T, lower=True)
+    p, s, _ = np.linalg.svd(g, full_matrices=False)
+    v = linalg.solve_triangular(chol, p, lower=True, trans="T")
     pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     v *= np.sign(pivots)
+    lam_raw = 1.0 - s ** 2
     lam = np.clip(lam_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
     clamped = bool(np.any(lam != lam_raw))
     return GeneralizedEigenResult(eigenvalues=lam,

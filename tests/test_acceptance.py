@@ -41,7 +41,7 @@ from oib.pipeline import baseline_accuracies, run_experiment
 from oib.reexpander import fit_lmmse, fit_ls, mse_entropy_gap, reexpand
 from oib.serialization import (load_compressor, load_model, load_reexpander,
                                save_compressor, save_model, save_reexpander)
-from oib.tensor_stats import CovariancePair
+from oib.tensor_stats import covariance_pair
 
 MODEL_LAYERS = [784, 256, 128, 64, 16, 10]
 HEAD_DIMS = [256, 128, 64, 16, 10]
@@ -70,9 +70,8 @@ def make_instance(seed, dim=6):
     scales = np.exp(rng.uniform(-0.5, 0.5, size=dim))
     mix = q * scales
     sigma_x = mix @ mix.T
-    sigma_cond = mix @ np.diag(1.0 - corr ** 2) @ mix.T
-    cov = CovariancePair(sigma_x=0.5 * (sigma_x + sigma_x.T),
-                         sigma_x_given_y=0.5 * (sigma_cond + sigma_cond.T))
+    cov = covariance_pair(0.5 * (sigma_x + sigma_x.T), mix * corr,
+                          np.eye(dim))
     return cov, np.sort(corr)
 
 
@@ -108,7 +107,7 @@ def test_loading_structure_identity_and_rank_schedule():
         # alpha^2 lambda + 1 = beta (1 - lambda)
         beta = 3.0 * float(edges[-1])
         comp = compressor_at_beta(sol, beta)
-        assert comp.n_z == sol.n_x
+        assert comp.n_z == sol.eigen.dim
         lam = sol.eigen.eigenvalues
         v_sq = np.sum(sol.eigen.left_eigenvectors ** 2, axis=1)
         alpha_sq = np.sum(comp.matrix_a ** 2, axis=1) / v_sq
@@ -119,11 +118,11 @@ def test_loading_structure_identity_and_rank_schedule():
         for b in (0.0, 1.0, float(edges[0])):
             empty = compressor_at_beta(sol, b)
             assert empty.n_z == 0
-            assert empty.matrix_a.shape == (0, sol.n_x)
+            assert empty.matrix_a.shape == (0, cov.dim)
 
         # the row count steps up by one at each critical value
         uppers = np.append(edges, 2.0 * edges[-1])
-        for i in range(sol.n_x):
+        for i in range(sol.eigen.dim):
             assert compressor_at_beta(sol, float(edges[i])).n_z == i
             mid = float(np.sqrt(edges[i] * uppers[i + 1]))
             assert compressor_at_beta(sol, mid).n_z == i + 1
@@ -366,7 +365,7 @@ def test_oib_at_least_cca_at_matched_entropy(experiment):
         # smallest CCA size whose power-normalized entropy can reach the
         # OIB code's entropy
         m = int(np.ceil(2.0 * oib[n_z].entropy_nats / LOG_2PIE))
-        m = max(1, min(m, sol.n_x))
+        m = max(1, min(m, sol.eigen.dim))
         acc_oib = _deterministic_accuracy(result,
                                           result.compressors[("oib", n_z)])
         acc_cca = _deterministic_accuracy(result, cca_compressor(sol, m))

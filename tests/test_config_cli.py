@@ -89,6 +89,16 @@ def test_config_value_validation():
         with pytest.raises(ConfigError, match=key):
             config_from_dict({key: -0.1})
         config_from_dict({key: 0.0})
+    # oib and cca have one direction per first-layer unit; pca keeps the
+    # input dimension as its bound
+    for kinds in (["oib"], ["cca"], ["oib", "cca", "pca"]):
+        with pytest.raises(ConfigError, match="informative"):
+            config_from_dict({"n_z_grid": [10, 300],
+                              "compressor_kinds": kinds})
+    with pytest.raises(ConfigError, match="informative"):
+        config_from_dict({"model_layer_sizes": [784, 64, 10]})
+    config_from_dict({"n_z_grid": [10, 256]})
+    config_from_dict({"n_z_grid": [10, 300], "compressor_kinds": ["pca"]})
 
 
 def test_config_round_trip_and_hash_stability():
@@ -174,6 +184,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["train-base", "--config", bad_lr]) == 2
     assert "learning rates" in capsys.readouterr().err
     assert not (bad_dir / "out").exists()
+    # a grid past the first layer's width fails before any training
+    wide_dir = tmp_path / "wide"
+    wide_dir.mkdir()
+    wide = tiny_config_file(wide_dir, model_layer_sizes=[784, 8, 10])
+    assert main(["train-base", "--config", wide]) == 2
+    assert "informative" in capsys.readouterr().err
+    assert not (wide_dir / "out").exists()
 
 
 def test_cli_module_invocation_exit_code():
@@ -349,6 +366,19 @@ def test_idx_files_feed_the_pipeline(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["total"] == 20
     assert (tmp_path / "out" / "hz_report.json").exists()
+
+    # a file with fewer images than n_train is refused before training
+    # (it used to train on the 60 images and fail in the re-expander fit)
+    _, (small_images, small_labels) = write_idx_pair(tmp_path, "small", 60,
+                                                     seed=3)
+    small = dict(data, output_dir=str(tmp_path / "small_out"),
+                 dataset=dict(data["dataset"], train_images=small_images,
+                              train_labels=small_labels))
+    cfg.write_text(json.dumps(small))
+    assert main(["train-base", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert small_images in err and "60" in err and "150" in err
+    assert not (tmp_path / "small_out").exists()
 
 
 def test_stochastic_encoding_moves_only_accuracy_and_mse():

@@ -5,31 +5,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gib_pairs import exact_pair, pipeline_pair
 from oib import pipeline
 from oib.errors import DimensionError
-from oib.tensor_stats import CovariancePair
 from oib.gib_compressor import (CompressorKind, Compressor, beta_for_size,
                                 cca_compressor, compressor_at_beta,
                                 compressor_at_size, encode, pca_basis,
                                 pca_compressor, solve_gib)
 
 
-def make_instance(seed, dim=6):
-    """Exact covariance pair with all canonical correlations in (0, 1)."""
-    rng = np.random.default_rng(seed)
-    corr = rng.uniform(0.2, 0.95, size=dim)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    scales = np.exp(rng.uniform(-0.5, 0.5, size=dim))
-    mix = q * scales
-    sigma_x = mix @ mix.T
-    sigma_xgy = mix @ np.diag(1.0 - corr ** 2) @ mix.T
-    cov = CovariancePair(sigma_x=0.5 * (sigma_x + sigma_x.T),
-                         sigma_x_given_y=0.5 * (sigma_xgy + sigma_xgy.T))
-    return cov, corr
-
-
 def test_critical_betas_follow_eigenvalues():
-    cov, _ = make_instance(0)
+    cov, _ = exact_pair(0)
     sol = solve_gib(cov)
     np.testing.assert_allclose(sol.beta_critical,
                                1.0 / (1.0 - sol.eigen.eigenvalues),
@@ -43,11 +29,11 @@ def test_loading_structure_identity():
     # rows are alpha_i v_i with v_i' sigma_x v_i = 1, so the sigma_x-norm
     # of row i is alpha_i^2
     for seed in range(10):
-        cov, _ = make_instance(seed)
+        cov, _ = exact_pair(seed)
         sol = solve_gib(cov)
         beta = 3.0 * float(sol.beta_critical[-1])
         comp = compressor_at_beta(sol, beta)
-        assert comp.n_z == sol.n_x
+        assert comp.n_z == sol.eigen.dim
         lam = sol.eigen.eigenvalues
         alpha_sq = np.einsum("ij,jk,ik->i", comp.matrix_a, cov.sigma_x,
                              comp.matrix_a)
@@ -56,21 +42,21 @@ def test_loading_structure_identity():
 
 
 def test_beta_below_first_critical_is_all_zero():
-    cov, _ = make_instance(1)
+    cov, _ = exact_pair(1)
     sol = solve_gib(cov)
     for beta in (0.0, 1.0, float(sol.beta_critical[0])):
         comp = compressor_at_beta(sol, beta)
         assert comp.n_z == 0
-        assert comp.matrix_a.shape == (0, sol.n_x)
+        assert comp.matrix_a.shape == (0, cov.dim)
         assert np.count_nonzero(comp.matrix_a) == 0
 
 
 def test_row_count_increments_at_each_crossing():
-    cov, _ = make_instance(2)
+    cov, _ = exact_pair(2)
     sol = solve_gib(cov)
     bc = sol.beta_critical
     edges = np.append(bc, 2.0 * bc[-1])
-    for i in range(sol.n_x):
+    for i in range(sol.eigen.dim):
         inside = float(np.sqrt(edges[i] * edges[i + 1]))
         comp = compressor_at_beta(sol, inside)
         assert comp.n_z == i + 1
@@ -78,16 +64,16 @@ def test_row_count_increments_at_each_crossing():
 
 
 def test_compressor_at_size_hits_requested_rank():
-    cov, _ = make_instance(3)
+    cov, _ = exact_pair(3)
     sol = solve_gib(cov)
-    for n_z in range(1, sol.n_x + 1):
+    for n_z in range(1, sol.eigen.dim + 1):
         comp = compressor_at_size(sol, n_z)
         assert comp.n_z == n_z
-        assert comp.matrix_a.shape == (n_z, sol.n_x)
+        assert comp.matrix_a.shape == (n_z, cov.dim)
         assert comp.kind is CompressorKind.OIB
         # the chosen beta sits strictly inside the matching interval
         assert comp.beta > sol.beta_critical[n_z - 1]
-        if n_z < sol.n_x:
+        if n_z < sol.eigen.dim:
             assert comp.beta < sol.beta_critical[n_z]
         # identical to the generic beta sweep at that beta
         again = compressor_at_beta(sol, comp.beta)
@@ -95,29 +81,60 @@ def test_compressor_at_size_hits_requested_rank():
 
 
 def test_beta_for_size_is_log_midpoint():
-    cov, _ = make_instance(4)
+    cov, _ = exact_pair(4)
     sol = solve_gib(cov)
     bc = sol.beta_critical
     assert beta_for_size(sol, 1) == pytest.approx(np.sqrt(bc[0] * bc[1]))
-    assert beta_for_size(sol, sol.n_x) == pytest.approx(
+    assert beta_for_size(sol, sol.eigen.dim) == pytest.approx(
         np.sqrt(bc[-1] * 2.0 * bc[-1]))
     with pytest.raises(ValueError):
         beta_for_size(sol, 0)
     with pytest.raises(ValueError):
-        beta_for_size(sol, sol.n_x + 1)
+        beta_for_size(sol, sol.eigen.dim + 1)
 
 
 def test_rows_order_by_informativeness():
     # ascending eigenvalues mean descending correlation: earlier rows keep
     # their loadings under smaller beta than later rows
-    cov, corr = make_instance(5)
+    cov, corr = exact_pair(5)
     sol = solve_gib(cov)
     np.testing.assert_allclose(np.sort(1.0 - corr ** 2),
                                sol.eigen.eigenvalues, rtol=1e-9)
 
 
+def _lmmse_error(a, cov, w0):
+    """Population error of the best linear reconstruction of W0 x from
+    z = A x: tr(C) - tr(W0 S A' (A S A')^-1 A S W0') with S = sigma_x."""
+    c_tz = w0 @ cov.sigma_x @ a.T
+    c_zz = a @ cov.sigma_x @ a.T
+    c_tt = w0 @ cov.sigma_x @ w0.T
+    return float(np.trace(c_tt) - np.trace(c_tz @ np.linalg.solve(c_zz,
+                                                                  c_tz.T)))
+
+
+@pytest.mark.parametrize("seed,n", [(30, None), (31, None), (32, 15)])
+def test_oib_rows_are_the_reduced_rank_regression_of_w0_x(seed, n):
+    # for y = W0 x + lam xi the GIB directions span the top principal
+    # directions of W0 x (reduced-rank regression), so at every n_z their
+    # population error in reconstructing W0 x is the Eckart-Young optimum
+    # and never above that of the top-variance (PCA) rows of the same
+    # sigma_x
+    cov, w0 = pipeline_pair(seed, d=20, n_y=8, n=n)
+    sol = solve_gib(cov)
+    basis = pca_basis(cov.sigma_x)
+    c_eigs = np.linalg.eigvalsh(w0 @ cov.sigma_x @ w0.T)[::-1]
+    scale = float(np.sum(c_eigs))
+    for n_z in range(1, sol.eigen.dim + 1):
+        err_oib = _lmmse_error(compressor_at_size(sol, n_z).matrix_a, cov,
+                               w0)
+        err_pca = _lmmse_error(basis[:n_z], cov, w0)
+        assert err_oib <= err_pca + 1e-10 * scale
+        assert err_oib == pytest.approx(float(np.sum(c_eigs[n_z:])),
+                                        abs=1e-9 * scale)
+
+
 def test_cca_compressor_has_unit_loadings():
-    cov, _ = make_instance(6)
+    cov, _ = exact_pair(6)
     sol = solve_gib(cov)
     comp = cca_compressor(sol, 3)
     assert comp.kind is CompressorKind.CCA
@@ -165,11 +182,11 @@ def test_pca_compressors_are_prefixes_of_one_basis():
 
 
 def test_encode_deterministic_and_stochastic():
-    cov, _ = make_instance(8)
+    cov, _ = exact_pair(8)
     sol = solve_gib(cov)
     comp = compressor_at_size(sol, 3)
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((40, sol.n_x))
+    x = rng.standard_normal((40, cov.dim))
     z = encode(comp, x)
     np.testing.assert_array_equal(z, x @ comp.matrix_a.T)
     np.testing.assert_array_equal(encode(comp, x), z)
@@ -183,7 +200,7 @@ def test_encode_deterministic_and_stochastic():
 
 
 def test_encode_rejects_wrong_width():
-    cov, _ = make_instance(10)
+    cov, _ = exact_pair(10)
     comp = compressor_at_size(solve_gib(cov), 2)
     with pytest.raises(DimensionError):
         encode(comp, np.zeros(comp.n_x + 1))
@@ -207,7 +224,7 @@ def _grid_domains(cov):
 
 
 def test_build_compressors_solves_pca_basis_once(monkeypatch):
-    cov, _ = make_instance(12)
+    cov, _ = exact_pair(12)
     domains = _grid_domains(cov)
     config = SimpleNamespace(n_z_grid=[1, 2, 3, 4, 5, 6],
                              compressor_kinds=["oib", "cca", "pca"])
@@ -234,7 +251,7 @@ def test_build_compressors_solves_pca_basis_once(monkeypatch):
 
 
 def test_build_compressors_without_pca_leaves_raw_domain_alone():
-    cov, _ = make_instance(13)
+    cov, _ = exact_pair(13)
     domains = {pipeline.TRANSFORM: _grid_domains(cov)[pipeline.TRANSFORM]}
     config = SimpleNamespace(n_z_grid=[2, 4], compressor_kinds=["oib", "cca"])
     compressors = pipeline.build_compressors(config, domains)

@@ -5,24 +5,14 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.special import digamma, gamma as gamma_fn
 
+from gib_pairs import conditional, exact_pair
 from oib.errors import DimensionError, NumericalError
-from oib.tensor_stats import CovariancePair, sample_covariance
+from oib.tensor_stats import sample_covariance
 from oib.gib_compressor import solve_gib
 from oib.info_metrics import (LOG_2PIE, encoding_mi, gaussian_entropy,
                               gaussian_mi, mi_loading_invariance_check,
                               power_normalize,
                               random_projection_optimality_check)
-
-
-def make_instance(seed, dim=6):
-    rng = np.random.default_rng(seed)
-    corr = rng.uniform(0.2, 0.95, size=dim)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    mix = q * np.exp(rng.uniform(-0.5, 0.5, size=dim))
-    sigma_x = mix @ mix.T
-    sigma_xgy = mix @ np.diag(1.0 - corr ** 2) @ mix.T
-    return CovariancePair(0.5 * (sigma_x + sigma_x.T),
-                          0.5 * (sigma_xgy + sigma_xgy.T))
 
 
 def knn_entropy(x, k=3):
@@ -88,13 +78,13 @@ def test_gaussian_mi_scalar_channel():
 
 
 def test_gaussian_mi_invariant_under_invertible_maps():
-    cov = make_instance(3)
-    base = gaussian_mi(cov.sigma_x, cov.sigma_x_given_y)
+    cov = exact_pair(3)[0]
+    base = gaussian_mi(cov.sigma_x, conditional(cov))
     rng = np.random.default_rng(4)
     for _ in range(10):
         t = rng.standard_normal((6, 6)) + 2.0 * np.eye(6)
         mi = gaussian_mi(t @ cov.sigma_x @ t.T,
-                         t @ cov.sigma_x_given_y @ t.T)
+                         t @ conditional(cov) @ t.T)
         assert mi == pytest.approx(base, rel=1e-8)
 
 
@@ -106,8 +96,8 @@ def test_gaussian_mi_needs_positive_definite_inputs():
 
 
 def test_encoding_mi_data_processing_inequality():
-    cov = make_instance(5)
-    full = gaussian_mi(cov.sigma_x, cov.sigma_x_given_y)
+    cov = exact_pair(5)[0]
+    full = gaussian_mi(cov.sigma_x, conditional(cov))
     rng = np.random.default_rng(6)
     for n_z in (1, 3, 5):
         for _ in range(20):
@@ -119,7 +109,7 @@ def test_encoding_mi_data_processing_inequality():
 
 
 def test_encoder_noise_strictly_reduces_mi():
-    cov = make_instance(8)
+    cov = exact_pair(8)[0]
     a = np.random.default_rng(9).standard_normal((3, 6))
     clean = encoding_mi(a, cov)
     for noise in (0.5, 1.0, 2.0):
@@ -129,7 +119,7 @@ def test_encoder_noise_strictly_reduces_mi():
 
 
 def test_loading_invariance_check_reports_tiny_spread():
-    cov = make_instance(10)
+    cov = exact_pair(10)[0]
     sol = solve_gib(cov)
     rep = mi_loading_invariance_check(sol, cov, n_z=3, trials=20, seed=0)
     assert rep.max_relative_spread < 1e-8
@@ -138,7 +128,7 @@ def test_loading_invariance_check_reports_tiny_spread():
 
 
 def test_projection_optimality_check_margin():
-    cov = make_instance(11)
+    cov = exact_pair(11)[0]
     rep = random_projection_optimality_check(cov, n_z=2, trials=100, seed=1)
     assert rep.min_margin >= -1e-9
     sol = solve_gib(cov)

@@ -1,26 +1,25 @@
-"""Covariance estimation and the whitened generalized eigensolver."""
+"""Covariance estimation and the generalized eigensolver."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import linalg
 
+from gib_pairs import conditional, exact_pair, pipeline_pair
 from oib.errors import DimensionError, NumericalError
 from oib.tensor_stats import (CLAMP_EPS, CovariancePair, DataMatrix,
-                              conditional_covariance, gib_eigensystem,
-                              logdet_psd, sample_covariance)
+                              covariance_pair, gib_eigensystem, logdet_psd,
+                              sample_covariance)
 
 
-def random_conditional_pair(seed, dim=6):
-    """Exact covariance pair built from known canonical correlations."""
-    rng = np.random.default_rng(seed)
-    corr = rng.uniform(0.2, 0.95, size=dim)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    scales = np.exp(rng.uniform(-0.5, 0.5, size=dim))
-    mix = q * scales
-    sigma_x = mix @ mix.T
-    sigma_xgy = mix @ np.diag(1.0 - corr ** 2) @ mix.T
-    return CovariancePair(sigma_x=0.5 * (sigma_x + sigma_x.T),
-                          sigma_x_given_y=0.5 * (sigma_xgy + sigma_xgy.T)), corr
+def whitened_oracle(cov):
+    """The n_x-dimensional solver, kept as a reference only: the symmetric
+    eigenproblem of L^-1 sigma_x|y L^-T with sigma_x = L L^T, v = L^-T u."""
+    chol = np.linalg.cholesky(cov.sigma_x)
+    li = linalg.solve_triangular(chol, np.eye(cov.dim), lower=True)
+    m = li @ conditional(cov) @ li.T
+    lam, u = np.linalg.eigh(0.5 * (m + m.T))
+    return lam, (li.T @ u).T
 
 
 def test_data_matrix_rejects_bad_shapes():
@@ -69,40 +68,43 @@ def test_sample_covariance_validates_shrinkage_range():
             sample_covariance(x, shrinkage=bad)
 
 
-def test_conditional_covariance_matches_direct_inverse():
+def test_covariance_pair_matches_schur_complement():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((9, 9))
     joint = a @ a.T + 0.5 * np.eye(9)
     sx, sxy, sy = joint[:5, :5], joint[:5, 5:], joint[5:, 5:]
-    got = conditional_covariance(sx, sxy, sy)
+    cov = covariance_pair(sx, sxy, sy)
+    assert cov.cross.shape == (4, 5)
     want = sx - sxy @ np.linalg.inv(sy) @ sxy.T
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(got, got.T)
+    np.testing.assert_allclose(conditional(cov), want, rtol=1e-10,
+                               atol=1e-12)
 
 
-def test_conditional_covariance_singular_raises():
+def test_covariance_pair_singular_sigma_y_raises():
     sx = np.eye(3)
     sxy = np.zeros((3, 2))
     sy = np.zeros((2, 2))
     with pytest.raises(NumericalError, match="noise_lambda"):
-        conditional_covariance(sx, sxy, sy)
+        covariance_pair(sx, sxy, sy)
     # target noise lambda^2 I on sigma_y rescues the same call
-    out = conditional_covariance(sx, sxy, sy + 1e-6 * np.eye(2))
-    np.testing.assert_allclose(out, sx)
+    cov = covariance_pair(sx, sxy, sy + 1e-6 * np.eye(2))
+    np.testing.assert_allclose(conditional(cov), sx)
 
 
 def test_covariance_pair_validation():
     with pytest.raises(DimensionError):
-        CovariancePair(np.eye(3), np.eye(2))
+        CovariancePair(np.eye(3), np.zeros((2, 2)))
+    with pytest.raises(DimensionError):
+        CovariancePair(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
-        CovariancePair(np.eye(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
+        CovariancePair(np.array([[1.0, 0.5], [0.1, 1.0]]), np.eye(2))
     # the pair carries no shrinkage: sample_covariance applies it
     with pytest.raises(TypeError):
         CovariancePair(np.eye(2), np.eye(2), shrinkage=0.1)
 
 
 def test_gib_eigensystem_solves_generalized_problem():
-    cov, corr = random_conditional_pair(seed=10)
+    cov, corr = exact_pair(seed=10)
     res = gib_eigensystem(cov)
     lam, vecs = res.eigenvalues, res.left_eigenvectors
     # eigenvalues ascend and equal 1 - corr^2 up to reordering
@@ -112,7 +114,7 @@ def test_gib_eigensystem_solves_generalized_problem():
     # generalized eigenequation sigma_xgy v = lam sigma_x v, column form
     for i in range(res.dim):
         v = vecs[i]
-        lhs = cov.sigma_x_given_y @ v
+        lhs = conditional(cov) @ v
         rhs = lam[i] * (cov.sigma_x @ v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9 * np.linalg.norm(rhs))
     # the eigenvectors are sigma_x-orthonormal: V sigma_x V' = I
@@ -121,33 +123,26 @@ def test_gib_eigensystem_solves_generalized_problem():
 
 def _sigma_x_orthonormality_error(cov):
     vecs = gib_eigensystem(cov).left_eigenvectors
-    return np.max(np.abs(vecs @ cov.sigma_x @ vecs.T - np.eye(cov.dim)))
+    return np.max(np.abs(vecs @ cov.sigma_x @ vecs.T
+                         - np.eye(vecs.shape[0])))
 
 
 def test_gib_eigenvectors_are_sigma_x_orthonormal():
-    # v = L^-T u with sigma_x = L L' and orthonormal u, so the loadings
-    # need no v_i' sigma_x v_i normalization
+    # v = L^-T p with sigma_x = L L' and orthonormal columns p, so the
+    # loadings need no v_i' sigma_x v_i normalization
     for seed in range(10):
-        cov, _ = random_conditional_pair(seed=seed, dim=8)
+        cov, _ = exact_pair(seed=seed, dim=8)
         assert _sigma_x_orthonormality_error(cov) <= 1e-9
     # rank-deficient sample covariance (fewer samples than dimensions)
-    # regularized by shrinkage, with the pipeline's analytic conditional
-    rng = np.random.default_rng(12)
-    d, n, n_y = 120, 40, 30
-    x = rng.standard_normal((n, d)) * np.exp(rng.uniform(-2, 2, size=d))
-    sigma_x = sample_covariance(x, shrinkage=1e-4)
-    assert np.linalg.matrix_rank(sample_covariance(x)) < d
-    w0 = rng.standard_normal((n_y, d))
-    sigma_y = w0 @ sigma_x @ w0.T + 0.01 * np.eye(n_y)
-    cov = CovariancePair(sigma_x, conditional_covariance(
-        sigma_x, sigma_x @ w0.T, sigma_y))
+    # regularized by shrinkage, with the pipeline's analytic pair
+    cov, _ = pipeline_pair(12, d=120, n_y=30, n=40, lam=0.1)
     assert _sigma_x_orthonormality_error(cov) <= 1e-9
 
 
 def test_gib_eigensystem_left_eigenvector_relation():
-    cov, _ = random_conditional_pair(seed=11)
+    cov, _ = exact_pair(seed=11)
     res = gib_eigensystem(cov)
-    m = cov.sigma_x_given_y @ np.linalg.inv(cov.sigma_x)
+    m = conditional(cov) @ np.linalg.inv(cov.sigma_x)
     for i in range(res.dim):
         v = res.left_eigenvectors[i]
         np.testing.assert_allclose(v @ m, res.eigenvalues[i] * v,
@@ -158,30 +153,45 @@ def test_gib_eigenvector_signs_do_not_depend_on_the_target_basis():
     # a rotation y -> Q y leaves the pair's information unchanged; the
     # solver's sign rule (largest-magnitude entry positive) must give the
     # same informative rows for both bases
-    rng = np.random.default_rng(13)
-    d, n_y = 12, 5
-    a = rng.standard_normal((d, d))
-    sigma_x = a @ a.T + 0.1 * np.eye(d)
-    w0 = rng.standard_normal((n_y, d))
-    sigma_xy = sigma_x @ w0.T
-    sigma_y = w0 @ sigma_xy + 0.09 * np.eye(n_y)
-    q, _ = np.linalg.qr(rng.standard_normal((n_y, n_y)))
-    rows = [gib_eigensystem(CovariancePair(sigma_x, conditional_covariance(
-        sigma_x, sxy, sy))).left_eigenvectors[:n_y]
-        for sxy, sy in ((sigma_xy, sigma_y),
-                        (sigma_xy @ q.T, q @ sigma_y @ q.T))]
+    n_y = 5
+    cov, _ = pipeline_pair(13, d=12, n_y=n_y)
+    q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((n_y,
+                                                                   n_y)))
+    rows = [gib_eigensystem(CovariancePair(cov.sigma_x, k)).left_eigenvectors
+            for k in (cov.cross, q @ cov.cross)]
     np.testing.assert_allclose(rows[1], rows[0],
                                atol=1e-10 * np.max(np.abs(rows[0])))
     pivots = np.argmax(np.abs(rows[0]), axis=1)
     assert np.all(rows[0][np.arange(n_y), pivots] > 0)
 
 
+@pytest.mark.parametrize("seed,d,n_y,n", [
+    (20, 20, 8, None), (21, 20, 8, None), (22, 8, 12, None),
+    (23, 40, 40, None), (24, 120, 30, 40)])
+def test_gib_eigensystem_matches_whitened_oracle(seed, d, n_y, n):
+    # the last case has a rank-deficient sample covariance (n < d) that
+    # only the shrinkage keeps positive definite
+    cov, _ = pipeline_pair(seed, d=d, n_y=n_y, n=n)
+    res = gib_eigensystem(cov)
+    k = min(d, n_y)
+    assert res.dim == k and res.left_eigenvectors.shape == (k, d)
+    assert not res.clamped
+    lam, rows = whitened_oracle(cov)
+    np.testing.assert_allclose(res.eigenvalues, lam[:k], rtol=1e-9)
+    # every direction past min(n_x, n_y) carries no information about y
+    np.testing.assert_allclose(lam[k:], 1.0, atol=1e-9)
+    signs = np.sign(np.sum(rows[:k] * res.left_eigenvectors, axis=1))
+    aligned = signs[:, None] * rows[:k]
+    err = np.linalg.norm(aligned - res.left_eigenvectors, axis=1)
+    assert np.max(err / np.linalg.norm(aligned, axis=1)) < 1e-9
+
+
 def test_gib_eigensystem_clamps_unit_eigenvalues():
     # zero conditional covariance along one direction: raw eigenvalue 0,
     # identical marginal along another: raw eigenvalue 1
     sigma_x = np.diag([2.0, 3.0])
-    sigma_xgy = np.diag([0.0, 3.0])
-    res = gib_eigensystem(CovariancePair(sigma_x, sigma_xgy))
+    cross = np.array([[np.sqrt(2.0), 0.0], [0.0, 0.0]])
+    res = gib_eigensystem(CovariancePair(sigma_x, cross))
     assert res.clamped
     assert res.eigenvalues[0] == pytest.approx(CLAMP_EPS)
     assert res.eigenvalues[-1] == pytest.approx(1.0 - CLAMP_EPS)
@@ -222,7 +232,7 @@ def test_sample_covariance_is_psd_and_symmetric(seed, n, d):
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2 ** 31 - 1), dim=st.integers(2, 8))
 def test_gib_eigenvalues_stay_in_unit_interval(seed, dim):
-    cov, _ = random_conditional_pair(seed=seed, dim=dim)
+    cov, _ = exact_pair(seed=seed, dim=dim)
     res = gib_eigensystem(cov)
     assert np.all(res.eigenvalues >= CLAMP_EPS)
     assert np.all(res.eigenvalues <= 1.0 - CLAMP_EPS)
