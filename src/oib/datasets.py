@@ -15,6 +15,7 @@ Three sources feed the experiments:
   closed form.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -159,9 +160,8 @@ class SyntheticGaussianSpec:
     canonical_correlations: np.ndarray = None
 
     def __post_init__(self):
-        if self.n_x < 1 or self.n_y < 0 or self.n_samples < 1:
-            raise ValueError("n_x and n_samples must be positive and n_y "
-                             "non-negative")
+        if self.n_x < 1 or self.n_y < 1 or self.n_samples < 1:
+            raise ValueError("n_x, n_y and n_samples must be positive")
         m = min(self.n_x, self.n_y)
         if self.canonical_correlations is None:
             rho = np.sort(np.random.default_rng(self.seed)
@@ -196,7 +196,7 @@ def synth_gaussian(spec):
     q_x = _random_orthogonal(rng, spec.n_x)
     scale = np.exp(rng.uniform(-0.5, 0.5, size=spec.n_x))
     mix_x = scale[:, None] * q_x
-    q_y = _random_orthogonal(rng, spec.n_y) if spec.n_y else np.zeros((0, 0))
+    q_y = _random_orthogonal(rng, spec.n_y)
 
     x0 = rng.standard_normal((spec.n_samples, spec.n_x))
     noise = rng.standard_normal((spec.n_samples, spec.n_y))
@@ -264,9 +264,40 @@ def glyph_array(style, digit):
                      for row in rows])
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+_GLYPHS = [[_read_only(glyph_array(style, digit)) for digit in range(10)]
+           for style in range(len(STYLES))]
+
+
+@functools.lru_cache(maxsize=8)
+def _render_grids(size):
+    """Pixel index grid (2, size, size) and the ramp and clutter axes."""
+    grid = np.stack(np.meshgrid(np.arange(size), np.arange(size),
+                                indexing="ij"))
+    return (_read_only(grid), _read_only(np.linspace(-0.5, 0.5, size)),
+            _read_only(np.linspace(0, 1, size)))
+
+
 def render_digit(digit, rng, size=28, noise=0.052):
-    """One randomized digit image; consumes the shared generator stream."""
-    g = glyph_array(rng.integers(0, len(STYLES)), digit)
+    """One randomized digit image; consumes the shared generator stream.
+
+    The order and shape of the draws from ``rng`` are part of the data
+    contract: every image of a ``synthetic_digits`` set, and every image
+    after it, depends on them.  The draws are, in order: style, glyph
+    height, aspect, rotation, shear, a 2-vector centre offset, the coarse
+    and fine displacement amplitudes, four (size, size) displacement-noise
+    fields (coarse y, fine y, coarse x, fine x), the dilation coin, the
+    blur width, the peak gain (only when the image is not blank), the ramp
+    angle and slope, the contrast, four clutter waves (a 2-vector of
+    frequencies, a 2-vector of phases and an amplitude each) and a
+    (size, size) pixel-noise field.  Reordering, merging or splitting them
+    changes the corpus.
+    """
+    g = _GLYPHS[rng.integers(0, len(STYLES))][digit]
     gh, gw = g.shape
     height = rng.uniform(20.0, 24.5)
     width = height * rng.uniform(0.55, 0.80)
@@ -287,14 +318,15 @@ def render_digit(digit, rng, size=28, noise=0.052):
                                    mode="constant", cval=0.0)
     alpha = rng.uniform(3.0, 8.0)
     fine = rng.uniform(1.2, 3.5)
-    fields = [ndimage.gaussian_filter(rng.uniform(-1, 1, (size, size)),
-                                      3.0) * alpha
-              + ndimage.gaussian_filter(rng.uniform(-1, 1, (size, size)),
-                                        1.6) * fine
-              for _ in range(2)]
-    ii, jj = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    img = ndimage.map_coordinates(img, [ii + fields[0], jj + fields[1]],
-                                  order=1, mode="constant")
+    # u[k, 0] is axis k's coarse field and u[k, 1] its fine one, in the
+    # order of four separate (size, size) draws; the zero sigma leaves the
+    # axis pairs unmixed.
+    u = rng.uniform(-1, 1, (2, 2, size, size))
+    fields = ndimage.gaussian_filter(u[:, 0], (0, 3.0, 3.0)) * alpha \
+        + ndimage.gaussian_filter(u[:, 1], (0, 1.6, 1.6)) * fine
+    grid, ramp, clutter = _render_grids(size)
+    img = ndimage.map_coordinates(img, grid + fields, order=1,
+                                  mode="constant")
     if rng.uniform() < 0.35:
         img = ndimage.grey_dilation(img, size=(2, 2))
     img = ndimage.gaussian_filter(img, rng.uniform(0.4, 1.0))
@@ -302,19 +334,16 @@ def render_digit(digit, rng, size=28, noise=0.052):
     if peak > 1e-6:
         img *= rng.uniform(0.9, 1.15) / peak
     ramp_th = rng.uniform(0, 2 * np.pi)
-    ii2, jj2 = np.meshgrid(np.linspace(-0.5, 0.5, size),
-                           np.linspace(-0.5, 0.5, size), indexing="ij")
-    img *= 1.0 + rng.uniform(-0.45, 0.45) * (np.cos(ramp_th) * ii2 +
-                                             np.sin(ramp_th) * jj2)
+    img *= 1.0 + rng.uniform(-0.45, 0.45) * (
+        np.cos(ramp_th) * ramp[:, None] + np.sin(ramp_th) * ramp[None, :])
     img *= rng.uniform(0.85, 1.0)
-    yy, xx = np.meshgrid(np.linspace(0, 1, size), np.linspace(0, 1, size),
-                         indexing="ij")
     bg = np.zeros((size, size))
     for _ in range(4):
         fy, fx = rng.uniform(0.5, 2.5, size=2)
         ph_y, ph_x = rng.uniform(0, 2 * np.pi, size=2)
-        bg += rng.uniform(0.0, 0.11) * np.cos(2 * np.pi * fy * yy + ph_y) \
-            * np.cos(2 * np.pi * fx * xx + ph_x)
+        bg += rng.uniform(0.0, 0.11) \
+            * np.cos(2 * np.pi * fy * clutter + ph_y)[:, None] \
+            * np.cos(2 * np.pi * fx * clutter + ph_x)[None, :]
     img = np.maximum(img, 0.0) + bg - bg.min()
     img += rng.normal(0.0, noise, img.shape)
     return np.clip(img, 0.0, 1.0)

@@ -163,8 +163,28 @@ def accuracy(model, x, labels):
     return float(np.mean(forward(model, x).argmax(axis=1) == labels))
 
 
-def _batch_loss_grads(layers, xb, yb):
-    """Softmax cross-entropy loss and per-layer gradients for one batch."""
+def _layer_views(flat, layers):
+    """(w, b) views into ``flat`` shaped like ``layers``, packed in order."""
+    views = []
+    start = 0
+    for w, b in layers:
+        pair = []
+        for arr in (w, b):
+            pair.append(flat[start:start + arr.size].reshape(arr.shape))
+            start += arr.size
+        views.append(tuple(pair))
+    return views
+
+
+def _batch_loss_grads(layers, xb, yb, grads=None):
+    """Softmax cross-entropy loss and per-layer gradients for one batch.
+
+    ``grads``, when given, is a list of (w, b) arrays shaped like
+    ``layers`` that receives the gradients in place; otherwise new ones are
+    allocated.  Returns (loss, grads).
+    """
+    if grads is None:
+        grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
     acts = [xb]
     a = xb
     for i, (w, b) in enumerate(layers):
@@ -179,10 +199,11 @@ def _batch_loss_grads(layers, xb, yb):
     g = p.copy()
     g[np.arange(len(yb)), yb] -= 1.0
     g /= len(yb)
-    grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        grads[i] = (g.T @ acts[i], g.sum(axis=0))
+        gw, gb = grads[i]
+        np.matmul(g.T, acts[i], out=gw)
+        np.sum(g, axis=0, out=gb)
         if i > 0:
             g = (g @ w) * (acts[i] > 0)
     return float(loss), grads
@@ -194,9 +215,20 @@ def _train_core(layers, pools, labels, cfg):
     Every pool holds one representation of the same samples; each batch
     draws one pool uniformly (no draw is made for a single pool, so the
     single-pool case consumes exactly the same random stream as plain
-    training).  Returns the trained layers and the per-epoch loss trace.
+    training).  All parameters live in one flat buffer, with every layer's
+    (w, b) a view into it, and the Adam step runs on flat gradient and
+    moment buffers in place, elementwise in the order of the per-tensor
+    update ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``.  Returns the
+    trained layers (views into one buffer) and the per-epoch loss trace.
     """
-    layers = [(w.copy(), b.copy()) for w, b in layers]
+    params = np.concatenate([a.ravel() for pair in layers for a in pair])
+    layers = _layer_views(params, layers)
+    grad = np.empty_like(params)
+    grads = _layer_views(grad, layers)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    step = np.empty_like(params)
+    denom = np.empty_like(params)
     rng = np.random.default_rng(cfg.seed)
     n = len(labels)
 
@@ -222,11 +254,9 @@ def _train_core(layers, pools, labels, cfg):
     best = None
     best_val = -np.inf
     if val_pools is not None:
-        best = [(w.copy(), b.copy()) for w, b in layers]
+        best = params.copy()
         best_val = val_accuracy(layers)
 
-    ms = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
-    vs = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
     beta1, beta2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     t = 0
     n_fit = len(fit_labels)
@@ -241,19 +271,25 @@ def _train_core(layers, pools, labels, cfg):
             idx = order[start:start + cfg.batch_size]
             pool = rng.integers(len(fit_pools)) if len(fit_pools) > 1 else 0
             xb, yb = fit_pools[pool][idx], fit_labels[idx]
-            loss, grads = _batch_loss_grads(layers, xb, yb)
+            loss, _ = _batch_loss_grads(layers, xb, yb, grads)
             total += loss * len(yb)
             t += 1
             c1 = 1.0 - beta1 ** t
             c2 = 1.0 - beta2 ** t
-            for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(layers, grads,
-                                                            ms, vs):
-                for par, grad, m, v in ((w, gw, mw, vw), (b, gb, mb, vb)):
-                    m *= beta1
-                    m += (1.0 - beta1) * grad
-                    v *= beta2
-                    v += (1.0 - beta2) * grad * grad
-                    par -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            m *= beta1
+            np.multiply(1.0 - beta1, grad, out=step)
+            m += step
+            v *= beta2
+            np.multiply(1.0 - beta2, grad, out=step)
+            step *= grad
+            v += step
+            np.divide(m, c1, out=step)
+            np.multiply(lr, step, out=step)
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            params -= step
         epoch_loss = total / n_fit
         if not np.isfinite(epoch_loss):
             raise NumericalError("training diverged: epoch %d loss is %r"
@@ -263,9 +299,9 @@ def _train_core(layers, pools, labels, cfg):
             va = val_accuracy(layers)
             if va > best_val + cfg.min_delta:
                 best_val = va
-                best = [(w.copy(), b.copy()) for w, b in layers]
+                np.copyto(best, params)
     if val_pools is not None:
-        layers = best
+        layers = _layer_views(best, layers)
     return layers, losses
 
 

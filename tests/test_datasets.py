@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from oib.errors import (DimensionError, IdxCountMismatchError, IdxMagicError,
                         IdxTruncatedError)
@@ -151,6 +152,79 @@ def test_synthetic_digits_are_classifiable_structure():
     assert off_diag.min() > 0.5
 
 
+def _oracle_render_digit(digit, rng, size=28, noise=0.052):
+    """The per-image renderer as first written: four separate noise draws
+    and filters, and fresh coordinate grids for every image.  Kept as the
+    reference for the random-draw order and the arithmetic of
+    ``render_digit``."""
+    g = glyph_array(rng.integers(0, len(STYLES)), digit)
+    gh, gw = g.shape
+    height = rng.uniform(20.0, 24.5)
+    width = height * rng.uniform(0.55, 0.80)
+    sy, sx = height / gh, width / gw
+    theta = rng.uniform(-0.14, 0.14)
+    shear = rng.uniform(-0.12, 0.12)
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    sh = np.array([[1.0, shear], [0.0, 1.0]])
+    a = rot @ sh @ np.diag([sy, sx])
+    a_inv = np.linalg.inv(a)
+    c_in = np.array([(gh - 1) / 2.0, (gw - 1) / 2.0])
+    c_out = np.array([(size - 1) / 2.0, (size - 1) / 2.0]) + \
+        rng.uniform(-2.0, 2.0, size=2)
+    offset = c_in - a_inv @ c_out
+    img = ndimage.affine_transform(g, a_inv, offset=offset,
+                                   output_shape=(size, size), order=1,
+                                   mode="constant", cval=0.0)
+    alpha = rng.uniform(3.0, 8.0)
+    fine = rng.uniform(1.2, 3.5)
+    fields = [ndimage.gaussian_filter(rng.uniform(-1, 1, (size, size)),
+                                      3.0) * alpha
+              + ndimage.gaussian_filter(rng.uniform(-1, 1, (size, size)),
+                                        1.6) * fine
+              for _ in range(2)]
+    ii, jj = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    img = ndimage.map_coordinates(img, [ii + fields[0], jj + fields[1]],
+                                  order=1, mode="constant")
+    if rng.uniform() < 0.35:
+        img = ndimage.grey_dilation(img, size=(2, 2))
+    img = ndimage.gaussian_filter(img, rng.uniform(0.4, 1.0))
+    peak = img.max()
+    if peak > 1e-6:
+        img *= rng.uniform(0.9, 1.15) / peak
+    ramp_th = rng.uniform(0, 2 * np.pi)
+    ii2, jj2 = np.meshgrid(np.linspace(-0.5, 0.5, size),
+                           np.linspace(-0.5, 0.5, size), indexing="ij")
+    img *= 1.0 + rng.uniform(-0.45, 0.45) * (np.cos(ramp_th) * ii2 +
+                                             np.sin(ramp_th) * jj2)
+    img *= rng.uniform(0.85, 1.0)
+    yy, xx = np.meshgrid(np.linspace(0, 1, size), np.linspace(0, 1, size),
+                         indexing="ij")
+    bg = np.zeros((size, size))
+    for _ in range(4):
+        fy, fx = rng.uniform(0.5, 2.5, size=2)
+        ph_y, ph_x = rng.uniform(0, 2 * np.pi, size=2)
+        bg += rng.uniform(0.0, 0.11) * np.cos(2 * np.pi * fy * yy + ph_y) \
+            * np.cos(2 * np.pi * fx * xx + ph_x)
+    img = np.maximum(img, 0.0) + bg - bg.min()
+    img += rng.normal(0.0, noise, img.shape)
+    return np.clip(img, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n, seed, size", [(300, 1, 28), (300, 2, 28),
+                                           (120, 5, 20)])
+def test_synthetic_digits_match_the_reference_renderer(n, seed, size):
+    # byte-equal to the reference, so the corpus is a constant of the code;
+    # the size-20 case also covers the per-size coordinate grids
+    got = synthetic_digits(n, seed, size=size)
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 10, size=n)
+    want = np.stack([_oracle_render_digit(int(d), rng, size).ravel()
+                     for d in labels])
+    np.testing.assert_array_equal(got.labels, labels)
+    assert got.images.values.tobytes() == want.tobytes()
+
+
 def test_synth_gaussian_ground_truth():
     spec = SyntheticGaussianSpec(n_x=6, n_y=6, n_samples=40_000, seed=11)
     x, y, true_cov, mi_curve = synth_gaussian(spec)
@@ -190,6 +264,8 @@ def test_synth_gaussian_respects_given_correlations():
 def test_synthetic_gaussian_spec_validation():
     with pytest.raises(ValueError):
         SyntheticGaussianSpec(n_x=0, n_y=2, n_samples=5)
+    with pytest.raises(ValueError):
+        SyntheticGaussianSpec(n_x=6, n_y=0, n_samples=5)
     with pytest.raises(ValueError):
         SyntheticGaussianSpec(n_x=3, n_y=2, n_samples=5,
                               canonical_correlations=np.array([0.5, 1.0]))

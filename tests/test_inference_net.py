@@ -5,6 +5,7 @@ import pytest
 
 from oib.errors import DimensionError, NumericalError
 from oib.inference_net import (MlpModel, TrainConfig, _batch_loss_grads,
+                               _forward_layers, _train_core,
                                accuracy, finetune_head, forward,
                                forward_from_layer, head_logits, head_model,
                                init_mlp, make_regression_targets, train,
@@ -254,3 +255,150 @@ def test_train_head_on_z_checks_width():
     assert head.layer_sizes == [4, 8, 3]
     with pytest.raises(DimensionError):
         train_head_on_z(z, labels, [5, 8, 3], cfg)
+
+
+def _oracle_loss_grads(layers, xb, yb):
+    """Loss and per-layer gradients, each gradient a new array."""
+    acts = [xb]
+    a = xb
+    for i, (w, b) in enumerate(layers):
+        a = a @ w.T + b
+        if i < len(layers) - 1:
+            a = np.maximum(a, 0)
+        acts.append(a)
+    z = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    p = ez / ez.sum(axis=1, keepdims=True)
+    loss = -np.mean(np.log(p[np.arange(len(yb)), yb] + 1e-30))
+    g = p.copy()
+    g[np.arange(len(yb)), yb] -= 1.0
+    g /= len(yb)
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        grads[i] = (g.T @ acts[i], g.sum(axis=0))
+        if i > 0:
+            g = (g @ w) * (acts[i] > 0)
+    return float(loss), grads
+
+
+def _oracle_train_core(layers, pools, labels, cfg):
+    """Adam as first written: one update expression per tensor, with its
+    temporaries, and per-tensor copies for the early-stopping snapshot.
+    Kept as the reference for the flat in-place update of ``_train_core``.
+    """
+    layers = [(w.copy(), b.copy()) for w, b in layers]
+    rng = np.random.default_rng(cfg.seed)
+    n = len(labels)
+    if cfg.val_fraction > 0.0:
+        perm = rng.permutation(n)
+        n_val = int(round(cfg.val_fraction * n))
+        val_idx, fit_idx = perm[:n_val], perm[n_val:]
+        fit_pools = [p[fit_idx] for p in pools]
+        fit_labels = labels[fit_idx]
+        val_pools = [p[val_idx] for p in pools]
+        val_labels = labels[val_idx]
+    else:
+        fit_pools, fit_labels = pools, labels
+        val_pools = val_labels = None
+
+    def val_accuracy(current):
+        hits = 0.0
+        for p in val_pools:
+            logits = _forward_layers(current, p)
+            hits += float(np.mean(logits.argmax(axis=1) == val_labels))
+        return hits / len(val_pools)
+
+    best = None
+    best_val = -np.inf
+    if val_pools is not None:
+        best = [(w.copy(), b.copy()) for w, b in layers]
+        best_val = val_accuracy(layers)
+    ms = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+    vs = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+    beta1, beta2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    t = 0
+    n_fit = len(fit_labels)
+    losses = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate
+        if cfg.lr_decay_at is not None and epoch >= cfg.lr_decay_at:
+            lr = lr * cfg.lr_decay_factor
+        order = rng.permutation(n_fit)
+        total = 0.0
+        for start in range(0, n_fit, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            pool = rng.integers(len(fit_pools)) if len(fit_pools) > 1 else 0
+            xb, yb = fit_pools[pool][idx], fit_labels[idx]
+            loss, grads = _oracle_loss_grads(layers, xb, yb)
+            total += loss * len(yb)
+            t += 1
+            c1 = 1.0 - beta1 ** t
+            c2 = 1.0 - beta2 ** t
+            for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(layers, grads,
+                                                            ms, vs):
+                for par, grad, m, v in ((w, gw, mw, vw), (b, gb, mb, vb)):
+                    m *= beta1
+                    m += (1.0 - beta1) * grad
+                    v *= beta2
+                    v += (1.0 - beta2) * grad * grad
+                    par -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        losses.append(total / n_fit)
+        if val_pools is not None:
+            va = val_accuracy(layers)
+            if va > best_val + cfg.min_delta:
+                best_val = va
+                best = [(w.copy(), b.copy()) for w, b in layers]
+    if val_pools is not None:
+        layers = best
+    return layers, losses
+
+
+def _adam_case(name):
+    """(layers, pools, labels, cfg) for one oracle comparison."""
+    if name == "wide_first_layer":
+        rng = np.random.default_rng(20)
+        x = rng.random((96, 784)).astype(np.float32)
+        labels = rng.integers(0, 10, size=96)
+        return (init_mlp([784, 64, 16, 10], seed=3).layers, [x], labels,
+                TrainConfig(epochs=1, seed=8))
+    x, labels = blob_data(19, n=300, d=12, classes=4)
+    layers = init_mlp([12, 24, 16, 4], seed=1).layers
+    cfg = {"single_pool": TrainConfig(epochs=4, learning_rate=1e-2, seed=2),
+           "lr_decay": TrainConfig(epochs=4, learning_rate=1e-2, seed=3,
+                                   lr_decay_at=2, lr_decay_factor=0.3),
+           "early_stopping": TrainConfig(epochs=6, learning_rate=3e-2,
+                                         seed=4, val_fraction=0.25),
+           "min_delta_one": TrainConfig(epochs=3, learning_rate=1e-2,
+                                        seed=5, val_fraction=0.2,
+                                        min_delta=1.0),
+           "multi_pool": TrainConfig(epochs=4, learning_rate=1e-2, seed=6,
+                                     val_fraction=0.2)}[name]
+    pools = [x]
+    if name == "multi_pool":
+        pools = [x, (x + 0.3).astype(np.float32), (0.8 * x).astype(
+            np.float32)]
+    return layers, pools, labels, cfg
+
+
+@pytest.mark.parametrize("name", ["single_pool", "lr_decay",
+                                  "early_stopping", "min_delta_one",
+                                  "multi_pool", "wide_first_layer"])
+def test_flat_adam_matches_the_per_tensor_oracle(name):
+    layers, pools, labels, cfg = _adam_case(name)
+    got, got_losses = _train_core(layers, pools, labels, cfg)
+    want, want_losses = _oracle_train_core(layers, pools, labels, cfg)
+    assert got_losses == want_losses
+    assert len(got) == len(want)
+    for (w1, b1), (w2, b2) in zip(got, want):
+        assert w1.dtype == w2.dtype and w1.shape == w2.shape
+        assert np.array_equal(w1, w2)
+        assert np.array_equal(b1, b2)
+    # the input layers are left untouched
+    for (w0, b0), (w1, _) in zip(layers, _adam_case(name)[0]):
+        assert np.array_equal(w0, w1)
+    if name == "min_delta_one":
+        for (w1, b1), (w0, b0) in zip(got, layers):
+            assert np.array_equal(w1, w0) and np.array_equal(b1, b0)
+    else:
+        assert not np.array_equal(got[0][0], layers[0][0])
