@@ -13,8 +13,8 @@ eigensystem.  Datasets are regenerated from their seeds, so commands
 started in separate processes agree bitwise with ``run_experiment`` when
 they share the numpy/BLAS build, CPU kernel and BLAS thread count.
 
-Exit codes: 0 success, 2 configuration or input-file problems, 3
-numerical failures.
+Exit codes: 0 success, 2 configuration, input-file or damaged-artifact
+problems, 3 numerical failures.
 """
 
 import argparse
@@ -26,8 +26,8 @@ import sys
 import numpy as np
 
 from . import pipeline
-from .complexity_model import (macs_table, network_macs, pipeline_macs,
-                               saving_baseline, saving_percent)
+from .complexity_model import (macs_rows, macs_table, network_macs,
+                               saving_baseline)
 from .config import ExperimentConfig, apply_overrides, load_config
 from .datasets import SyntheticGaussianSpec, synth_gaussian
 from .errors import ConfigError, DataFormatError, NumericalError, OibError
@@ -152,20 +152,11 @@ def cmd_hz_test(config):
 
 def cmd_macs(config):
     sizes = config.model_layer_sizes
-    n_x = sizes[0]
-    full = network_macs(sizes)
-    baseline = saving_baseline(sizes)
-    rows = []
-    for n_z in config.n_z_grid:
-        bd = pipeline_macs(n_x, n_z, sizes[1:])
-        rows.append({"n_z": n_z,
-                     "macs_compression": bd.subtotal("compression"),
-                     "macs_classification": bd.subtotal("classification"),
-                     "saving_percent": round(saving_percent(bd, baseline),
-                                             2)})
-    print(macs_table(n_x, config.n_z_grid, sizes[1:], sizes))
-    _emit({"network_total": full.total, "saving_baseline": baseline,
-           "rows": rows})
+    args = (sizes[0], config.n_z_grid, sizes[1:], sizes)
+    print(macs_table(*args))
+    _emit({"network_total": network_macs(sizes).total,
+           "saving_baseline": saving_baseline(sizes),
+           "rows": macs_rows(*args)})
     return 0
 
 

@@ -25,15 +25,14 @@ class MacsBreakdown:
     """Ordered per-stage MAC counts; stage names use 'group:detail' form."""
 
     per_stage: list
-    total: int
 
     def __post_init__(self):
         if any(macs < 0 for _, macs in self.per_stage):
             raise ValueError("MAC counts must be non-negative")
-        if self.total != sum(macs for _, macs in self.per_stage):
-            raise ValueError("total %d does not equal the stage sum %d"
-                             % (self.total,
-                                sum(m for _, m in self.per_stage)))
+
+    @property
+    def total(self):
+        return sum(macs for _, macs in self.per_stage)
 
     def subtotal(self, group):
         """Sum of stages whose name is ``group`` or starts with 'group:'."""
@@ -64,8 +63,7 @@ def network_macs(layer_sizes):
     for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1],
                                               layer_sizes[1:])):
         stages.append(("layer%d" % i, linear_macs(fan_in, fan_out)))
-    return MacsBreakdown(per_stage=stages,
-                         total=sum(m for _, m in stages))
+    return MacsBreakdown(per_stage=stages)
 
 
 def pipeline_macs(n_x, n_z, head_layer_dims):
@@ -87,8 +85,7 @@ def pipeline_macs(n_x, n_z, head_layer_dims):
                                               head_layer_dims[1:])):
         stages.append((CLASSIFICATION + ":layer%d" % (i + 1),
                        linear_macs(fan_in, fan_out)))
-    return MacsBreakdown(per_stage=stages,
-                         total=sum(m for _, m in stages))
+    return MacsBreakdown(per_stage=stages)
 
 
 def saving_baseline(layer_sizes):
@@ -105,15 +102,25 @@ def saving_percent(pipeline, baseline_macs):
     return 100.0 * (1.0 - pipeline.total / baseline_macs)
 
 
-def macs_table(n_x, n_z_values, head_layer_dims, layer_sizes):
-    """Plain-text table of compression/classification MACs and savings."""
+def macs_rows(n_x, n_z_values, head_layer_dims, layer_sizes):
+    """n_z, compression and classification MACs, and the saving percent,
+    one dict per n_z in that key order."""
     baseline = saving_baseline(layer_sizes)
-    lines = ["%6s %12s %12s %12s" % ("n_z", "comp_macs", "class_macs",
-                                     "saving_pct")]
+    rows = []
     for n_z in n_z_values:
         bd = pipeline_macs(n_x, n_z, head_layer_dims)
-        lines.append("%6d %12d %12d %12.2f"
-                     % (n_z, bd.subtotal(COMPRESSION),
-                        bd.subtotal(CLASSIFICATION),
-                        saving_percent(bd, baseline)))
+        rows.append({"n_z": n_z,
+                     "macs_compression": bd.subtotal(COMPRESSION),
+                     "macs_classification": bd.subtotal(CLASSIFICATION),
+                     "saving_percent": round(saving_percent(bd, baseline),
+                                             2)})
+    return rows
+
+
+def macs_table(n_x, n_z_values, head_layer_dims, layer_sizes):
+    """Plain-text table of the ``macs_rows``."""
+    lines = ["%6s %12s %12s %12s" % ("n_z", "comp_macs", "class_macs",
+                                     "saving_pct")]
+    for row in macs_rows(n_x, n_z_values, head_layer_dims, layer_sizes):
+        lines.append("%6d %12d %12d %12.2f" % tuple(row.values()))
     return "\n".join(lines)

@@ -60,10 +60,6 @@ class LabeledImageSet:
     def n_samples(self):
         return self.images.n_samples
 
-    @property
-    def n_classes(self):
-        return int(self.labels.max()) + 1 if len(self.labels) else 0
-
 
 def _read_idx_header(raw, path, expected_magic, n_dims):
     header = 4 * (1 + n_dims)

@@ -1,10 +1,11 @@
 """Exception hierarchy for the oib package.
 
-ConfigError covers malformed configuration and unusable input files and maps
-to CLI exit code 2.  NumericalError covers linear-algebra and optimization
-failures (non-PD matrices, NaN losses, singular systems) and maps to exit
-code 3.  The IDX loader raises one distinct subclass of DataFormatError per
-failure mode so callers can tell a wrong file apart from a damaged one.
+ConfigError covers malformed configuration and unusable input files, and
+DataFormatError damaged datasets and artifacts; both map to CLI exit code
+2.  NumericalError covers linear-algebra and optimization failures (non-PD
+matrices, NaN losses, singular systems) and maps to exit code 3.  The IDX
+loader raises one distinct subclass of DataFormatError per failure mode
+so callers can tell a wrong file apart from a damaged one.
 """
 
 
@@ -25,7 +26,7 @@ class DimensionError(OibError):
 
 
 class DataFormatError(OibError):
-    """Base class for dataset parsing failures."""
+    """A damaged dataset file or artifact; base of the IDX failures."""
 
 
 class IdxMagicError(DataFormatError):

@@ -86,21 +86,18 @@ def inverse(plan, coeffs):
 
 @dataclass
 class HzTestResult:
-    """Henze-Zirkler statistic with its log-normal null approximation."""
+    """Henze-Zirkler statistic and its log-normal approximate p-value."""
 
     statistic: float
-    lognormal_mean: float
-    lognormal_var: float
     p_value: float
-    level: float = 0.05
 
     @property
     def normal(self):
-        """True when the test does not reject normality at the given level."""
-        return self.p_value > self.level
+        """True when the test does not reject normality at level 0.05."""
+        return self.p_value > 0.05
 
 
-def henze_zirkler(data, level=0.05):
+def henze_zirkler(data):
     """Henze-Zirkler multivariate normality test.
 
     Computes the smoothed characteristic-function distance on
@@ -146,5 +143,4 @@ def henze_zirkler(data, level=0.05):
     pmu = np.log(np.sqrt(mu ** 4 / (si2 + mu * mu)))
     psi = np.sqrt(np.log1p(si2 / (mu * mu)))
     p = float(lognorm.sf(hz, psi, scale=np.exp(pmu)))
-    return HzTestResult(statistic=float(hz), lognormal_mean=float(mu),
-                        lognormal_var=float(si2), p_value=p, level=level)
+    return HzTestResult(statistic=float(hz), p_value=p)

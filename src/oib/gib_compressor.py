@@ -49,14 +49,17 @@ class Compressor:
 
     kind: CompressorKind
     matrix_a: np.ndarray
-    n_z: int
     beta: float = None
 
     def __post_init__(self):
         self.matrix_a = np.asarray(self.matrix_a, dtype=np.float64)
-        if self.matrix_a.ndim != 2 or self.matrix_a.shape[0] != self.n_z:
-            raise DimensionError("matrix_a must have n_z=%d rows, got shape "
-                                 "%s" % (self.n_z, self.matrix_a.shape))
+        if self.matrix_a.ndim != 2:
+            raise DimensionError("matrix_a must be 2-d, got shape %s"
+                                 % (self.matrix_a.shape,))
+
+    @property
+    def n_z(self):
+        return self.matrix_a.shape[0]
 
     @property
     def n_x(self):
@@ -87,7 +90,7 @@ def _oib_compressor(sol, beta, n_z):
     lam = sol.eigen.eigenvalues[:n_z]
     alpha = np.sqrt(np.maximum(beta * (1.0 - lam) - 1.0, 0.0) / lam)
     matrix = alpha[:, None] * sol.eigen.left_eigenvectors[:n_z]
-    return Compressor(kind=CompressorKind.OIB, matrix_a=matrix, n_z=n_z,
+    return Compressor(kind=CompressorKind.OIB, matrix_a=matrix,
                       beta=float(beta))
 
 
@@ -118,8 +121,7 @@ def cca_compressor(sol, n_z):
     """Unit-loading compressor on the first n_z eigendirections."""
     _check_size(n_z, sol.eigen.dim)
     return Compressor(kind=CompressorKind.CCA,
-                      matrix_a=sol.eigen.left_eigenvectors[:n_z].copy(),
-                      n_z=n_z)
+                      matrix_a=sol.eigen.left_eigenvectors[:n_z].copy())
 
 
 def pca_basis(sigma_x):
@@ -131,8 +133,7 @@ def pca_basis(sigma_x):
 def pca_compressor(basis, n_z):
     """Projection on the first n_z rows of a ``pca_basis``."""
     _check_size(n_z, basis.shape[0])
-    return Compressor(kind=CompressorKind.PCA, matrix_a=basis[:n_z].copy(),
-                      n_z=n_z)
+    return Compressor(kind=CompressorKind.PCA, matrix_a=basis[:n_z].copy())
 
 
 def encode(comp, x):

@@ -4,10 +4,10 @@ The model is a plain list of (weights, bias) layers with ReLU between them
 and linear logits at the end, trained with mini-batch Adam on softmax
 cross-entropy.  Training is deterministic for a fixed seed: He-uniform
 initialization, shuffle order, and any pool draws all come from one seeded
-generator, and all arithmetic runs in the weight dtype (float32 by
-default), so repeated runs produce bitwise-identical weights on the same
-numpy/BLAS build, CPU kernel and BLAS thread count.  Changing any of these
-changes the rounding of the matrix products and hence the weights.
+generator, and all arithmetic runs in the weight dtype (float32), so
+repeated runs produce bitwise-identical weights on the same numpy/BLAS
+build, CPU kernel and BLAS thread count.  Changing any of these changes
+the rounding of the matrix products and hence the weights.
 
 The first layer L0 doubles as the target generator for the compression
 regression: targets are its pre-activations plus seeded Gaussian noise.
@@ -17,17 +17,23 @@ levels, with optional validation-split early stopping that keeps the best
 epoch (including the unchanged starting point).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class TrainConfig:
     """Adam hyperparameters plus scheduling and early-stopping options.
 
+    Adam (Kingma & Ba, 2015) runs with the fixed module constants
+    ``ADAM_BETA1`` = 0.9, ``ADAM_BETA2`` = 0.999 and ``ADAM_EPS`` = 1e-8.
     ``lr_decay_at`` drops the learning rate by ``lr_decay_factor`` from that
     epoch onward.  ``val_fraction`` > 0 holds out a seeded validation split,
     tracks accuracy on it after every epoch, and returns the best snapshot;
@@ -39,9 +45,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     lr_decay_at: int = None
     lr_decay_factor: float = 0.1
     val_fraction: float = 0.0
@@ -51,10 +54,6 @@ class TrainConfig:
         if self.epochs < 0 or self.learning_rate < 0 or self.batch_size < 1:
             raise ValueError("epochs and learning_rate must be non-negative "
                              "and batch_size positive")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1
-                and self.adam_eps > 0):
-            raise ValueError("Adam moment decays must lie in [0, 1) and "
-                             "eps must be positive")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
 
@@ -85,9 +84,6 @@ class MlpModel:
     def dtype(self):
         return self.layers[0][0].dtype
 
-    def copy(self):
-        return MlpModel([(w.copy(), b.copy()) for w, b in self.layers])
-
 
 @dataclass
 class RegressionTargetSet:
@@ -97,7 +93,7 @@ class RegressionTargetSet:
     noise_lambda: float
 
 
-def init_mlp(layer_sizes, seed, dtype=np.float32):
+def init_mlp(layer_sizes, seed):
     """He-uniform initialized model with zero biases."""
     if len(layer_sizes) < 2:
         raise DimensionError("need at least an input and an output size")
@@ -105,9 +101,9 @@ def init_mlp(layer_sizes, seed, dtype=np.float32):
     layers = []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         limit = np.sqrt(6.0 / fan_in)
-        w = rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype)
-        b = np.zeros(fan_out, dtype=dtype)
-        layers.append((w, b))
+        w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+        b = np.zeros(fan_out, dtype=np.float32)
+        layers.append((w.astype(np.float32), b))
     return MlpModel(layers)
 
 
@@ -119,17 +115,27 @@ def _forward_layers(layers, a):
     return a
 
 
-def forward(model, x):
-    """Logits for one input or a batch of row vectors."""
+def _forward_from(model, start_layer, x):
+    """Logits from ``start_layer`` on: ReLU first when entering after layer
+    0, then the cast to the weight dtype, then the remaining layers."""
     a = np.asarray(x)
     single = a.ndim == 1
     if single:
         a = a[None, :]
-    if a.shape[1] != model.layers[0][0].shape[1]:
+    n_in = model.layers[start_layer][0].shape[1]
+    if a.shape[1] != n_in:
         raise DimensionError("expected inputs of length %d, got shape %s"
-                             % (model.layers[0][0].shape[1], np.shape(x)))
-    out = _forward_layers(model.layers, a.astype(model.dtype, copy=False))
+                             % (n_in, np.shape(x)))
+    if start_layer > 0:
+        a = np.maximum(a, 0)
+    out = _forward_layers(model.layers[start_layer:],
+                          a.astype(model.dtype, copy=False))
     return out[0] if single else out
+
+
+def forward(model, x):
+    """Logits for one input or a batch of row vectors."""
+    return _forward_from(model, 0, x)
 
 
 def forward_from_layer(model, start_layer, x):
@@ -143,19 +149,7 @@ def forward_from_layer(model, start_layer, x):
     if not 0 <= start_layer < len(model.layers):
         raise DimensionError("start_layer %d outside [0, %d)"
                              % (start_layer, len(model.layers)))
-    if start_layer == 0:
-        return forward(model, x)
-    a = np.asarray(x)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
-    if a.shape[1] != model.layers[start_layer][0].shape[1]:
-        raise DimensionError("expected inputs of length %d, got shape %s"
-                             % (model.layers[start_layer][0].shape[1],
-                                np.shape(x)))
-    a = np.maximum(a, 0).astype(model.dtype, copy=False)
-    out = _forward_layers(model.layers[start_layer:], a)
-    return out[0] if single else out
+    return _forward_from(model, start_layer, x)
 
 
 def accuracy(model, x, labels):
@@ -257,7 +251,6 @@ def _train_core(layers, pools, labels, cfg):
         best = params.copy()
         best_val = val_accuracy(layers)
 
-    beta1, beta2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     t = 0
     n_fit = len(fit_labels)
     losses = []
@@ -274,20 +267,20 @@ def _train_core(layers, pools, labels, cfg):
             loss, _ = _batch_loss_grads(layers, xb, yb, grads)
             total += loss * len(yb)
             t += 1
-            c1 = 1.0 - beta1 ** t
-            c2 = 1.0 - beta2 ** t
-            m *= beta1
-            np.multiply(1.0 - beta1, grad, out=step)
+            c1 = 1.0 - ADAM_BETA1 ** t
+            c2 = 1.0 - ADAM_BETA2 ** t
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, grad, out=step)
             m += step
-            v *= beta2
-            np.multiply(1.0 - beta2, grad, out=step)
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, grad, out=step)
             step *= grad
             v += step
             np.divide(m, c1, out=step)
             np.multiply(lr, step, out=step)
             np.divide(v, c2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += eps
+            denom += ADAM_EPS
             step /= denom
             params -= step
         epoch_loss = total / n_fit
@@ -349,10 +342,7 @@ def head_model(model):
 
 def finetune_head(head, reconstructed, labels, cfg):
     """Continue training an existing head on re-expanded pre-activations."""
-    pool = _relu32(reconstructed, head.dtype)
-    labels = np.asarray(labels)
-    layers, _ = _train_core(head.layers, [pool], labels, cfg)
-    return MlpModel(layers)
+    return train(head, _relu32(reconstructed, head.dtype), labels, cfg)[0]
 
 
 def head_logits(head, reconstructed):
@@ -366,10 +356,7 @@ def train_head_on_z(z, labels, head_sizes, cfg):
     if head_sizes[0] != z.shape[1]:
         raise DimensionError("head input size %d does not match n_z=%d"
                              % (head_sizes[0], z.shape[1]))
-    head = init_mlp(head_sizes, cfg.seed)
-    layers, _ = _train_core(head.layers, [z.astype(head.dtype)],
-                            np.asarray(labels), cfg)
-    return MlpModel(layers)
+    return train(init_mlp(head_sizes, cfg.seed), z, labels, cfg)[0]
 
 
 def train_multi_rho_head(model, pools, labels, cfg):

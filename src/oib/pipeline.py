@@ -52,7 +52,7 @@ from .errors import ConfigError
 from .gib_compressor import (cca_compressor, compressor_at_size, encode,
                              pca_basis, pca_compressor, solve_gib)
 from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
-                            forward_from_layer, head_logits, init_mlp,
+                            forward_from_layer, init_mlp,
                             make_regression_targets, train,
                             train_head_on_z, train_multi_rho_head)
 from .info_metrics import encoding_mi, gaussian_entropy, power_normalize
@@ -315,11 +315,6 @@ def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
     return records, rec_train, rec_test
 
 
-def _head_accuracy(head, reconstructed, labels):
-    logits = head_logits(head, reconstructed)
-    return float(np.mean(logits.argmax(axis=1) == labels))
-
-
 def retrain_heads(config, result):
     """Average head over all sizes, then per-size fine-tuning.
 
@@ -357,12 +352,12 @@ def retrain_heads(config, result):
                              result.reconstructions_train[n_z], labels_tr,
                              ft_cfg)
         heads[n_z] = head
-        rec_te = result.reconstructions_test[n_z]
+        relu_te = np.maximum(result.reconstructions_test[n_z], 0)
         retrain_records.append(RetrainRecord(
             n_z=n_z,
             accuracy_non_retrained=result.record("oib", n_z).accuracy,
-            accuracy_average=_head_accuracy(average_head, rec_te, labels_te),
-            accuracy_per_rho=_head_accuracy(head, rec_te, labels_te)))
+            accuracy_average=accuracy(average_head, relu_te, labels_te),
+            accuracy_per_rho=accuracy(head, relu_te, labels_te)))
     return average_head, heads, retrain_records
 
 

@@ -50,8 +50,9 @@ class Reexpander:
         return self.theta.shape[1]
 
 
-def fit_lmmse(c_yz, c_zz, ridge=0.0, target_mean=None):
-    """Population estimator theta = C_yz (C_zz + ridge I)^-1."""
+def fit_lmmse(c_yz, c_zz, ridge=0.0):
+    """Population estimator theta = C_yz (C_zz + ridge I)^-1 of centered
+    targets: its target mean is zero."""
     c_yz = np.asarray(c_yz, dtype=np.float64)
     c_zz = np.asarray(c_zz, dtype=np.float64)
     try:
@@ -61,10 +62,8 @@ def fit_lmmse(c_yz, c_zz, ridge=0.0, target_mean=None):
         raise NumericalError("C_zz + ridge*I is not positive definite; "
                              "increase ridge") from exc
     theta = linalg.cho_solve(cho, c_yz.T).T
-    if target_mean is None:
-        target_mean = np.zeros(theta.shape[0])
     return Reexpander(theta=theta, fit_method=FitMethod.LMMSE_POPULATION,
-                      target_mean=np.asarray(target_mean, dtype=np.float64))
+                      target_mean=np.zeros(theta.shape[0]))
 
 
 def fit_ls(z_train, y_train, ridge=None):

@@ -4,7 +4,10 @@ Every artifact is a pair of files sharing a stem: a small JSON manifest
 (sorted keys, so identical objects serialize identically) and a raw binary
 blob of little-endian floats in row-major order.  Matrices round-trip
 bit-exactly; manifests carry enough shape information to validate the blob
-length before any reshaping.
+length before any reshaping.  The loaders raise DataFormatError, naming
+the stem, for any damaged artifact: a manifest that is not a JSON object
+or lacks a key, an unknown kind, a blob of the wrong length, or values
+the loaded object rejects.
 
 Evaluation reports are plain JSON validated against the packaged schema,
 and configs hash to a stable SHA-256 over their canonical JSON form.
@@ -12,13 +15,14 @@ and configs hash to a stable SHA-256 over their canonical JSON form.
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict
 from importlib import resources
 
 import jsonschema
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, DimensionError
 from .gib_compressor import Compressor, CompressorKind
 from .inference_net import MlpModel
 from .reexpander import FitMethod, Reexpander
@@ -35,21 +39,24 @@ def _write_pair(stem, manifest, blob):
         fh.write(blob)
 
 
-def _read_pair(stem):
+@contextmanager
+def _artifact(stem, fmt):
+    """The manifest and blob of ``stem`` for the body of a with statement;
+    invalid JSON, a wrong format and any error the body meets while
+    building an object from them raise DataFormatError naming the stem."""
     try:
         with open(str(stem) + ".json") as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError("%s.json is not valid JSON: %s" % (stem, exc))
-    with open(str(stem) + ".bin", "rb") as fh:
-        blob = fh.read()
-    return manifest, blob
-
-
-def _expect(manifest, stem, fmt):
-    if manifest.get("format") != fmt:
-        raise DataFormatError("%s.json declares format %r, expected %r"
-                              % (stem, manifest.get("format"), fmt))
+        with open(str(stem) + ".bin", "rb") as fh:
+            blob = fh.read()
+        if manifest.get("format") != fmt:
+            raise DataFormatError("%s.json declares format %r, expected %r"
+                                  % (stem, manifest.get("format"), fmt))
+        yield manifest, blob
+    except (AttributeError, KeyError, TypeError, ValueError,
+            DimensionError) as exc:
+        raise DataFormatError("damaged artifact %s: %s: %s"
+                              % (stem, type(exc).__name__, exc)) from exc
 
 
 def _check_blob(stem, blob, n_values, dtype):
@@ -73,15 +80,13 @@ def save_compressor(comp, stem):
 
 
 def load_compressor(stem):
-    manifest, blob = _read_pair(stem)
-    _expect(manifest, stem, "compressor-v1")
-    n_z, n_x = manifest["n_z"], manifest["n_x"]
-    _check_blob(stem, blob, n_z * n_x, F64)
-    matrix = np.frombuffer(blob, dtype=F64).reshape(n_z, n_x)
-    return Compressor(kind=CompressorKind(manifest["kind"]),
-                      matrix_a=matrix.astype(np.float64),
-                      n_z=n_z,
-                      beta=manifest["beta"])
+    with _artifact(stem, "compressor-v1") as (manifest, blob):
+        n_z, n_x = manifest["n_z"], manifest["n_x"]
+        _check_blob(stem, blob, n_z * n_x, F64)
+        matrix = np.frombuffer(blob, dtype=F64).reshape(n_z, n_x)
+        return Compressor(kind=CompressorKind(manifest["kind"]),
+                          matrix_a=matrix.astype(np.float64),
+                          beta=manifest["beta"])
 
 
 def save_reexpander(rx, stem):
@@ -98,15 +103,15 @@ def save_reexpander(rx, stem):
 
 
 def load_reexpander(stem):
-    manifest, blob = _read_pair(stem)
-    _expect(manifest, stem, "reexpander-v1")
-    n_y, n_z = manifest["n_y"], manifest["n_z"]
-    _check_blob(stem, blob, n_y * n_z + n_y, F64)
-    theta = np.frombuffer(blob, dtype=F64, count=n_y * n_z).reshape(n_y, n_z)
-    mean = np.frombuffer(blob, dtype=F64, offset=theta.nbytes)
-    return Reexpander(theta=theta.astype(np.float64),
-                      fit_method=FitMethod(manifest["fit_method"]),
-                      target_mean=mean.astype(np.float64))
+    with _artifact(stem, "reexpander-v1") as (manifest, blob):
+        n_y, n_z = manifest["n_y"], manifest["n_z"]
+        _check_blob(stem, blob, n_y * n_z + n_y, F64)
+        theta = np.frombuffer(blob, dtype=F64,
+                              count=n_y * n_z).reshape(n_y, n_z)
+        mean = np.frombuffer(blob, dtype=F64, offset=theta.nbytes)
+        return Reexpander(theta=theta.astype(np.float64),
+                          fit_method=FitMethod(manifest["fit_method"]),
+                          target_mean=mean.astype(np.float64))
 
 
 def save_model(model, stem, train_config=None, seed=None):
@@ -126,27 +131,30 @@ def save_model(model, stem, train_config=None, seed=None):
 
 
 def load_model(stem):
-    manifest, blob = _read_pair(stem)
-    _expect(manifest, stem, "mlp-v1")
-    sizes = manifest["layer_sizes"]
-    n_values = sum(fi * fo + fo for fi, fo in zip(sizes[:-1], sizes[1:]))
-    _check_blob(stem, blob, n_values, F32)
-    layers = []
-    offset = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(blob, dtype=F32, count=fan_out * fan_in,
-                          offset=offset).reshape(fan_out, fan_in)
-        offset += w.nbytes
-        b = np.frombuffer(blob, dtype=F32, count=fan_out, offset=offset)
-        offset += b.nbytes
-        layers.append((w.astype(np.float32), b.astype(np.float32)))
-    return MlpModel(layers)
+    with _artifact(stem, "mlp-v1") as (manifest, blob):
+        sizes = manifest["layer_sizes"]
+        pairs = list(zip(sizes[:-1], sizes[1:]))
+        _check_blob(stem, blob, sum(fi * fo + fo for fi, fo in pairs), F32)
+        layers = []
+        offset = 0
+        for fan_in, fan_out in pairs:
+            w = np.frombuffer(blob, dtype=F32, count=fan_out * fan_in,
+                              offset=offset).reshape(fan_out, fan_in)
+            offset += w.nbytes
+            b = np.frombuffer(blob, dtype=F32, count=fan_out, offset=offset)
+            offset += b.nbytes
+            layers.append((w.astype(np.float32), b.astype(np.float32)))
+        return MlpModel(layers)
 
 
 def config_hash(config_dict):
-    """Stable SHA-256 of a config's canonical JSON form."""
-    canonical = json.dumps(config_dict, sort_keys=True,
-                           separators=(",", ":"))
+    """Stable SHA-256 of a config's canonical JSON form.
+
+    ``output_dir`` is left out: where a run writes does not change what it
+    computes, so one config hashes alike in every output directory.
+    """
+    kept = {k: v for k, v in config_dict.items() if k != "output_dir"}
+    canonical = json.dumps(kept, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

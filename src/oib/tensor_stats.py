@@ -74,18 +74,22 @@ class GeneralizedEigenResult:
     """Ascending eigenvalues and Sigma_x-orthonormal left eigenvectors.
 
     Row i of ``left_eigenvectors`` is v_i^T, with V sigma_x V^T = I and its
-    largest-magnitude entry positive.  ``clamped`` records whether any raw
-    eigenvalue had to be clipped into [CLAMP_EPS, 1 - CLAMP_EPS].
+    largest-magnitude entry positive.  ``raw_eigenvalues`` are the values
+    before clipping into [CLAMP_EPS, 1 - CLAMP_EPS]; ``clamped`` tells
+    whether any of them was clipped.
     """
 
     eigenvalues: np.ndarray
     left_eigenvectors: np.ndarray
-    clamped: bool = False
-    raw_eigenvalues: np.ndarray = field(default=None, repr=False)
+    raw_eigenvalues: np.ndarray = field(repr=False)
 
     @property
     def dim(self):
         return self.eigenvalues.shape[0]
+
+    @property
+    def clamped(self):
+        return bool(np.any(self.eigenvalues != self.raw_eigenvalues))
 
 
 def sample_covariance(x, shrinkage=0.0):
@@ -138,12 +142,9 @@ def gib_eigensystem(cov):
     pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     v *= np.sign(pivots)
     lam_raw = 1.0 - s ** 2
-    lam = np.clip(lam_raw, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    clamped = bool(np.any(lam != lam_raw))
-    return GeneralizedEigenResult(eigenvalues=lam,
-                                  left_eigenvectors=v.T.copy(),
-                                  clamped=clamped,
-                                  raw_eigenvalues=lam_raw)
+    return GeneralizedEigenResult(
+        eigenvalues=np.clip(lam_raw, CLAMP_EPS, 1.0 - CLAMP_EPS),
+        left_eigenvectors=v.T.copy(), raw_eigenvalues=lam_raw)
 
 
 def logdet_psd(matrix, jitter=None):

@@ -93,10 +93,8 @@ def test_pipeline_validation():
 
 def test_breakdown_invariants():
     with pytest.raises(ValueError):
-        MacsBreakdown(per_stage=[("a", 5)], total=6)
-    with pytest.raises(ValueError):
-        MacsBreakdown(per_stage=[("a", -1)], total=-1)
-    bd = MacsBreakdown(per_stage=[("g:x", 2), ("g:y", 3), ("h", 4)], total=9)
+        MacsBreakdown(per_stage=[("a", -1)])
+    bd = MacsBreakdown(per_stage=[("g:x", 2), ("g:y", 3), ("h", 4)])
     assert bd.subtotal("g") == 5
     assert bd.subtotal("h") == 4
 

@@ -3,6 +3,7 @@ pipeline paths a config selects (IDX files, stochastic encoding)."""
 
 import dataclasses
 import json
+import shutil
 import subprocess
 import sys
 
@@ -15,7 +16,9 @@ from oib.config import (ExperimentConfig, SEED_STRIDE, apply_overrides,
                         config_from_dict, config_to_dict, load_config)
 from oib.datasets import LabeledImageSet, save_idx
 from oib.errors import ConfigError
-from oib.serialization import config_hash
+from oib.gib_compressor import encode
+from oib.inference_net import accuracy
+from oib.serialization import config_hash, load_compressor, load_model
 from oib.tensor_stats import DataMatrix
 
 TINY = {
@@ -109,6 +112,9 @@ def test_config_round_trip_and_hash_stability():
     assert config_hash(data) == config_hash(config_to_dict(again))
     other = config_from_dict(dict(TINY, shrinkage=0.01))
     assert config_hash(config_to_dict(other)) != config_hash(data)
+    # where a run writes is not part of what it computes
+    moved = config_from_dict(dict(TINY, output_dir="elsewhere"))
+    assert config_hash(config_to_dict(moved)) == config_hash(data)
 
 
 def test_load_config_errors(tmp_path):
@@ -252,6 +258,37 @@ def test_cli_stage_composition(cli_run, capsys):
     assert hz["total"] == 20
     assert 0 <= hz["transform_wins"] <= 20
     capsys.readouterr()
+
+
+def test_bank_accuracies_are_those_of_the_saved_heads(cli_run, capsys):
+    cfg, out_dir = cli_run
+    assert main(["retrain", "--config", cfg, "--mode", "per_rho_on_z"]) == 0
+    capsys.readouterr()
+    report = json.loads((out_dir / "retrain_report.json").read_text())
+    assert report["mode"] == "per_rho_on_z"
+    config = load_config(cfg)
+    train_set, test_set = pipeline.build_dataset(config)
+    _, features = pipeline.domain_features(config, train_set, test_set)
+    x_test = features[pipeline.TRANSFORM][1]
+    assert [r["n_z"] for r in report["records"]] == config.n_z_grid
+    for record in report["records"]:
+        n_z = record["n_z"]
+        head = load_model(str(out_dir / "heads" / ("bank_%03d" % n_z)))
+        comp = load_compressor(str(out_dir / "compressors"
+                                   / ("oib_%03d" % n_z)))
+        assert record["accuracy_bank"] == accuracy(
+            head, encode(comp, x_test), test_set.labels)
+
+
+def test_damaged_artifact_exits_2(cli_run, tmp_path, capsys):
+    cfg, out_dir = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy)
+    manifest = copy / "compressors" / "oib_010.json"
+    manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()),
+                                        kind="bogus")))
+    assert main(["evaluate", "--config", cfg, "--out", str(copy)]) == 2
+    assert "oib_010" in capsys.readouterr().err
 
 
 def test_evaluate_is_deterministic_across_runs(cli_run, capsys):

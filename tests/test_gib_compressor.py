@@ -208,14 +208,13 @@ def test_encode_rejects_wrong_width():
 
 def test_compressor_validates_shape_and_noise():
     with pytest.raises(DimensionError):
-        Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros((2, 4)), n_z=3)
+        Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros(4))
     # a compressor is a deterministic linear map with no noise model
     with pytest.raises(TypeError):
-        Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros((2, 4)), n_z=2,
+        Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros((2, 4)),
                    noise_std=1.0)
-    comp = Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros((0, 4)),
-                      n_z=0)
-    assert comp.rho == float("inf")
+    comp = Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros((0, 4)))
+    assert comp.n_z == 0 and comp.rho == float("inf")
 
 
 def _grid_domains(cov):

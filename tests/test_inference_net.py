@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oib.errors import DimensionError, NumericalError
-from oib.inference_net import (MlpModel, TrainConfig, _batch_loss_grads,
+from oib.inference_net import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpModel,
+                               TrainConfig, _batch_loss_grads,
                                _forward_layers, _train_core,
                                accuracy, finetune_head, forward,
                                forward_from_layer, head_logits, head_model,
@@ -178,8 +179,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
-        TrainConfig(adam_beta1=1.0)
-    with pytest.raises(ValueError):
         TrainConfig(val_fraction=1.0)
 
 
@@ -316,7 +315,7 @@ def _oracle_train_core(layers, pools, labels, cfg):
         best_val = val_accuracy(layers)
     ms = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
     vs = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
-    beta1, beta2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = 0
     n_fit = len(fit_labels)
     losses = []

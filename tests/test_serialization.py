@@ -1,6 +1,7 @@
 """Artifact round-trips, config hashing, and report schema validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,8 +46,7 @@ def sample_report():
 def test_compressor_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     comp = Compressor(kind=CompressorKind.OIB,
-                      matrix_a=rng.standard_normal((4, 9)), n_z=4,
-                      beta=3.25)
+                      matrix_a=rng.standard_normal((4, 9)), beta=3.25)
     stem = str(tmp_path / "comp")
     save_compressor(comp, stem)
     loaded = load_compressor(stem)
@@ -101,8 +101,7 @@ def test_model_round_trip(tmp_path):
 
 
 def test_load_rejects_corrupt_artifacts(tmp_path):
-    comp = Compressor(kind=CompressorKind.CCA,
-                      matrix_a=np.eye(3), n_z=3)
+    comp = Compressor(kind=CompressorKind.CCA, matrix_a=np.eye(3))
     stem = str(tmp_path / "c")
     save_compressor(comp, stem)
 
@@ -122,6 +121,33 @@ def test_load_rejects_corrupt_artifacts(tmp_path):
     (tmp_path / "c.json").write_text("{not json")
     with pytest.raises(DataFormatError):
         load_compressor(stem)
+
+    # damage found while building the object names the artifact instead
+    # of escaping as a bare KeyError, ValueError or AttributeError
+    def tampered(name, change):
+        damaged = str(tmp_path / name)
+        save_compressor(comp, damaged)
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+        return damaged
+
+    for name, change in (
+            ("bogus_kind", lambda m: dict(m, kind="bogus")),
+            ("no_n_x", lambda m: {k: v for k, v in m.items() if k != "n_x"}),
+            ("as_list", lambda m: sorted(m.items()))):
+        damaged = tampered(name, change)
+        with pytest.raises(DataFormatError, match=re.escape(damaged)):
+            load_compressor(damaged)
+
+    rx_stem = str(tmp_path / "nan_rx")
+    save_reexpander(Reexpander(theta=np.ones((2, 3)),
+                               fit_method=FitMethod.LS_SAMPLE,
+                               target_mean=np.zeros(2)), rx_stem)
+    blob = (tmp_path / "nan_rx.bin").read_bytes()
+    (tmp_path / "nan_rx.bin").write_bytes(
+        np.array([np.nan], dtype="<f8").tobytes() + blob[8:])
+    with pytest.raises(DataFormatError, match=re.escape(rx_stem)):
+        load_reexpander(rx_stem)
 
 
 def test_config_hash_is_canonical():
