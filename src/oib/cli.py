@@ -19,7 +19,6 @@ problems, 3 numerical failures.
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -40,12 +39,7 @@ from .pipeline import (RAW, TRANSFORM, DomainData, artifact_stem,
                        train_base_models)
 from .reexpander import fit_lmmse, fit_ls, mse_entropy_gap, reexpand
 from .serialization import (load_compressor, load_model, load_reexpander,
-                            save_model)
-
-
-def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+                            save_model, write_json)
 
 
 def _resolve_config(args):
@@ -89,22 +83,22 @@ def _load_artifacts(result):
 def cmd_train_base(config):
     result = pipeline.prepare(config, train_base_models)
     pipeline.write_base_artifacts(result, config.output_dir)
-    _emit({"output_dir": config.output_dir,
-           "baseline": pipeline.baseline_accuracies(result),
-           "final_epoch_loss": {name: domain.losses[-1]
-                                for name, domain in result.domains.items()
-                                if domain.losses}})
+    write_json({"output_dir": config.output_dir,
+                "baseline": pipeline.baseline_accuracies(result),
+                "final_epoch_loss": {name: domain.losses[-1]
+                                     for name, domain in result.domains.items()
+                                     if domain.losses}}, sys.stdout)
     return 0
 
 
 def cmd_fit_oib(config):
     result = pipeline.fit(pipeline.prepare(config, _load_base_models))
     pipeline.write_fit_artifacts(result, config.output_dir)
-    _emit({"output_dir": config.output_dir,
-           "artifacts": len(result.compressors) + len(result.reexpanders),
-           "noise_lambda": {name: domain.targets.noise_lambda
-                            for name, domain in result.domains.items()
-                            if domain.targets is not None}})
+    write_json({"output_dir": config.output_dir,
+                "artifacts": len(result.compressors) + len(result.reexpanders),
+                "noise_lambda": {name: domain.targets.noise_lambda
+                                 for name, domain in result.domains.items()
+                                 if domain.targets is not None}}, sys.stdout)
     return 0
 
 
@@ -113,9 +107,9 @@ def cmd_evaluate(config):
     fit_all_domains(config, result.domains, with_gib=False)
     pipeline.evaluate(result)
     pipeline.write_evaluation(result, config.output_dir)
-    _emit({"report": os.path.join(config.output_dir, "report.json"),
-           "csv": os.path.join(config.output_dir, "records.csv"),
-           "records": len(result.records)})
+    write_json({"report": os.path.join(config.output_dir, "report.json"),
+                "csv": os.path.join(config.output_dir, "records.csv"),
+                "records": len(result.records)}, sys.stdout)
     return 0
 
 
@@ -137,7 +131,7 @@ def cmd_retrain(config, mode):
         result.average_head, result.per_rho_heads, \
             result.retrain_records = pipeline.retrain_heads(config, result)
         payload = pipeline.write_retrain_artifacts(result, config.output_dir)
-    _emit(payload)
+    write_json(payload, sys.stdout)
     return 0
 
 
@@ -146,7 +140,8 @@ def cmd_hz_test(config):
     _, features = domain_features(config, train_set, test_set)
     records = pipeline.hz_compare(config, features[RAW][1],
                                   features[TRANSFORM][1])
-    _emit(pipeline.write_hz_report(records, config.output_dir))
+    write_json(pipeline.write_hz_report(records, config.output_dir),
+               sys.stdout)
     return 0
 
 
@@ -154,9 +149,9 @@ def cmd_macs(config):
     sizes = config.model_layer_sizes
     args = (sizes[0], config.n_z_grid, sizes[1:], sizes)
     print(macs_table(*args))
-    _emit({"network_total": network_macs(sizes).total,
-           "saving_baseline": saving_baseline(sizes),
-           "rows": macs_rows(*args)})
+    write_json({"network_total": network_macs(sizes).total,
+                "saving_baseline": saving_baseline(sizes),
+                "rows": macs_rows(*args)}, sys.stdout)
     return 0
 
 
@@ -223,7 +218,8 @@ def _synth_checks():
 
 def cmd_synth_check(config):
     checks = _synth_checks()
-    _emit({"checks": checks, "ok": all(c["ok"] for c in checks.values())})
+    write_json({"checks": checks,
+                "ok": all(c["ok"] for c in checks.values())}, sys.stdout)
     if not all(c["ok"] for c in checks.values()):
         raise NumericalError("synthetic oracle checks failed: %s"
                              % [k for k, c in checks.items()

@@ -1,19 +1,20 @@
 """Experiment configuration: one JSON document, strict keys, full defaults.
 
-Every tunable in the pipeline lives here with a working default, so an
-empty config runs the reference experiment end to end.  Loading rejects
-unknown keys recursively (typos fail loudly instead of silently running
-the defaults) and validates value ranges, and the sample sizes the grid
-and the normality test need, at construction.
+Every setting some caller varies lives here with a working default, so
+an empty config runs the reference experiment end to end.  Loading
+rejects unknown keys recursively (typos fail loudly instead of silently
+running the defaults) and validates value ranges, and the sample sizes
+the grid and the normality test need, at construction.
 
 Seeds are stage-scoped: each consumer of randomness owns a named seed so
 results stay reproducible when stages are re-run in isolation.  A global
-seed offset shifts every stage seed deterministically, giving independent
-replications of the whole experiment from one integer.
+seed offset, ``seed``, shifts every stage seed deterministically, giving
+independent replications of the whole experiment from one integer.
 """
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -27,7 +28,7 @@ HZ_PROJECTION_DIM = 10
 @dataclass
 class DatasetConfig:
     """Where images come from: IDX files when paths are set, else the
-    built-in procedural digit corpus."""
+    built-in procedural digit corpus, sized to the model's input width."""
 
     train_images: str = None
     train_labels: str = None
@@ -35,8 +36,6 @@ class DatasetConfig:
     test_labels: str = None
     n_train: int = 10000
     n_test: int = 2000
-    image_size: int = 28
-    image_noise: float = 0.052
 
     def __post_init__(self):
         paths = [self.train_images, self.train_labels, self.test_images,
@@ -64,24 +63,17 @@ class TrainSection:
 
 @dataclass
 class RetrainSection:
-    """Schedules for the shared average head and the per-size fine-tunes."""
+    """Epoch schedules for the shared average head and the per-size
+    fine-tunes; their learning rates and validation split are constants
+    of ``pipeline``."""
 
     average_epochs: int = 90
-    average_learning_rate: float = 1e-3
     average_decay_at: int = 60
-    average_decay_factor: float = 0.1
     finetune_epochs: int = 20
-    finetune_learning_rate: float = 1e-4
-    finetune_val_fraction: float = 0.1
-    finetune_min_delta: float = 0.0
 
     def __post_init__(self):
         if self.average_epochs < 0 or self.finetune_epochs < 0:
             raise ConfigError("retrain epochs must be non-negative")
-        if self.average_learning_rate < 0 or self.finetune_learning_rate < 0:
-            raise ConfigError("retrain learning rates must be non-negative")
-        if not 0.0 <= self.finetune_val_fraction < 1.0:
-            raise ConfigError("finetune_val_fraction must lie in [0, 1)")
 
 
 @dataclass
@@ -117,8 +109,12 @@ class ExperimentConfig:
     shrinkage: float = 1e-4
     ridge: float = None
     encoding: str = "deterministic"
-    seeds: SeedsConfig = field(default_factory=SeedsConfig)
+    seed: int = 0
     output_dir: str = "results"
+
+    @property
+    def seeds(self):
+        return SeedsConfig().shifted(self.seed)
 
     def __post_init__(self):
         grid = list(self.n_z_grid)
@@ -126,16 +122,13 @@ class ExperimentConfig:
                 not all(isinstance(n, int) for n in grid):
             raise ConfigError("n_z_grid must be a non-empty, strictly "
                               "ascending list of integer sizes >= 1")
-        n_x = self.dataset.image_size ** 2
+        n_x = self.model_layer_sizes[0]
         if self.n_z_grid[-1] > n_x:
             raise ConfigError("n_z_grid exceeds the input dimension %d"
                               % n_x)
-        if self.model_layer_sizes[0] != n_x:
-            raise ConfigError("model input width %d does not match the "
-                              "%dx%d images"
-                              % (self.model_layer_sizes[0],
-                                 self.dataset.image_size,
-                                 self.dataset.image_size))
+        if not self.dataset.from_files and math.isqrt(n_x) ** 2 != n_x:
+            raise ConfigError("model input width %d is not the pixel count "
+                              "of a square rendered digit" % n_x)
         if len(self.model_layer_sizes) < 3:
             raise ConfigError("the model needs at least one hidden layer")
         unknown = set(self.compressor_kinds) - {"oib", "cca", "pca"}
@@ -150,6 +143,8 @@ class ExperimentConfig:
         if self.encoding not in ("deterministic", "stochastic"):
             raise ConfigError("encoding must be deterministic or "
                               "stochastic")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if not 0.0 <= self.shrinkage < 1.0:
             raise ConfigError("shrinkage must lie in [0, 1)")
         for name in ("noise_lambda", "ridge"):
@@ -178,18 +173,10 @@ def _build(cls, data, path):
                              ", ".join(sorted(unknown))))
     kwargs = {}
     for name, value in data.items():
-        ftype = known[name].type
-        nested = {
-            "dataset": DatasetConfig,
-            "train": TrainSection,
-            "retrain": RetrainSection,
-            "seeds": SeedsConfig,
-        }.get(name)
-        if nested is not None:
-            kwargs[name] = _build(nested, value,
-                                  (path + "." if path else "") + name)
-        else:
-            kwargs[name] = value
+        section = known[name].type
+        if dataclasses.is_dataclass(section):
+            value = _build(section, value, (path + "." if path else "") + name)
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -223,7 +210,7 @@ def apply_overrides(config, seed=None, out=None, encoding=None,
     """Apply CLI flag overrides, returning a new config."""
     data = config_to_dict(config)
     if seed is not None:
-        data["seeds"] = dataclasses.asdict(config.seeds.shifted(seed))
+        data["seed"] = config.seed + seed
     if out is not None:
         data["output_dir"] = out
     if encoding is not None:

@@ -37,7 +37,7 @@ weights, and the accuracies that depend on them, can differ.
 """
 
 import csv
-import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, replace
@@ -58,12 +58,17 @@ from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
 from .info_metrics import encoding_mi, gaussian_entropy, power_normalize
 from .reexpander import fit_ls, reexpand
 from .serialization import (config_hash, save_compressor, save_model,
-                            save_reexpander, validate_report)
+                            save_reexpander, validate_report, write_json)
 from .tensor_stats import CovariancePair, covariance_pair, sample_covariance
 
 TRANSFORM = "transform"
 RAW = "raw"
 HZ_PROJECTIONS = 20
+# Retraining settings no caller varies: the average head's learning rate,
+# and the per-size fine-tunes' smaller rate and validation split.
+AVERAGE_LEARNING_RATE = 1e-3
+FINETUNE_LEARNING_RATE = 1e-4
+FINETUNE_VAL_FRACTION = 0.1
 
 
 @dataclass
@@ -141,29 +146,38 @@ class ExperimentResult:
         raise KeyError((kind, n_z))
 
 
-def _idx_subset(images, labels, n, seed):
-    """``n`` images of an IDX pair, refused before any training if short."""
+def _idx_subset(images, labels, n, seed, n_inputs):
+    """``n`` images of an IDX pair, refused before any training if short or
+    if an image does not hold ``n_inputs`` pixels."""
     full = load_idx(images, labels)
     if full.n_samples < n:
         raise ConfigError("%s holds %d images, fewer than the %d the config "
                           "asks for" % (images, full.n_samples, n))
+    if full.height * full.width != n_inputs:
+        raise ConfigError("%s holds %dx%d images; the model takes %d inputs"
+                          % (images, full.height, full.width, n_inputs))
     return subset(full, n, seed)
 
 
 def build_dataset(config):
-    """Training and test image sets per the dataset config."""
-    ds = config.dataset
+    """Training and test image sets per the dataset config, refused before
+    any training if a label is past the model's outputs."""
+    ds, sizes = config.dataset, config.model_layer_sizes
     if ds.from_files:
         train_set = _idx_subset(ds.train_images, ds.train_labels, ds.n_train,
-                                config.seeds.data_train)
+                                config.seeds.data_train, sizes[0])
         test_set = _idx_subset(ds.test_images, ds.test_labels, ds.n_test,
-                               config.seeds.data_test)
+                               config.seeds.data_test, sizes[0])
     else:
+        size = math.isqrt(sizes[0])
         train_set = synthetic_digits(ds.n_train, config.seeds.data_train,
-                                     size=ds.image_size,
-                                     noise=ds.image_noise)
+                                     size=size)
         test_set = synthetic_digits(ds.n_test, config.seeds.data_test,
-                                    size=ds.image_size, noise=ds.image_noise)
+                                    size=size)
+    for image_set in (train_set, test_set):
+        if image_set.labels.max() >= sizes[-1]:
+            raise ConfigError("label %d is past the model's %d outputs"
+                              % (image_set.labels.max(), sizes[-1]))
     return train_set, test_set
 
 
@@ -331,11 +345,10 @@ def retrain_heads(config, result):
     model = result.transform.model
 
     avg_cfg = TrainConfig(epochs=rt.average_epochs,
-                          learning_rate=rt.average_learning_rate,
+                          learning_rate=AVERAGE_LEARNING_RATE,
                           batch_size=config.train.batch_size,
                           seed=config.seeds.head_average,
-                          lr_decay_at=rt.average_decay_at,
-                          lr_decay_factor=rt.average_decay_factor)
+                          lr_decay_at=rt.average_decay_at)
     average_head = train_multi_rho_head(model, result.reconstructions_train,
                                         labels_tr, avg_cfg)
 
@@ -343,11 +356,10 @@ def retrain_heads(config, result):
     retrain_records = []
     for n_z in config.n_z_grid:
         ft_cfg = TrainConfig(epochs=rt.finetune_epochs,
-                             learning_rate=rt.finetune_learning_rate,
+                             learning_rate=FINETUNE_LEARNING_RATE,
                              batch_size=config.train.batch_size,
                              seed=config.seeds.head_per_rho_base + n_z,
-                             val_fraction=rt.finetune_val_fraction,
-                             min_delta=rt.finetune_min_delta)
+                             val_fraction=FINETUNE_VAL_FRACTION)
         head = finetune_head(average_head,
                              result.reconstructions_train[n_z], labels_tr,
                              ft_cfg)
@@ -436,15 +448,14 @@ def evaluate(result):
     return result
 
 
-def run_experiment(config, out_dir=None, with_retrain=True, with_hz=True):
+def run_experiment(config, out_dir=None):
     """Run every stage in order; optionally persist artifacts under out_dir."""
     result = evaluate(fit(prepare(config, train_base_models)))
-    if with_retrain and "oib" in config.compressor_kinds:
+    if "oib" in config.compressor_kinds:
         result.average_head, result.per_rho_heads, \
             result.retrain_records = retrain_heads(config, result)
-    if with_hz:
-        result.hz_records = hz_compare(config, result.raw.x_test,
-                                       result.transform.x_test)
+    result.hz_records = hz_compare(config, result.raw.x_test,
+                                   result.transform.x_test)
 
     if out_dir is not None:
         write_artifacts(result, out_dir)
@@ -504,12 +515,6 @@ def write_records_csv(records, path):
                              rec.macs_comp, rec.macs_class])
 
 
-def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def base_stem(out_dir, domain):
     return os.path.join(out_dir, "base_%s" % domain)
 
@@ -523,7 +528,8 @@ def write_base_artifacts(result, out_dir):
                    seed=result.config.seeds.model_init)
     trace = {name: result.domains[name].losses for name in (TRANSFORM, RAW)}
     trace["baseline"] = baseline_accuracies(result)
-    _write_json(trace, os.path.join(out_dir, "training_trace.json"))
+    with open(os.path.join(out_dir, "training_trace.json"), "w") as fh:
+        write_json(trace, fh)
 
 
 def artifact_stem(out_dir, group, kind, n_z):
@@ -543,14 +549,16 @@ def write_fit_artifacts(result, out_dir):
 
 def write_evaluation(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    _write_json(report_dict(result), os.path.join(out_dir, "report.json"))
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        write_json(report_dict(result), fh)
     write_records_csv(result.records, os.path.join(out_dir, "records.csv"))
 
 
 def write_retrain_report(mode, records, out_dir):
     """``retrain_report.json`` for one retrain mode; returns its payload."""
     payload = {"mode": mode, "records": records}
-    _write_json(payload, os.path.join(out_dir, "retrain_report.json"))
+    with open(os.path.join(out_dir, "retrain_report.json"), "w") as fh:
+        write_json(payload, fh)
     return payload
 
 
@@ -574,7 +582,8 @@ def write_hz_report(hz_records, out_dir):
                "transform_wins": sum(r["p_transform"] > r["p_raw"]
                                      for r in records),
                "total": len(records)}
-    _write_json(payload, os.path.join(out_dir, "hz_report.json"))
+    with open(os.path.join(out_dir, "hz_report.json"), "w") as fh:
+        write_json(payload, fh)
     return payload
 
 

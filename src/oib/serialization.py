@@ -31,10 +31,16 @@ F64 = np.dtype("<f8")
 F32 = np.dtype("<f4")
 
 
+def write_json(payload, fh):
+    """``payload`` as JSON with indent 2, sorted keys and a final newline:
+    the layout of every manifest, report and ``oib`` command output."""
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def _write_pair(stem, manifest, blob):
     with open(str(stem) + ".json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(manifest, fh)
     with open(str(stem) + ".bin", "wb") as fh:
         fh.write(blob)
 

@@ -54,8 +54,8 @@ def test_unknown_keys_are_rejected_recursively():
         config_from_dict({"bogus": 1})
     with pytest.raises(ConfigError, match="dataset"):
         config_from_dict({"dataset": {"n_train": 10, "bogus": 1}})
-    with pytest.raises(ConfigError, match="seeds"):
-        config_from_dict({"seeds": {"data_train": 1, "typo": 2}})
+    with pytest.raises(ConfigError, match="retrain"):
+        config_from_dict({"retrain": {"average_epochs": 1, "typo": 2}})
 
 
 def test_config_value_validation():
@@ -63,8 +63,9 @@ def test_config_value_validation():
         config_from_dict({"n_z_grid": [20, 10]})
     with pytest.raises(ConfigError, match="exceeds"):
         config_from_dict({"n_z_grid": [800]})
+    # rendered digits are square, so the input width must be a square
     with pytest.raises(ConfigError, match="input width"):
-        config_from_dict({"model_layer_sizes": [100, 64, 10]})
+        config_from_dict({"model_layer_sizes": [120, 64, 10]})
     with pytest.raises(ConfigError, match="compressor"):
         config_from_dict({"compressor_kinds": ["oib", "lda"]})
     with pytest.raises(ConfigError, match="encoding"):
@@ -85,9 +86,6 @@ def test_config_value_validation():
     for grid in ([0, 10], [10, 10], [5, 10, 10], [10.5, 20]):
         with pytest.raises(ConfigError, match="n_z_grid"):
             config_from_dict({"n_z_grid": grid})
-    for key in ("average_learning_rate", "finetune_learning_rate"):
-        with pytest.raises(ConfigError, match="learning rates"):
-            config_from_dict({"retrain": {key: -1e-4}})
     for key in ("noise_lambda", "ridge"):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({key: -0.1})
@@ -142,6 +140,24 @@ def test_apply_overrides():
     assert config_to_dict(unchanged) == config_to_dict(config)
 
 
+def test_seed_is_one_non_negative_integer_offset(tmp_path, capsys):
+    for seed in (-1, 1.5, "1"):
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict({"seed": seed})
+    # the stage seeds derive from the offset; they are not config keys
+    with pytest.raises(ConfigError, match="unknown config key.*seeds"):
+        config_from_dict({"seeds": {"data_train": 1}})
+    # --seed adds to the offset the config already holds
+    twice = apply_overrides(apply_overrides(ExperimentConfig(), seed=2),
+                            seed=3)
+    assert twice.seed == 5
+    assert twice.seeds == ExperimentConfig().seeds.shifted(5)
+    assert main(["hz-test", "--seed", "-1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_macs_command_prints_published_table(capsys):
     assert main(["macs"]) == 0
     out = capsys.readouterr().out
@@ -183,12 +199,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "small").exists()
     # a retrain setting that only the retrain stage reads fails before
     # train-base trains or writes anything
-    bad_dir = tmp_path / "bad_lr"
+    bad_dir = tmp_path / "bad_epochs"
     bad_dir.mkdir()
-    bad_lr = tiny_config_file(bad_dir, retrain=dict(
-        TINY["retrain"], finetune_learning_rate=-1e-4))
-    assert main(["train-base", "--config", bad_lr]) == 2
-    assert "learning rates" in capsys.readouterr().err
+    bad_epochs = tiny_config_file(bad_dir, retrain=dict(
+        TINY["retrain"], finetune_epochs=-1))
+    assert main(["train-base", "--config", bad_epochs]) == 2
+    assert "retrain epochs" in capsys.readouterr().err
     assert not (bad_dir / "out").exists()
     # a grid past the first layer's width fails before any training
     wide_dir = tmp_path / "wide"
@@ -308,8 +324,9 @@ def test_evaluate_is_deterministic_across_runs(cli_run, capsys):
 def test_cli_records_equal_run_experiment(cli_run, tmp_path):
     cfg, out_dir = cli_run
     config = apply_overrides(load_config(cfg), out=str(tmp_path))
-    pipeline.run_experiment(config, out_dir=str(tmp_path),
-                            with_retrain=False, with_hz=False)
+    result = pipeline.evaluate(pipeline.fit(pipeline.prepare(
+        config, pipeline.train_base_models)))
+    pipeline.write_evaluation(result, str(tmp_path))
     assert (tmp_path / "records.csv").read_bytes() == \
         (out_dir / "records.csv").read_bytes()
 
@@ -359,13 +376,15 @@ def test_synth_check_passes(capsys):
             "mse_entropy_gap", "all_zero_below_first_critical"} <= names
 
 
-def write_idx_pair(tmp_path, split, n, seed):
-    """28x28 IDX files with unequal class frequencies."""
+def write_idx_pair(tmp_path, split, n, seed, side=28, n_classes=10):
+    """side x side IDX files with unequal class frequencies."""
     rng = np.random.default_rng(seed)
-    labels = rng.choice(10, size=n, p=np.arange(1, 11) / 55.0)
-    images = DataMatrix(np.round(rng.random((n, 784)) * 255.0) / 255.0)
-    image_set = LabeledImageSet(images=images, labels=labels, height=28,
-                                width=28)
+    weights = np.arange(1, n_classes + 1)
+    labels = rng.choice(n_classes, size=n, p=weights / weights.sum())
+    images = DataMatrix(np.round(rng.random((n, side * side)) * 255.0)
+                        / 255.0)
+    image_set = LabeledImageSet(images=images, labels=labels, height=side,
+                                width=side)
     paths = (str(tmp_path / (split + "_images.idx")),
              str(tmp_path / (split + "_labels.idx")))
     save_idx(image_set, *paths)
@@ -416,6 +435,26 @@ def test_idx_files_feed_the_pipeline(tmp_path, capsys):
     err = capsys.readouterr().err
     assert small_images in err and "60" in err and "150" in err
     assert not (tmp_path / "small_out").exists()
+
+
+@pytest.mark.parametrize("side, n_classes, message", [
+    (28, 12, "label 11 is past the model's 10 outputs"),
+    (20, 10, "20x20 images; the model takes 784 inputs")])
+def test_idx_files_that_do_not_fit_the_model_exit_2(tmp_path, capsys, side,
+                                                    n_classes, message):
+    # stage 1 refuses them; training would die with an IndexError or a
+    # matmul ValueError that escapes main
+    dataset = {"n_train": 150, "n_test": 40}
+    for split, n, seed in (("train", 300, 1), ("test", 60, 2)):
+        _, (images, labels) = write_idx_pair(tmp_path, split, n, seed,
+                                             side=side, n_classes=n_classes)
+        dataset.update({split + "_images": images, split + "_labels": labels})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path / "out"),
+                                   dataset=dataset)))
+    assert main(["train-base", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stochastic_encoding_moves_only_accuracy_and_mse():
