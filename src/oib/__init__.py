@@ -29,9 +29,9 @@ from .gib_compressor import (Compressor, CompressorKind, GibSolution,
                              pca_basis, pca_compressor, solve_gib)
 from .inference_net import (MlpModel, RegressionTargetSet, TrainConfig,
                             accuracy, finetune_head, forward,
-                            forward_from_layer, head_logits, head_model,
-                            init_mlp, make_regression_targets, train,
-                            train_head_on_z, train_multi_rho_head)
+                            forward_from_layer, head_model, init_mlp,
+                            make_regression_targets, train, train_head_on_z,
+                            train_multi_rho_head)
 from .info_metrics import (LoadingInvarianceReport,
                            ProjectionOptimalityReport, encoding_mi,
                            gaussian_entropy, gaussian_mi,

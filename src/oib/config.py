@@ -1,10 +1,12 @@
 """Experiment configuration: one JSON document, strict keys, full defaults.
 
-Every setting some caller varies lives here with a working default, so
-an empty config runs the reference experiment end to end.  Loading
-rejects unknown keys recursively (typos fail loudly instead of silently
-running the defaults) and validates value ranges, and the sample sizes
-the grid and the normality test need, at construction.
+Every setting a caller outside the tests varies lives here with a working
+default, so an empty config runs the reference experiment end to end;
+fixed parts of the method (noise floor, shrinkage, ridge, base learning
+rate and batch size) are constants of the modules that use them.
+Loading rejects unknown keys recursively (typos fail loudly instead of
+silently running the defaults) and validates value types and ranges, and
+the sample sizes the grid and the normality test need, at construction.
 
 Seeds are stage-scoped: each consumer of randomness owns a named seed so
 results stay reproducible when stages are re-run in isolation.  A global
@@ -25,6 +27,12 @@ SEED_STRIDE = 100003
 HZ_PROJECTION_DIM = 10
 
 
+def _is_count(value, least):
+    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and \
+        value >= least
+
+
 @dataclass
 class DatasetConfig:
     """Where images come from: IDX files when paths are set, else the
@@ -42,8 +50,9 @@ class DatasetConfig:
                  self.test_labels]
         if any(p is not None for p in paths) and None in paths:
             raise ConfigError("IDX datasets need all four file paths")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ConfigError("n_train and n_test must be positive")
+        if not (_is_count(self.n_train, 1) and _is_count(self.n_test, 1)):
+            raise ConfigError("dataset.n_train and n_test must be positive "
+                              "integers")
 
     @property
     def from_files(self):
@@ -52,13 +61,14 @@ class DatasetConfig:
 
 @dataclass
 class TrainSection:
+    """Epochs of base-network training; its learning rate and batch size
+    are ``TrainConfig``'s defaults."""
+
     epochs: int = 30
-    learning_rate: float = 1e-3
-    batch_size: int = 32
 
     def __post_init__(self):
-        if self.epochs < 0 or self.learning_rate < 0 or self.batch_size < 1:
-            raise ConfigError("invalid base training settings")
+        if not _is_count(self.epochs, 0):
+            raise ConfigError("train.epochs must be a non-negative integer")
 
 
 @dataclass
@@ -72,8 +82,14 @@ class RetrainSection:
     finetune_epochs: int = 20
 
     def __post_init__(self):
-        if self.average_epochs < 0 or self.finetune_epochs < 0:
-            raise ConfigError("retrain epochs must be non-negative")
+        if not (_is_count(self.average_epochs, 0) and
+                _is_count(self.finetune_epochs, 0)):
+            raise ConfigError("retrain epochs must be non-negative "
+                              "integers")
+        if self.average_decay_at is not None and \
+                not _is_count(self.average_decay_at, 0):
+            raise ConfigError("retrain.average_decay_at must be null or a "
+                              "non-negative integer")
 
 
 @dataclass
@@ -105,9 +121,6 @@ class ExperimentConfig:
     compressor_kinds: list = field(
         default_factory=lambda: ["oib", "cca", "pca"])
     n_z_grid: list = field(default_factory=lambda: list(range(10, 101, 10)))
-    noise_lambda: float = None
-    shrinkage: float = 1e-4
-    ridge: float = None
     encoding: str = "deterministic"
     seed: int = 0
     output_dir: str = "results"
@@ -117,39 +130,39 @@ class ExperimentConfig:
         return SeedsConfig().shifted(self.seed)
 
     def __post_init__(self):
+        sizes = self.model_layer_sizes
+        if len(sizes) < 3 or not all(_is_count(n, 1) for n in sizes):
+            raise ConfigError("model_layer_sizes must be at least three "
+                              "integer widths >= 1: input, one hidden "
+                              "layer, outputs")
         grid = list(self.n_z_grid)
-        if not grid or grid[0] < 1 or sorted(set(grid)) != grid or \
-                not all(isinstance(n, int) for n in grid):
+        if not grid or not all(_is_count(n, 1) for n in grid) or \
+                sorted(set(grid)) != grid:
             raise ConfigError("n_z_grid must be a non-empty, strictly "
                               "ascending list of integer sizes >= 1")
-        n_x = self.model_layer_sizes[0]
-        if self.n_z_grid[-1] > n_x:
+        n_x = sizes[0]
+        if grid[-1] > n_x:
             raise ConfigError("n_z_grid exceeds the input dimension %d"
                               % n_x)
         if not self.dataset.from_files and math.isqrt(n_x) ** 2 != n_x:
             raise ConfigError("model input width %d is not the pixel count "
                               "of a square rendered digit" % n_x)
-        if len(self.model_layer_sizes) < 3:
-            raise ConfigError("the model needs at least one hidden layer")
-        unknown = set(self.compressor_kinds) - {"oib", "cca", "pca"}
+        kinds = self.compressor_kinds
+        if not kinds or len(set(kinds)) != len(kinds):
+            raise ConfigError("compressor_kinds must be a non-empty list "
+                              "of distinct kinds")
+        unknown = set(kinds) - {"oib", "cca", "pca"}
         if unknown:
             raise ConfigError("unknown compressor kinds: %s"
                               % sorted(unknown))
-        n_y = self.model_layer_sizes[1]
-        if {"oib", "cca"} & set(self.compressor_kinds) and \
-                self.n_z_grid[-1] > n_y:
+        if {"oib", "cca"} & set(kinds) and grid[-1] > sizes[1]:
             raise ConfigError("n_z_grid exceeds the %d informative "
-                              "directions oib and cca have" % n_y)
+                              "directions oib and cca have" % sizes[1])
         if self.encoding not in ("deterministic", "stochastic"):
             raise ConfigError("encoding must be deterministic or "
                               "stochastic")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_count(self.seed, 0):
             raise ConfigError("seed must be a non-negative integer")
-        if not 0.0 <= self.shrinkage < 1.0:
-            raise ConfigError("shrinkage must lie in [0, 1)")
-        for name in ("noise_lambda", "ridge"):
-            if getattr(self, name) is not None and getattr(self, name) < 0:
-                raise ConfigError("%s must be non-negative" % name)
         if self.dataset.n_train <= self.n_z_grid[-1]:
             raise ConfigError("dataset.n_train (%d) must exceed the largest "
                               "n_z (%d): the least-squares re-expansion "

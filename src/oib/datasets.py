@@ -269,6 +269,11 @@ _GLYPHS = [[_read_only(glyph_array(style, digit)) for digit in range(10)]
            for style in range(len(STYLES))]
 
 
+# Standard deviation of the rendered digits' pixel noise; part of the data
+# contract, like the draw order of ``render_digit``.
+PIXEL_NOISE = 0.052
+
+
 @functools.lru_cache(maxsize=8)
 def _render_grids(size):
     """Pixel index grid (2, size, size) and the ramp and clutter axes."""
@@ -278,7 +283,7 @@ def _render_grids(size):
             _read_only(np.linspace(0, 1, size)))
 
 
-def render_digit(digit, rng, size=28, noise=0.052):
+def render_digit(digit, rng, size=28):
     """One randomized digit image; consumes the shared generator stream.
 
     The order and shape of the draws from ``rng`` are part of the data
@@ -341,16 +346,16 @@ def render_digit(digit, rng, size=28, noise=0.052):
             * np.cos(2 * np.pi * fy * clutter + ph_y)[:, None] \
             * np.cos(2 * np.pi * fx * clutter + ph_x)[None, :]
     img = np.maximum(img, 0.0) + bg - bg.min()
-    img += rng.normal(0.0, noise, img.shape)
+    img += rng.normal(0.0, PIXEL_NOISE, img.shape)
     return np.clip(img, 0.0, 1.0)
 
 
-def synthetic_digits(n, seed, size=28, noise=0.052):
+def synthetic_digits(n, seed, size=28):
     """A seeded LabeledImageSet of procedurally rendered digits."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, size=n)
     x = np.empty((n, size * size))
     for i, digit in enumerate(labels):
-        x[i] = render_digit(int(digit), rng, size, noise).ravel()
+        x[i] = render_digit(int(digit), rng, size).ravel()
     return LabeledImageSet(images=DataMatrix(x), labels=labels, height=size,
                            width=size)

@@ -26,6 +26,8 @@ from .errors import DimensionError, NumericalError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LR_DECAY_FACTOR = 0.1
+NOISE_FLOOR_SCALE = 0.1
 
 
 @dataclass
@@ -34,11 +36,11 @@ class TrainConfig:
 
     Adam (Kingma & Ba, 2015) runs with the fixed module constants
     ``ADAM_BETA1`` = 0.9, ``ADAM_BETA2`` = 0.999 and ``ADAM_EPS`` = 1e-8.
-    ``lr_decay_at`` drops the learning rate by ``lr_decay_factor`` from that
-    epoch onward.  ``val_fraction`` > 0 holds out a seeded validation split,
-    tracks accuracy on it after every epoch, and returns the best snapshot;
-    an epoch must beat the current best by more than ``min_delta`` to be
-    adopted, so a run that never improves returns the initial weights.
+    ``lr_decay_at`` multiplies the learning rate by ``LR_DECAY_FACTOR``
+    (0.1) from that epoch onward.  ``val_fraction`` > 0 holds out a seeded
+    validation split, tracks accuracy on it after every epoch, and returns
+    the best snapshot; an epoch must beat the current best to be adopted,
+    so a run that never improves returns the initial weights.
     """
 
     epochs: int = 30
@@ -46,9 +48,7 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     lr_decay_at: int = None
-    lr_decay_factor: float = 0.1
     val_fraction: float = 0.0
-    min_delta: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 0 or self.learning_rate < 0 or self.batch_size < 1:
@@ -257,7 +257,7 @@ def _train_core(layers, pools, labels, cfg):
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate
         if cfg.lr_decay_at is not None and epoch >= cfg.lr_decay_at:
-            lr = lr * cfg.lr_decay_factor
+            lr = lr * LR_DECAY_FACTOR
         order = rng.permutation(n_fit)
         total = 0.0
         for start in range(0, n_fit, cfg.batch_size):
@@ -290,7 +290,7 @@ def _train_core(layers, pools, labels, cfg):
         losses.append(epoch_loss)
         if val_pools is not None:
             va = val_accuracy(layers)
-            if va > best_val + cfg.min_delta:
+            if va > best_val:
                 best_val = va
                 np.copyto(best, params)
     if val_pools is not None:
@@ -308,24 +308,20 @@ def train(model, x, labels, cfg):
     return MlpModel(layers), losses
 
 
-def make_regression_targets(model, x_tilde, noise_lambda=None, seed=0):
-    """First-layer pre-activations plus scaled Gaussian noise.
+def make_regression_targets(model, x_tilde, seed=0):
+    """First-layer pre-activations plus seeded Gaussian noise of std lambda.
 
-    When ``noise_lambda`` is None it defaults to 0.1 times the root mean
+    lambda is ``NOISE_FLOOR_SCALE`` (0.1) times the root mean
     pre-activation variance, which keeps the regression sub-task away from
-    the deterministic degenerate case; the value actually used is stored on
-    the returned set.
+    the deterministic degenerate case; it is stored on the returned set.
     """
     x = np.asarray(x_tilde, dtype=np.float64)
     w0, b0 = model.layers[0]
     pre = x @ w0.astype(np.float64).T + b0.astype(np.float64)
-    if noise_lambda is None:
-        noise_lambda = 0.1 * np.sqrt(np.mean(pre.var(axis=0)))
-    noise_lambda = float(noise_lambda)
-    y = pre
-    if noise_lambda > 0.0:
-        rng = np.random.default_rng(seed)
-        y = pre + noise_lambda * rng.standard_normal(pre.shape)
+    noise_lambda = float(NOISE_FLOOR_SCALE
+                         * np.sqrt(np.mean(pre.var(axis=0))))
+    rng = np.random.default_rng(seed)
+    y = pre + noise_lambda * rng.standard_normal(pre.shape)
     return RegressionTargetSet(y_tilde=y, noise_lambda=noise_lambda)
 
 
@@ -343,11 +339,6 @@ def head_model(model):
 def finetune_head(head, reconstructed, labels, cfg):
     """Continue training an existing head on re-expanded pre-activations."""
     return train(head, _relu32(reconstructed, head.dtype), labels, cfg)[0]
-
-
-def head_logits(head, reconstructed):
-    """Logits of a head applied to re-expanded pre-activations."""
-    return forward(head, np.maximum(np.asarray(reconstructed), 0))
 
 
 def train_head_on_z(z, labels, head_sizes, cfg):

@@ -40,7 +40,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -64,6 +64,9 @@ from .tensor_stats import CovariancePair, covariance_pair, sample_covariance
 TRANSFORM = "transform"
 RAW = "raw"
 HZ_PROJECTIONS = 20
+# Shrinkage of the sample Sigma_x toward its mean-variance identity, which
+# keeps it positive definite when there are fewer images than inputs.
+SIGMA_X_SHRINKAGE = 1e-4
 # Retraining settings no caller varies: the average head's learning rate,
 # and the per-size fine-tunes' smaller rate and validation split.
 AVERAGE_LEARNING_RATE = 1e-3
@@ -196,8 +199,6 @@ def domain_features(config, train_set, test_set):
 
 def base_train_config(config):
     return TrainConfig(epochs=config.train.epochs,
-                       learning_rate=config.train.learning_rate,
-                       batch_size=config.train.batch_size,
                        seed=config.seeds.train_shuffle)
 
 
@@ -216,9 +217,8 @@ def train_base_models(config, features, train_labels):
 def fit_domain(config, domain, targets_seed, with_gib):
     """Targets, covariance pair, and (optionally) the eigensystem."""
     domain.targets = make_regression_targets(domain.model, domain.x_train,
-                                             noise_lambda=config.noise_lambda,
                                              seed=targets_seed)
-    sigma_x = sample_covariance(domain.x_train, shrinkage=config.shrinkage)
+    sigma_x = sample_covariance(domain.x_train, shrinkage=SIGMA_X_SHRINKAGE)
     w0 = domain.model.layers[0][0].astype(np.float64)
     b0 = domain.model.layers[0][1].astype(np.float64)
     lam = domain.targets.noise_lambda
@@ -269,9 +269,7 @@ def fit_reexpanders(config, domains, compressors):
     for (kind, n_z), comp in compressors.items():
         domain = domains[domain_for_kind(kind)]
         z_train = encode(comp, domain.x_train)
-        reexpanders[(kind, n_z)] = fit_ls(z_train,
-                                          domain.targets.y_tilde,
-                                          ridge=config.ridge)
+        reexpanders[(kind, n_z)] = fit_ls(z_train, domain.targets.y_tilde)
     return reexpanders
 
 
@@ -346,7 +344,6 @@ def retrain_heads(config, result):
 
     avg_cfg = TrainConfig(epochs=rt.average_epochs,
                           learning_rate=AVERAGE_LEARNING_RATE,
-                          batch_size=config.train.batch_size,
                           seed=config.seeds.head_average,
                           lr_decay_at=rt.average_decay_at)
     average_head = train_multi_rho_head(model, result.reconstructions_train,
@@ -357,7 +354,6 @@ def retrain_heads(config, result):
     for n_z in config.n_z_grid:
         ft_cfg = TrainConfig(epochs=rt.finetune_epochs,
                              learning_rate=FINETUNE_LEARNING_RATE,
-                             batch_size=config.train.batch_size,
                              seed=config.seeds.head_per_rho_base + n_z,
                              val_fraction=FINETUNE_VAL_FRACTION)
         head = finetune_head(average_head,
@@ -501,18 +497,14 @@ def report_dict(result):
     return report
 
 
-CSV_COLUMNS = ["kind", "n_z", "rho", "accuracy", "entropy_nats", "mi_nats",
-               "mse", "macs_comp", "macs_class"]
+CSV_COLUMNS = [f.name for f in fields(EvalRecord)]
 
 
 def write_records_csv(records, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([rec.kind, rec.n_z, rec.rho, rec.accuracy,
-                             rec.entropy_nats, rec.mi_nats, rec.mse,
-                             rec.macs_comp, rec.macs_class])
+        writer.writerows(astuple(rec) for rec in records)
 
 
 def base_stem(out_dir, domain):

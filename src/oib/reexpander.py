@@ -50,17 +50,15 @@ class Reexpander:
         return self.theta.shape[1]
 
 
-def fit_lmmse(c_yz, c_zz, ridge=0.0):
-    """Population estimator theta = C_yz (C_zz + ridge I)^-1 of centered
-    targets: its target mean is zero."""
+def fit_lmmse(c_yz, c_zz):
+    """Population estimator theta = C_yz C_zz^-1 of centered targets: its
+    target mean is zero."""
     c_yz = np.asarray(c_yz, dtype=np.float64)
     c_zz = np.asarray(c_zz, dtype=np.float64)
     try:
-        cho = linalg.cho_factor(c_zz + ridge * np.eye(c_zz.shape[0]),
-                                lower=True)
+        cho = linalg.cho_factor(c_zz, lower=True)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("C_zz + ridge*I is not positive definite; "
-                             "increase ridge") from exc
+        raise NumericalError("C_zz is not positive definite") from exc
     theta = linalg.cho_solve(cho, c_yz.T).T
     return Reexpander(theta=theta, fit_method=FitMethod.LMMSE_POPULATION,
                       target_mean=np.zeros(theta.shape[0]))

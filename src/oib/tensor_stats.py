@@ -115,8 +115,8 @@ def covariance_pair(sigma_x, sigma_xy, sigma_y):
     try:
         chol_y = np.linalg.cholesky(np.asarray(sigma_y, dtype=np.float64))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("sigma_y is not positive definite; raise "
-                             "noise_lambda") from exc
+        raise NumericalError("sigma_y is not positive definite: the "
+                             "targets need a noise floor") from exc
     return CovariancePair(sigma_x, linalg.solve_triangular(
         chol_y, np.asarray(sigma_xy).T, lower=True))
 

@@ -32,8 +32,8 @@ from oib.gaussianizer import RealDft2dPlan, forward as dft_forward, \
     henze_zirkler, inverse as dft_inverse
 from oib.gib_compressor import (cca_compressor, compressor_at_beta,
                                 compressor_at_size, solve_gib)
-from oib.inference_net import (TrainConfig, _batch_loss_grads, init_mlp,
-                               head_logits, head_model, train)
+from oib.inference_net import (TrainConfig, _batch_loss_grads,
+                               forward_from_layer, init_mlp, train)
 from oib.info_metrics import (LOG_2PIE, gaussian_entropy,
                               mi_loading_invariance_check,
                               random_projection_optimality_check)
@@ -311,7 +311,7 @@ def _deterministic_accuracy(result, comp):
     z_train = dom.x_train @ comp.matrix_a.T
     z_test = dom.x_test @ comp.matrix_a.T
     rx = fit_ls(z_train, dom.targets.y_tilde)
-    logits = head_logits(head_model(dom.model), reexpand(rx, z_test))
+    logits = forward_from_layer(dom.model, 1, reexpand(rx, z_test))
     return float(np.mean(logits.argmax(axis=1) == result.test_labels))
 
 

@@ -42,8 +42,8 @@ def test_default_config_matches_reference_experiment():
     assert config.model_layer_sizes == [784, 256, 128, 64, 16, 10]
     assert config.n_z_grid == list(range(10, 101, 10))
     assert config.train.epochs == 30
-    assert config.train.learning_rate == 1e-3
-    assert config.train.batch_size == 32
+    base = pipeline.base_train_config(config)
+    assert (base.learning_rate, base.batch_size) == (1e-3, 32)
     assert config.compressor_kinds == ["oib", "cca", "pca"]
     assert config.encoding == "deterministic"
     assert not config.dataset.from_files
@@ -70,13 +70,12 @@ def test_config_value_validation():
         config_from_dict({"compressor_kinds": ["oib", "lda"]})
     with pytest.raises(ConfigError, match="encoding"):
         config_from_dict({"encoding": "noisy"})
-    with pytest.raises(ConfigError, match="shrinkage"):
-        config_from_dict({"shrinkage": 1.0})
     with pytest.raises(ConfigError, match="over-determined"):
         config_from_dict({"dataset": {"n_train": 100}})
     with pytest.raises(ConfigError, match="normality"):
         config_from_dict({"dataset": {"n_test": 10}})
     config_from_dict({"dataset": {"n_train": 101, "n_test": 11}})
+    config_from_dict({"retrain": {"average_decay_at": None}})
     with pytest.raises(ConfigError, match="four"):
         config_from_dict({"dataset": {"train_images": "a.idx"}})
     with pytest.raises(ConfigError):
@@ -86,10 +85,6 @@ def test_config_value_validation():
     for grid in ([0, 10], [10, 10], [5, 10, 10], [10.5, 20]):
         with pytest.raises(ConfigError, match="n_z_grid"):
             config_from_dict({"n_z_grid": grid})
-    for key in ("noise_lambda", "ridge"):
-        with pytest.raises(ConfigError, match=key):
-            config_from_dict({key: -0.1})
-        config_from_dict({key: 0.0})
     # oib and cca have one direction per first-layer unit; pca keeps the
     # input dimension as its bound
     for kinds in (["oib"], ["cca"], ["oib", "cca", "pca"]):
@@ -108,11 +103,67 @@ def test_config_round_trip_and_hash_stability():
     again = config_from_dict(data)
     assert config_to_dict(again) == data
     assert config_hash(data) == config_hash(config_to_dict(again))
-    other = config_from_dict(dict(TINY, shrinkage=0.01))
+    other = config_from_dict(dict(TINY, encoding="stochastic"))
     assert config_hash(config_to_dict(other)) != config_hash(data)
     # where a run writes is not part of what it computes
     moved = config_from_dict(dict(TINY, output_dir="elsewhere"))
     assert config_hash(config_to_dict(moved)) == config_hash(data)
+
+
+# Each fails at load; without the check it fails only in a later stage, or
+# never (duplicate kinds write duplicate records).
+LATE_FAILING_CONFIGS = {
+    "no_layers": {"model_layer_sizes": []},
+    "zero_width_output": {"model_layer_sizes": [784, 256, 0]},
+    "bool_width": {"model_layer_sizes": [784, 256, True]},
+    "fractional_epochs": {"train": {"epochs": 1.5}},
+    "fractional_n_train": {"dataset": {"n_train": 300.5}},
+    "fractional_n_test": {"dataset": {"n_test": 60.5}},
+    "bool_grid": {"n_z_grid": [True]},
+    "no_kinds": {"compressor_kinds": []},
+    "duplicate_kinds": {"compressor_kinds": ["oib", "pca", "oib"]},
+    "negative_decay_at": {"retrain": {"average_decay_at": -3}},
+    "fractional_decay_at": {"retrain": {"average_decay_at": 2.5}},
+    "fractional_finetune_epochs": {"retrain": {"finetune_epochs": 0.5}},
+    "bool_seed": {"seed": True},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATE_FAILING_CONFIGS))
+def test_configs_that_would_fail_late_fail_at_load(name):
+    with pytest.raises(ConfigError):
+        config_from_dict(LATE_FAILING_CONFIGS[name])
+
+
+def test_late_failing_config_exits_2_before_writing(tmp_path, capsys):
+    for name, data in sorted(LATE_FAILING_CONFIGS.items()):
+        case_dir = tmp_path / name
+        case_dir.mkdir()
+        cfg = tiny_config_file(case_dir, **data)
+        assert main(["train-base", "--config", cfg]) == 2, name
+        assert "config error" in capsys.readouterr().err
+        assert not (case_dir / "out").exists()
+
+
+# Fixed parts of the method that were once settable; a config that still
+# sets one fails as an unknown key.
+REMOVED_KEYS = {
+    "train.learning_rate": {"train": {"epochs": 2, "learning_rate": 1e-3}},
+    "train.batch_size": {"train": {"epochs": 2, "batch_size": 32}},
+    "shrinkage": {"shrinkage": 1e-4},
+    "noise_lambda": {"noise_lambda": 0.1},
+    "ridge": {"ridge": 1e-8},
+}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+def test_removed_keys_are_unknown(key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        config_from_dict(REMOVED_KEYS[key])
+    cfg = tiny_config_file(tmp_path, **REMOVED_KEYS[key])
+    assert main(["train-base", "--config", cfg]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_errors(tmp_path):

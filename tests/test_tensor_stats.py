@@ -84,7 +84,7 @@ def test_covariance_pair_singular_sigma_y_raises():
     sx = np.eye(3)
     sxy = np.zeros((3, 2))
     sy = np.zeros((2, 2))
-    with pytest.raises(NumericalError, match="noise_lambda"):
+    with pytest.raises(NumericalError, match="noise floor"):
         covariance_pair(sx, sxy, sy)
     # target noise lambda^2 I on sigma_y rescues the same call
     cov = covariance_pair(sx, sxy, sy + 1e-6 * np.eye(2))
