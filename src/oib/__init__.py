@@ -27,15 +27,14 @@ from .gib_compressor import (Compressor, CompressorKind, GibSolution,
                              beta_for_size, cca_compressor,
                              compressor_at_beta, compressor_at_size, encode,
                              pca_basis, pca_compressor, solve_gib)
-from .inference_net import (MlpModel, RegressionTargetSet, TrainConfig,
-                            accuracy, finetune_head, forward,
-                            forward_from_layer, head_model, init_mlp,
-                            make_regression_targets, train, train_head_on_z,
+from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
+                            forward, forward_from_layer, head_model,
+                            init_mlp, train, train_head_on_z,
                             train_multi_rho_head)
 from .info_metrics import (LoadingInvarianceReport,
                            ProjectionOptimalityReport, encoding_mi,
                            gaussian_entropy, gaussian_mi,
-                           mi_loading_invariance_check, power_normalize,
+                           mi_loading_invariance_check,
                            random_projection_optimality_check)
 from .pipeline import (EvalRecord, ExperimentResult, HzRecord,
                        RetrainRecord, run_experiment)

@@ -96,9 +96,10 @@ def cmd_fit_oib(config):
     pipeline.write_fit_artifacts(result, config.output_dir)
     write_json({"output_dir": config.output_dir,
                 "artifacts": len(result.compressors) + len(result.reexpanders),
-                "noise_lambda": {name: domain.targets.noise_lambda
+                "noise_lambda": {name: domain.noise_lambda
                                  for name, domain in result.domains.items()
-                                 if domain.targets is not None}}, sys.stdout)
+                                 if domain.noise_lambda is not None}},
+               sys.stdout)
     return 0
 
 

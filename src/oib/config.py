@@ -99,7 +99,6 @@ class SeedsConfig:
     model_init: int = 0
     train_shuffle: int = 0
     targets_transform: int = 123
-    targets_raw: int = 124
     entropy_base: int = 7000
     head_average: int = 99
     head_per_rho_base: int = 350

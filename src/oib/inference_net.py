@@ -9,12 +9,12 @@ repeated runs produce bitwise-identical weights on the same numpy/BLAS
 build, CPU kernel and BLAS thread count.  Changing any of these changes
 the rounding of the matrix products and hence the weights.
 
-The first layer L0 doubles as the target generator for the compression
-regression: targets are its pre-activations plus seeded Gaussian noise.
-Heads (everything after L0) can be retrained on re-expanded inputs, either
-one per compression level or as a single head trained across a pool of
-levels, with optional validation-split early stopping that keeps the best
-epoch (including the unchanged starting point).
+The first layer L0 doubles as the target of the compression regression:
+its pre-activations are what the re-expanders reconstruct.  Heads
+(everything after L0) can be retrained on re-expanded inputs, either one
+per compression level or as a single head trained across a pool of levels,
+with optional validation-split early stopping that keeps the best epoch
+(including the unchanged starting point).
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LR_DECAY_FACTOR = 0.1
-NOISE_FLOOR_SCALE = 0.1
 
 
 @dataclass
@@ -83,14 +82,6 @@ class MlpModel:
     @property
     def dtype(self):
         return self.layers[0][0].dtype
-
-
-@dataclass
-class RegressionTargetSet:
-    """First-layer pre-activations plus seeded noise, ready for regression."""
-
-    y_tilde: np.ndarray
-    noise_lambda: float
 
 
 def init_mlp(layer_sizes, seed):
@@ -306,23 +297,6 @@ def train(model, x, labels, cfg):
         raise DimensionError("inputs and labels must have equal length")
     layers, losses = _train_core(model.layers, [x], labels, cfg)
     return MlpModel(layers), losses
-
-
-def make_regression_targets(model, x_tilde, seed=0):
-    """First-layer pre-activations plus seeded Gaussian noise of std lambda.
-
-    lambda is ``NOISE_FLOOR_SCALE`` (0.1) times the root mean
-    pre-activation variance, which keeps the regression sub-task away from
-    the deterministic degenerate case; it is stored on the returned set.
-    """
-    x = np.asarray(x_tilde, dtype=np.float64)
-    w0, b0 = model.layers[0]
-    pre = x @ w0.astype(np.float64).T + b0.astype(np.float64)
-    noise_lambda = float(NOISE_FLOOR_SCALE
-                         * np.sqrt(np.mean(pre.var(axis=0))))
-    rng = np.random.default_rng(seed)
-    y = pre + noise_lambda * rng.standard_normal(pre.shape)
-    return RegressionTargetSet(y_tilde=y, noise_lambda=noise_lambda)
 
 
 def _relu32(values, dtype):

@@ -1,11 +1,11 @@
 """Gaussian entropy and mutual-information measurements.
 
 Everything here evaluates closed-form Gaussian quantities from covariance
-matrices: differential entropy ½ log((2πe)^n |Σ|), mutual information as a
-half log-determinant ratio, and the power normalization that rescales
-encodings to unit mean per-coordinate power so entropies of differently
-loaded compressors are comparable.  All values are in nats; convert to
-bits only for display.
+matrices: differential entropy ½ log((2πe)^n |Σ|) and mutual information
+as a half log-determinant ratio.  Nothing is estimated from samples drawn
+here: the pipeline's entropy column is ``gaussian_entropy`` of an exact
+covariance (that of the power-normalized noisy encodings).  All values are
+in nats; convert to bits only for display.
 
 Two verification helpers back the theory the compressor relies on:
 loading invariance (deterministic mutual information ignores row scaling,
@@ -53,24 +53,6 @@ def gaussian_entropy(sigma):
                              % (sigma.shape,))
     n = sigma.shape[0]
     return 0.5 * (n * LOG_2PIE + logdet_psd(sigma))
-
-
-def power_normalize(z_samples):
-    """Rescale samples so mean per-coordinate power equals one.
-
-    A single scalar √(n_z / tr(Σ̂_z)) multiplies every sample, leaving
-    relative geometry intact; the trace of the resulting sample covariance
-    is exactly n_z.  Doubling the inputs therefore does not change the
-    output.
-    """
-    x = np.asarray(z_samples, dtype=np.float64)
-    xc = x - x.mean(axis=0)
-    total_power = float(np.sum(xc * xc)) / x.shape[0]
-    if total_power <= 0.0:
-        raise NumericalError("cannot power-normalize samples with zero "
-                             "variance")
-    scale = np.sqrt(x.shape[1] / total_power)
-    return x * scale
 
 
 def gaussian_mi(sigma_z, sigma_z_given_y):

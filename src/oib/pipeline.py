@@ -7,18 +7,22 @@ Stages, in dependency order:
 3. base models: one network per domain (the transform domain carries the
    compression experiments; the raw domain exists so the PCA baseline and
    normality comparison are measured on its native inputs).
-4. fit: regression targets from the first layer, covariance pair through
-   the analytic route (Sigma_xy = Sigma_x W0', Sigma_y = W0 Sigma_x W0' +
-   lambda^2 I, kept as Sigma_x and L_y^-1 Sigma_yx), the generalized
-   eigensystem in the target's n_y canonical-correlation directions (256
-   by default, so OIB and CCA sizes stop there), and a least-squares
-   re-expander per compressor.  The raw domain is fitted only when PCA is
+4. fit: the first layer's noiseless pre-activations, the covariance pair
+   through the analytic route (Sigma_xy = Sigma_x W0', Sigma_y = W0
+   Sigma_x W0' + lambda^2 I, kept as Sigma_x and L_y^-1 Sigma_yx; the
+   noise floor lambda enters only Sigma_y, keeping it positive definite),
+   the generalized eigensystem in the target's n_y canonical-correlation
+   directions (256 by default, so OIB and CCA sizes stop there), and a
+   least-squares re-expander per compressor onto the noiseless
+   pre-activations.  The raw domain is fitted only when PCA is
    on the grid.  Each basis (the transform domain's GIB eigenvectors, the
    raw domain's PCA eigenvectors) is solved once, and the compressor of
    every (kind, n_z) is a row prefix of it.
-5. evaluate: per (kind, n_z), accuracy through the frozen head, entropy of
-   power-normalized stochastic encodings, Gaussian MI, reconstruction MSE,
-   and the MACs split, in grid order (n_z outer, kind inner).
+5. evaluate: per (kind, n_z), accuracy through the frozen head, the exact
+   Gaussian entropy of power-normalized stochastic encodings z + xi
+   (computed from the sample covariance of z, drawing nothing), Gaussian
+   MI, reconstruction MSE, and the MACs split, in grid order (n_z outer,
+   kind inner).
 6. retrain: a single average head trained on the mixture of all grid
    reconstructions, then one fine-tuned head per n_z with early stopping
    on a validation split (keeping the average head when fine-tuning does
@@ -30,7 +34,8 @@ Stages, in dependency order:
 ``prepare`` (stages 1-3, with the base networks trained or loaded),
 ``fit`` and ``evaluate``.
 
-Every stage draws randomness only from its named seed in the config, so
+Fit and deterministic evaluation draw no random numbers; every other
+stage draws randomness only from its named seed in the config, so
 stages rerun in isolation reproduce their outputs bitwise on the same
 numpy/BLAS build, CPU kernel and BLAS thread count; across those, trained
 weights, and the accuracies that depend on them, can differ.
@@ -52,10 +57,9 @@ from .errors import ConfigError
 from .gib_compressor import (cca_compressor, compressor_at_size, encode,
                              pca_basis, pca_compressor, solve_gib)
 from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
-                            forward_from_layer, init_mlp,
-                            make_regression_targets, train,
+                            forward_from_layer, init_mlp, train,
                             train_head_on_z, train_multi_rho_head)
-from .info_metrics import encoding_mi, gaussian_entropy, power_normalize
+from .info_metrics import encoding_mi, gaussian_entropy
 from .reexpander import fit_ls, reexpand
 from .serialization import (config_hash, save_compressor, save_model,
                             save_reexpander, validate_report, write_json)
@@ -67,6 +71,9 @@ HZ_PROJECTIONS = 20
 # Shrinkage of the sample Sigma_x toward its mean-variance identity, which
 # keeps it positive definite when there are fewer images than inputs.
 SIGMA_X_SHRINKAGE = 1e-4
+# The regression target's noise floor lambda, relative to the root mean
+# pre-activation variance; it keeps Sigma_y positive definite.
+NOISE_FLOOR_SCALE = 0.1
 # Retraining settings no caller varies: the average head's learning rate,
 # and the per-size fine-tunes' smaller rate and validation split.
 AVERAGE_LEARNING_RATE = 1e-3
@@ -83,8 +90,9 @@ class DomainData:
     x_test: np.ndarray
     model: MlpModel
     losses: list
-    targets: object = None
+    noise_lambda: float = None
     cov: CovariancePair = None
+    pre_train: np.ndarray = None
     pre_test: np.ndarray = None
     gib: object = None
 
@@ -214,15 +222,26 @@ def train_base_models(config, features, train_labels):
     return domains
 
 
+def noise_floor(pre):
+    """lambda: ``NOISE_FLOOR_SCALE`` times the root mean variance of the
+    pre-activation columns."""
+    return float(NOISE_FLOOR_SCALE * np.sqrt(np.mean(pre.var(axis=0))))
+
+
 def fit_domain(config, domain, targets_seed, with_gib):
-    """Targets, covariance pair, and (optionally) the eigensystem."""
-    domain.targets = make_regression_targets(domain.model, domain.x_train,
-                                             seed=targets_seed)
-    sigma_x = sample_covariance(domain.x_train, shrinkage=SIGMA_X_SHRINKAGE)
+    """Pre-activations, covariance pair, and (optionally) the eigensystem.
+
+    Nothing here is random.  ``config`` and ``targets_seed`` are unread;
+    they, and ``SeedsConfig.targets_transform``, stay only because
+    ``perfbench/workloads.py`` passes them positionally.
+    """
     w0 = domain.model.layers[0][0].astype(np.float64)
     b0 = domain.model.layers[0][1].astype(np.float64)
-    lam = domain.targets.noise_lambda
-    sigma_y = w0 @ sigma_x @ w0.T + lam ** 2 * np.eye(w0.shape[0])
+    domain.pre_train = domain.x_train @ w0.T + b0
+    domain.noise_lambda = noise_floor(domain.pre_train)
+    sigma_x = sample_covariance(domain.x_train, shrinkage=SIGMA_X_SHRINKAGE)
+    sigma_y = w0 @ sigma_x @ w0.T + \
+        domain.noise_lambda ** 2 * np.eye(w0.shape[0])
     domain.cov = covariance_pair(sigma_x, sigma_x @ w0.T, sigma_y)
     domain.pre_test = domain.x_test @ w0.T + b0
     if with_gib:
@@ -231,14 +250,12 @@ def fit_domain(config, domain, targets_seed, with_gib):
 
 
 def fit_all_domains(config, domains, with_gib=True):
-    """Targets and covariances of the transform domain, and of the raw
-    domain when PCA is on the grid; the transform domain's eigensystem too
-    when ``with_gib`` (compressors loaded from disk do not need it)."""
-    fit_domain(config, domains[TRANSFORM], config.seeds.targets_transform,
-               with_gib=with_gib)
+    """Pre-activations and covariances of the transform domain, and of the
+    raw domain when PCA is on the grid; the transform domain's eigensystem
+    too when ``with_gib`` (compressors loaded from disk do not need it)."""
+    fit_domain(config, domains[TRANSFORM], None, with_gib=with_gib)
     if "pca" in config.compressor_kinds:
-        fit_domain(config, domains[RAW], config.seeds.targets_raw,
-                   with_gib=False)
+        fit_domain(config, domains[RAW], None, with_gib=False)
     return domains
 
 
@@ -269,15 +286,16 @@ def fit_reexpanders(config, domains, compressors):
     for (kind, n_z), comp in compressors.items():
         domain = domains[domain_for_kind(kind)]
         z_train = encode(comp, domain.x_train)
-        reexpanders[(kind, n_z)] = fit_ls(z_train, domain.targets.y_tilde)
+        reexpanders[(kind, n_z)] = fit_ls(z_train, domain.pre_train)
     return reexpanders
 
 
-def _entropy_of_encodings(z_train, seed):
-    """Entropy of power-normalized stochastic encodings z + xi."""
-    rng = np.random.default_rng(seed)
-    z_stochastic = z_train + rng.standard_normal(z_train.shape)
-    return gaussian_entropy(sample_covariance(power_normalize(z_stochastic)))
+def _entropy_of_encodings(z_train):
+    """Entropy of z + xi with unit-variance xi, power-normalized to a
+    covariance of trace n_z: exact for the sample covariance of z."""
+    s = sample_covariance(z_train)
+    s[np.diag_indices_from(s)] += 1.0
+    return gaussian_entropy(s * (s.shape[0] / np.trace(s)))
 
 
 def _eval_one(config, domains, compressors, reexpanders, test_labels,
@@ -295,7 +313,7 @@ def _eval_one(config, domains, compressors, reexpanders, test_labels,
     acc = float(np.mean(logits.argmax(axis=1) == test_labels))
 
     z_train = encode(comp, domain.x_train)
-    entropy = _entropy_of_encodings(z_train, config.seeds.entropy_base + n_z)
+    entropy = _entropy_of_encodings(z_train)
     mi = encoding_mi(comp.matrix_a, domain.cov)
     mse = float(np.mean((y_rec_test - domain.pre_test) ** 2))
     macs = pipeline_macs(comp.n_x, n_z, config.model_layer_sizes[1:])

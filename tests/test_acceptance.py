@@ -310,7 +310,7 @@ def _deterministic_accuracy(result, comp):
     dom = result.transform
     z_train = dom.x_train @ comp.matrix_a.T
     z_test = dom.x_test @ comp.matrix_a.T
-    rx = fit_ls(z_train, dom.targets.y_tilde)
+    rx = fit_ls(z_train, dom.pre_train)
     logits = forward_from_layer(dom.model, 1, reexpand(rx, z_test))
     return float(np.mean(logits.argmax(axis=1) == result.test_labels))
 
@@ -395,7 +395,7 @@ def test_oib_and_cca_reconstructions_coincide(experiment):
         recs = []
         for kind in ("oib", "cca"):
             comp = result.compressors[(kind, n_z)]
-            rx = fit_ls(dom.x_train @ comp.matrix_a.T, dom.targets.y_tilde,
+            rx = fit_ls(dom.x_train @ comp.matrix_a.T, dom.pre_train,
                         ridge=0.0)
             recs.append(reexpand(rx, dom.x_test @ comp.matrix_a.T))
         worst = max(worst, float(np.max(np.abs(recs[0] - recs[1]))))

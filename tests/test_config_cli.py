@@ -18,6 +18,8 @@ from oib.datasets import LabeledImageSet, save_idx
 from oib.errors import ConfigError
 from oib.gib_compressor import encode
 from oib.inference_net import accuracy
+from oib.info_metrics import LOG_2PIE
+from oib.reexpander import fit_lmmse
 from oib.serialization import config_hash, load_compressor, load_model
 from oib.tensor_stats import DataMatrix
 
@@ -525,3 +527,70 @@ def test_stochastic_encoding_moves_only_accuracy_and_mse():
         assert noisy.mse != exact.mse
         assert dataclasses.replace(noisy, accuracy=exact.accuracy,
                                    mse=exact.mse) == exact
+
+
+@pytest.fixture(scope="module")
+def tiny_fit():
+    """Fit and deterministic evaluate on TINY, counting every generator
+    they ask numpy for."""
+    result = pipeline.prepare(config_from_dict(TINY),
+                              pipeline.train_base_models)
+    generators = []
+    original = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        generators.append(args)
+        return original(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", counted)
+        pipeline.evaluate(pipeline.fit(result))
+    return result, generators
+
+
+def test_fit_and_evaluate_draw_no_random_numbers(tiny_fit):
+    result, generators = tiny_fit
+    assert result.config.encoding == "deterministic"
+    assert generators == []
+
+
+def test_noise_floor_is_a_tenth_of_the_rms_pre_activation(tiny_fit):
+    rng = np.random.default_rng(13)
+    pre = rng.standard_normal((300, 4)) * [1.0, 2.0, 3.0, 4.0] + 5.0
+    assert pipeline.noise_floor(pre) == pytest.approx(
+        0.1 * np.sqrt(np.mean(np.var(pre, axis=0))), rel=1e-12)
+    result, _ = tiny_fit
+    for domain in result.domains.values():
+        w0, b0 = domain.model.layers[0]
+        np.testing.assert_allclose(
+            domain.pre_train,
+            domain.x_train @ w0.astype(np.float64).T + b0, rtol=1e-12)
+        assert domain.noise_lambda == pipeline.noise_floor(domain.pre_train)
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_reexpanders_are_the_population_lmmse_estimator(tiny_fit):
+    # least squares on the noiseless pre-activations is the L-MMSE
+    # estimator of the pipeline's Sigma_x, up to its shrinkage and the ridge
+    result, _ = tiny_fit
+    for (kind, n_z), rx in result.reexpanders.items():
+        domain = result.domains[pipeline.domain_for_kind(kind)]
+        a = result.compressors[(kind, n_z)].matrix_a
+        w0, b0 = (p.astype(np.float64) for p in domain.model.layers[0])
+        sigma_x, mu = domain.cov.sigma_x, domain.x_train.mean(axis=0)
+        theta = fit_lmmse(w0 @ sigma_x @ a.T, a @ sigma_x @ a.T).theta
+        mean = w0 @ mu + b0 - theta @ (a @ mu)
+        assert relative_error(rx.theta, theta) < 1e-4, (kind, n_z)
+        assert relative_error(rx.target_mean, mean) < 1e-4, (kind, n_z)
+
+
+def test_cca_entropy_is_that_of_white_codes(tiny_fit):
+    # CCA codes are white, so power-normalized z + xi is too
+    result, _ = tiny_fit
+    cca = [r for r in result.records if r.kind == "cca"]
+    assert len(cca) == len(TINY["n_z_grid"])
+    for record in cca:
+        assert record.entropy_nats == pytest.approx(
+            0.5 * record.n_z * LOG_2PIE, rel=1e-6)

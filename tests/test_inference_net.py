@@ -9,8 +9,7 @@ from oib.inference_net import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                                _batch_loss_grads, _forward_layers,
                                _train_core, accuracy, finetune_head, forward,
                                forward_from_layer, head_model, init_mlp,
-                               make_regression_targets, train,
-                               train_head_on_z, train_multi_rho_head)
+                               train, train_head_on_z, train_multi_rho_head)
 
 
 def blob_data(seed, n=240, d=6, classes=3):
@@ -195,21 +194,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(val_fraction=1.0)
-
-
-def test_make_regression_targets_default_noise_scale():
-    model = init_mlp([6, 4, 3], seed=0)
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((300, 6))
-    targets = make_regression_targets(model, x, seed=21)
-    w0, b0 = model.layers[0]
-    pre = x @ w0.astype(np.float64).T + b0.astype(np.float64)
-    want_lambda = 0.1 * np.sqrt(np.mean(pre.var(axis=0)))
-    assert targets.noise_lambda == pytest.approx(want_lambda, rel=1e-12)
-    noise = targets.y_tilde - pre
-    assert np.std(noise) == pytest.approx(targets.noise_lambda, rel=0.1)
-    again = make_regression_targets(model, x, seed=21)
-    np.testing.assert_array_equal(again.y_tilde, targets.y_tilde)
 
 
 def test_head_retraining_on_reconstructions():

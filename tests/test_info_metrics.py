@@ -7,11 +7,9 @@ from scipy.special import digamma, gamma as gamma_fn
 
 from gib_pairs import conditional, exact_pair
 from oib.errors import DimensionError, NumericalError
-from oib.tensor_stats import sample_covariance
 from oib.gib_compressor import solve_gib
 from oib.info_metrics import (LOG_2PIE, encoding_mi, gaussian_entropy,
                               gaussian_mi, mi_loading_invariance_check,
-                              power_normalize,
                               random_projection_optimality_check)
 
 
@@ -42,19 +40,6 @@ def test_gaussian_entropy_agrees_with_knn_estimator():
     h_analytic = gaussian_entropy(cov)
     h_sampled = knn_entropy(samples)
     assert abs(h_sampled - h_analytic) / abs(h_analytic) < 0.02
-
-
-def test_power_normalize_sets_mean_unit_power():
-    rng = np.random.default_rng(1)
-    z = 5.0 * rng.standard_normal((2000, 6)) + 2.0
-    out = power_normalize(z)
-    sigma = sample_covariance(out)
-    assert np.trace(sigma) == pytest.approx(6.0, rel=1e-12)
-    # scale invariance: doubling the input changes nothing
-    out2 = power_normalize(2.0 * z)
-    np.testing.assert_allclose(out2, out, rtol=1e-12)
-    with pytest.raises(NumericalError):
-        power_normalize(np.ones((50, 3)))
 
 
 def test_gaussian_mi_matches_joint_covariance_oracle():
