@@ -283,6 +283,25 @@ def _render_grids(size):
             _read_only(np.linspace(0, 1, size)))
 
 
+@functools.lru_cache(maxsize=4)
+def _gaussian_kernel(sigma):
+    """``ndimage.gaussian_filter``'s kernel for ``sigma``: weights
+    exp(-x^2 / 2 sigma^2) over |x| <= int(4 sigma + 0.5), normalized."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    return _read_only(weights / weights.sum())
+
+
+def _blur_planes(u, sigma):
+    """``ndimage.gaussian_filter(u, (0, sigma, sigma))`` of a (k, n, n)
+    stack, byte-equal to it: the same two reflecting 1-D passes with a
+    kernel built once per sigma."""
+    w = _gaussian_kernel(sigma)
+    out = ndimage.correlate1d(u, w, axis=1, mode="reflect")
+    return ndimage.correlate1d(out, w, axis=2, output=out, mode="reflect")
+
+
 def render_digit(digit, rng, size=28):
     """One randomized digit image; consumes the shared generator stream.
 
@@ -320,11 +339,11 @@ def render_digit(digit, rng, size=28):
     alpha = rng.uniform(3.0, 8.0)
     fine = rng.uniform(1.2, 3.5)
     # u[k, 0] is axis k's coarse field and u[k, 1] its fine one, in the
-    # order of four separate (size, size) draws; the zero sigma leaves the
-    # axis pairs unmixed.
+    # order of four separate (size, size) draws; each axis's plane is
+    # blurred on its own.
     u = rng.uniform(-1, 1, (2, 2, size, size))
-    fields = ndimage.gaussian_filter(u[:, 0], (0, 3.0, 3.0)) * alpha \
-        + ndimage.gaussian_filter(u[:, 1], (0, 1.6, 1.6)) * fine
+    fields = _blur_planes(u[:, 0], 3.0) * alpha \
+        + _blur_planes(u[:, 1], 1.6) * fine
     grid, ramp, clutter = _render_grids(size)
     img = ndimage.map_coordinates(img, grid + fields, order=1,
                                   mode="constant")

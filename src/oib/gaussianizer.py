@@ -7,12 +7,17 @@ conjugate-symmetric pair contributes sqrt(2) * Re and sqrt(2) * Im of one
 representative.  The packing is linear, orthonormal, and exactly invertible,
 so covariances and entropies measured on the transformed data are directly
 comparable with the pixel domain.
+
+Every coefficient the packing keeps lies in rows k <= height // 2 of the
+spectrum, so ``forward`` computes only that half with a real FFT along the
+height axis; the flat index k * width + l of a coefficient is the same in
+the half spectrum and in the full one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
+from scipy import fft, linalg
 from scipy.stats import lognorm
 
 from .errors import DimensionError, NumericalError
@@ -29,6 +34,11 @@ class RealDft2dPlan:
     real_slots: np.ndarray = field(init=False, repr=False)
     pair_repr: np.ndarray = field(init=False, repr=False)
     pair_conj: np.ndarray = field(init=False, repr=False)
+    # forward's packing as one gather from the float64 view of the half
+    # spectrum (real parts at even offsets, imaginary parts at odd ones)
+    # and the matching scale: 1 for the real slots, sqrt(2) for the pairs.
+    _gather: np.ndarray = field(init=False, repr=False)
+    _scale: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
@@ -40,6 +50,12 @@ class RealDft2dPlan:
         self.real_slots = np.flatnonzero((flat == conj).ravel())
         self.pair_repr = np.flatnonzero((flat < conj).ravel())
         self.pair_conj = conj.ravel()[self.pair_repr]
+        self._gather = np.concatenate([2 * self.real_slots,
+                                       2 * self.pair_repr,
+                                       2 * self.pair_repr + 1])
+        self._scale = np.concatenate([
+            np.ones(self.real_slots.size),
+            np.full(2 * self.pair_repr.size, _SQRT2)])
 
     @property
     def n_features(self):
@@ -61,10 +77,11 @@ def forward(plan, x):
     batch, single = _as_batch(plan, x)
     n = len(batch)
     images = batch.reshape(n, plan.height, plan.width)
-    f = np.fft.fft2(images, norm="ortho").reshape(n, plan.n_features)
-    out = np.concatenate([f[:, plan.real_slots].real,
-                          _SQRT2 * f[:, plan.pair_repr].real,
-                          _SQRT2 * f[:, plan.pair_repr].imag], axis=1)
+    f = fft.rfftn(images, axes=(2, 1), norm="ortho")
+    # take() keeps the rows C-contiguous; [:, gather] would return them in
+    # Fortran order
+    out = f.view(np.float64).reshape(n, -1).take(plan._gather, axis=1)
+    out *= plan._scale
     return out[0] if single else out
 
 

@@ -11,8 +11,8 @@ from oib.errors import (DimensionError, IdxCountMismatchError, IdxMagicError,
 from oib.tensor_stats import DataMatrix, sample_covariance, gib_eigensystem
 from oib.datasets import (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC,
                           LabeledImageSet, STYLES, SyntheticGaussianSpec,
-                          glyph_array, load_idx, save_idx, subset,
-                          synth_gaussian, synthetic_digits)
+                          _blur_planes, glyph_array, load_idx, save_idx,
+                          subset, synth_gaussian, synthetic_digits)
 
 
 def write_idx_fixture(tmp_path, n=12, height=5, width=4, seed=0):
@@ -223,6 +223,21 @@ def test_synthetic_digits_match_the_reference_renderer(n, seed, size):
                      for d in labels])
     np.testing.assert_array_equal(got.labels, labels)
     assert got.images.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [3.0, 1.6, 0.7])
+@pytest.mark.parametrize("size", [28, 20, 5])
+def test_blur_planes_match_gaussian_filter(sigma, size):
+    # the renderer's displacement blur is byte-equal to ndimage's own
+    # filter, on the non-contiguous plane views it is given; size 5 is
+    # narrower than the kernels, so the reflection wraps more than once
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        u = rng.uniform(-1, 1, (2, 2, size, size))
+        want = ndimage.gaussian_filter(u[:, 0], (0, sigma, sigma))
+        got = _blur_planes(u[:, 0], sigma)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_synth_gaussian_ground_truth():

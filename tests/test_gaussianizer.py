@@ -28,6 +28,20 @@ def hz_reference(x):
     return n * (t1 - t2 + t3)
 
 
+SHAPES = ((28, 28), (27, 28), (7, 5), (5, 3), (1, 8))
+
+
+def forward_reference(plan, x):
+    """The packing as first written: the full complex spectrum, three
+    gathers of it and a concatenation."""
+    n = len(x)
+    f = np.fft.fft2(x.reshape(n, plan.height, plan.width),
+                     norm="ortho").reshape(n, plan.n_features)
+    return np.concatenate([f[:, plan.real_slots].real,
+                           np.sqrt(2.0) * f[:, plan.pair_repr].real,
+                           np.sqrt(2.0) * f[:, plan.pair_repr].imag], axis=1)
+
+
 def test_plan_packing_covers_every_pixel():
     for h, w in ((28, 28), (27, 28), (4, 4), (5, 3), (1, 8)):
         plan = RealDft2dPlan(height=h, width=w)
@@ -71,6 +85,41 @@ def test_forward_is_deterministic_and_orthonormal():
     # Parseval: the packing preserves squared norms exactly
     np.testing.assert_allclose(np.sum(c1 ** 2, axis=1),
                                np.sum(x ** 2, axis=1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("h, w", SHAPES)
+def test_forward_matches_the_full_spectrum_packing(h, w):
+    plan = RealDft2dPlan(height=h, width=w)
+    rng = np.random.default_rng(8)
+    x = rng.random((64, h * w))
+    np.testing.assert_allclose(forward(plan, x), forward_reference(plan, x),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("h, w", SHAPES)
+def test_forward_rows_do_not_depend_on_the_batch(h, w):
+    # served batches of 128 rows and single rows must reproduce the rows
+    # of one call on the whole set bit for bit
+    plan = RealDft2dPlan(height=h, width=w)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((515, h * w))
+    full = forward(plan, x)
+    for j in range(len(x)):
+        assert np.array_equal(forward(plan, x[j]), full[j])
+    for s in range(0, len(x), 128):
+        assert np.array_equal(forward(plan, x[s:s + 128]), full[s:s + 128])
+
+
+def test_forward_leaves_its_input_and_returns_a_fresh_array():
+    plan = RealDft2dPlan(height=28, width=28)
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((5, 784))
+    before = x.copy()
+    out = forward(plan, x)
+    assert np.array_equal(x, before)
+    assert out.dtype == np.float64 and out.shape == (5, 784)
+    assert out.flags.owndata and out.flags.c_contiguous
+    assert not np.shares_memory(out, x)
 
 
 def test_forward_is_linear():
