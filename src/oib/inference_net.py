@@ -9,6 +9,18 @@ repeated runs produce bitwise-identical weights on the same numpy/BLAS
 build, CPU kernel and BLAS thread count.  Changing any of these changes
 the rounding of the matrix products and hence the weights.
 
+The Adam update runs in place on flat buffers, in blocks of ``ADAM_BLOCK``
+elements that stay in cache, with the same float32 operations per element
+as the per-tensor update.  Every ``MOMENT_FLUSH_EVERY`` steps it zeroes the
+first moments below ``MOMENT_FLOOR`` (1e-30), which would otherwise decay
+into slow float32 subnormals wherever a gradient stays exactly zero.  The
+floor moves no weight: with c1 >= 0.1 and a denominator >= eps, a moment
+below it moves its weight by at most lr * 1e-21 per step, under half an
+ulp of any weight with |w| > 3.4e-17 at lr <= 1e-3, and a gradient that
+reaches a zeroed moment again absorbs the lost remainder when
+|g| >= 3.4e-22.  Under those two conditions the weights are bitwise those
+of unfloored Adam.
+
 The first layer L0 doubles as the target of the compression regression:
 its pre-activations are what the re-expanders reconstruct.  Heads
 (everything after L0) can be retrained on re-expanded inputs, either one
@@ -27,6 +39,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LR_DECAY_FACTOR = 0.1
+ADAM_BLOCK = 1 << 16
+MOMENT_FLOOR = 1e-30
+MOMENT_FLUSH_EVERY = 16
 
 
 @dataclass
@@ -173,16 +188,21 @@ def _batch_loss_grads(layers, xb, yb, grads=None):
     acts = [xb]
     a = xb
     for i, (w, b) in enumerate(layers):
-        a = a @ w.T + b
+        a = a @ w.T
+        a += b
         if i < len(layers) - 1:
-            a = np.maximum(a, 0)
+            np.maximum(a, 0, out=a)
         acts.append(a)
-    z = acts[-1] - acts[-1].max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    p = ez / ez.sum(axis=1, keepdims=True)
-    loss = -np.mean(np.log(p[np.arange(len(yb)), yb] + 1e-30))
-    g = p.copy()
-    g[np.arange(len(yb)), yb] -= 1.0
+    # The logits are not needed by the backward pass, so the softmax
+    # overwrites them.
+    rows = np.arange(len(yb))
+    p = acts.pop()
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    loss = -np.mean(np.log(p[rows, yb] + 1e-30))
+    g = p
+    g[rows, yb] -= 1.0
     g /= len(yb)
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
@@ -190,8 +210,65 @@ def _batch_loss_grads(layers, xb, yb, grads=None):
         np.matmul(g.T, acts[i], out=gw)
         np.sum(g, axis=0, out=gb)
         if i > 0:
-            g = (g @ w) * (acts[i] > 0)
+            g = g @ w
+            g *= acts[i] > 0
     return float(loss), grads
+
+
+class _FlatAdam:
+    """Adam on one flat parameter buffer, updated in place.
+
+    The caller writes each gradient into the flat buffer ``grad``; ``m``
+    holds the first moments.  ``step(lr)`` applies one update, elementwise
+    in the order of the per-tensor update
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``.  It runs the same
+    in-place ufuncs over blocks of ``ADAM_BLOCK`` elements of the flat
+    buffers, so the working set of each pass stays in cache; every element
+    gets the same float32 operations as in one whole-buffer pass.
+
+    Every ``MOMENT_FLUSH_EVERY`` steps, first moments with
+    |m| < ``MOMENT_FLOOR`` are set to zero: without that, the moments of
+    weights whose gradient stays exactly zero (dead units, unlit pixels)
+    shrink by ``ADAM_BETA1`` per step into float32 subnormals, on which
+    every pass runs several times slower.  A moment that survives a flush
+    shrinks by at most 0.9**16 (about 0.185) before the next one, so m and
+    lr * m / c1 stay normal for any lr >= 1e-7.
+    """
+
+    def __init__(self, params):
+        self.grad = np.empty_like(params)
+        self.m = np.zeros_like(params)
+        self._denom = np.empty_like(params)
+        self._small = np.empty(params.shape, dtype=bool)
+        buffers = (params, self.grad, self.m, np.zeros_like(params),
+                   np.empty_like(params), self._denom)
+        self._blocks = [tuple(a[s:s + ADAM_BLOCK] for a in buffers)
+                        for s in range(0, params.size, ADAM_BLOCK)]
+        self._t = 0
+
+    def step(self, lr):
+        self._t += 1
+        c1 = 1.0 - ADAM_BETA1 ** self._t
+        c2 = 1.0 - ADAM_BETA2 ** self._t
+        for params, grad, m, v, step, denom in self._blocks:
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, grad, out=step)
+            m += step
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, grad, out=step)
+            step *= grad
+            v += step
+            np.divide(m, c1, out=step)
+            np.multiply(lr, step, out=step)
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            params -= step
+        if self._t % MOMENT_FLUSH_EVERY == 0:
+            np.abs(self.m, out=self._denom)
+            np.less(self._denom, MOMENT_FLOOR, out=self._small)
+            np.copyto(self.m, 0.0, where=self._small)
 
 
 def _train_core(layers, pools, labels, cfg):
@@ -201,19 +278,16 @@ def _train_core(layers, pools, labels, cfg):
     draws one pool uniformly (no draw is made for a single pool, so the
     single-pool case consumes exactly the same random stream as plain
     training).  All parameters live in one flat buffer, with every layer's
-    (w, b) a view into it, and the Adam step runs on flat gradient and
-    moment buffers in place, elementwise in the order of the per-tensor
-    update ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``.  Returns the
-    trained layers (views into one buffer) and the per-epoch loss trace.
+    (w, b) a view into it, and ``_FlatAdam`` updates it in place from a
+    flat gradient buffer, block by block, flooring tiny first moments (see
+    the module docstring for the bound and the conditions under which the
+    weights equal unfloored Adam's bitwise).  Returns the trained layers
+    (views into one buffer) and the per-epoch loss trace.
     """
     params = np.concatenate([a.ravel() for pair in layers for a in pair])
     layers = _layer_views(params, layers)
-    grad = np.empty_like(params)
-    grads = _layer_views(grad, layers)
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
-    step = np.empty_like(params)
-    denom = np.empty_like(params)
+    adam = _FlatAdam(params)
+    grads = _layer_views(adam.grad, layers)
     rng = np.random.default_rng(cfg.seed)
     n = len(labels)
 
@@ -242,7 +316,6 @@ def _train_core(layers, pools, labels, cfg):
         best = params.copy()
         best_val = val_accuracy(layers)
 
-    t = 0
     n_fit = len(fit_labels)
     losses = []
     for epoch in range(cfg.epochs):
@@ -257,23 +330,7 @@ def _train_core(layers, pools, labels, cfg):
             xb, yb = fit_pools[pool][idx], fit_labels[idx]
             loss, _ = _batch_loss_grads(layers, xb, yb, grads)
             total += loss * len(yb)
-            t += 1
-            c1 = 1.0 - ADAM_BETA1 ** t
-            c2 = 1.0 - ADAM_BETA2 ** t
-            m *= ADAM_BETA1
-            np.multiply(1.0 - ADAM_BETA1, grad, out=step)
-            m += step
-            v *= ADAM_BETA2
-            np.multiply(1.0 - ADAM_BETA2, grad, out=step)
-            step *= grad
-            v += step
-            np.divide(m, c1, out=step)
-            np.multiply(lr, step, out=step)
-            np.divide(v, c2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            step /= denom
-            params -= step
+            adam.step(lr)
         epoch_loss = total / n_fit
         if not np.isfinite(epoch_loss):
             raise NumericalError("training diverged: epoch %d loss is %r"

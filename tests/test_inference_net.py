@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oib.errors import DimensionError, NumericalError
-from oib.inference_net import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+from oib.inference_net import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
                                LR_DECAY_FACTOR, MlpModel, TrainConfig,
-                               _batch_loss_grads, _forward_layers,
+                               _batch_loss_grads, _FlatAdam, _forward_layers,
                                _train_core, accuracy, finetune_head, forward,
                                forward_from_layer, head_model, init_mlp,
                                train, train_head_on_z, train_multi_rho_head)
@@ -358,6 +358,13 @@ def _adam_case(name):
         labels = rng.integers(0, 10, size=96)
         return (init_mlp([784, 64, 16, 10], seed=3).layers, [x], labels,
                 TrainConfig(epochs=1, seed=8))
+    if name == "multi_block":
+        # 76,330 parameters: one full ADAM_BLOCK and a ragged second block
+        rng = np.random.default_rng(21)
+        x = rng.random((96, 784)).astype(np.float32)
+        labels = rng.integers(0, 10, size=96)
+        return (init_mlp([784, 96, 10], seed=4).layers, [x], labels,
+                TrainConfig(epochs=2, seed=9))
     x, labels = blob_data(19, n=300, d=12, classes=4)
     if name == "never_improves":
         return (perfect_model(x, labels, [12, 24, 16, 4]).layers, [x],
@@ -380,9 +387,13 @@ def _adam_case(name):
 
 @pytest.mark.parametrize("name", ["single_pool", "lr_decay",
                                   "early_stopping", "never_improves",
-                                  "multi_pool", "wide_first_layer"])
+                                  "multi_pool", "wide_first_layer",
+                                  "multi_block"])
 def test_flat_adam_matches_the_per_tensor_oracle(name):
     layers, pools, labels, cfg = _adam_case(name)
+    if name == "multi_block":
+        n_params = sum(w.size + b.size for w, b in layers)
+        assert ADAM_BLOCK < n_params < 2 * ADAM_BLOCK
     got, got_losses = _train_core(layers, pools, labels, cfg)
     want, want_losses = _oracle_train_core(layers, pools, labels, cfg)
     assert got_losses == want_losses
@@ -399,3 +410,42 @@ def test_flat_adam_matches_the_per_tensor_oracle(name):
             assert np.array_equal(w1, w0) and np.array_equal(b1, b0)
     else:
         assert not np.array_equal(got[0][0], layers[0][0])
+
+
+@pytest.mark.parametrize("lr", [1e-3, 1e-4])
+def test_moment_floor_removes_subnormals_and_keeps_weights(lr):
+    """A third of the entries get gradients on every step, a third only on
+    the first five, and a third on the first five and again from step 850
+    on.  The unfloored recurrence decays the idle first moments into
+    float32 subnormals; the floored update never holds one, and every
+    weight equals the recurrence's bitwise after every step."""
+    rng = np.random.default_rng(22)
+    n = 3000
+    params = rng.uniform(-0.1, 0.1, n).astype(np.float32)
+    want = params.copy()
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    adam = _FlatAdam(params)
+    tiny = np.finfo(np.float32).tiny
+    oracle_subnormal = False
+    for t in range(1, 1001):
+        g = np.zeros(n, dtype=np.float32)
+        g[:1000] = 1e-2 * rng.standard_normal(1000)
+        if t <= 5:
+            g[1000:] = 1e-2 * rng.standard_normal(2000)
+        elif t >= 850:
+            g[2000:] = 1e-2 * rng.standard_normal(1000)
+        adam.grad[:] = g
+        adam.step(lr)
+        c1 = 1.0 - ADAM_BETA1 ** t
+        c2 = 1.0 - ADAM_BETA2 ** t
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        want -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        assert np.array_equal(params, want)
+        assert not np.any((adam.m != 0) & (np.abs(adam.m) < tiny))
+        oracle_subnormal |= bool(np.any((m != 0) & (np.abs(m) < tiny)))
+    assert oracle_subnormal
+    assert np.all(adam.m[1000:2000] == 0)
