@@ -9,9 +9,15 @@ codes themselves (``per_rho_on_z``), ``hz-test`` compares domain normality
 without any network, ``macs`` prints the complexity table, and
 ``synth-check`` runs the synthetic-Gaussian oracle suites.  ``evaluate``
 and ``retrain`` load the compressors instead of re-solving the
-eigensystem.  Datasets are regenerated from their seeds, so commands
-started in separate processes agree bitwise with ``run_experiment`` when
-they share the numpy/BLAS build, CPU kernel and BLAS thread count.
+eigensystem.  ``train-base`` also saves the rendered digit corpus as
+``dataset.json``/``dataset.bin``, keyed by the sizes, data seeds and image
+size it was rendered from; the later commands load it when the key is
+their config's and render the corpus again otherwise, writing nothing
+(IDX inputs are always read from their files).  The saved corpus is
+bitwise the rendered one, so commands started in separate processes
+agree bitwise with ``run_experiment`` when they share the numpy/BLAS
+build, CPU kernel and BLAS thread count.  An output directory that exists
+as a regular file is refused before any work.
 
 Exit codes: 0 success, 2 configuration, input-file or damaged-artifact
 problems, 3 numerical failures.
@@ -44,8 +50,13 @@ from .serialization import (load_compressor, load_model, load_reexpander,
 
 def _resolve_config(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
-    return apply_overrides(config, seed=args.seed, out=args.out,
-                           encoding=args.encoding, subset_n=args.subset)
+    config = apply_overrides(config, seed=args.seed, out=args.out,
+                             encoding=args.encoding, subset_n=args.subset)
+    if os.path.exists(config.output_dir) and \
+            not os.path.isdir(config.output_dir):
+        raise ConfigError("output directory %s exists and is not a "
+                          "directory" % config.output_dir)
+    return config
 
 
 def _load_base_models(config, features, train_labels):
@@ -59,6 +70,12 @@ def _load_base_models(config, features, train_labels):
         domains[name] = DomainData(name=name, x_train=x_tr, x_test=x_te,
                                    model=load_model(stem), losses=[])
     return domains
+
+
+def _prepare_stored(config):
+    """Stages 1-3 from what ``train-base`` saved in the output directory."""
+    return pipeline.prepare(config, _load_base_models,
+                            pipeline.load_or_build_dataset(config))
 
 
 def _load_artifacts(result):
@@ -81,8 +98,11 @@ def _load_artifacts(result):
 
 
 def cmd_train_base(config):
-    result = pipeline.prepare(config, train_base_models)
+    image_sets = build_dataset(config)
+    result = pipeline.prepare(config, train_base_models, image_sets)
     pipeline.write_base_artifacts(result, config.output_dir)
+    if not config.dataset.from_files:
+        pipeline.write_corpus(config, *image_sets)
     write_json({"output_dir": config.output_dir,
                 "baseline": pipeline.baseline_accuracies(result),
                 "final_epoch_loss": {name: domain.losses[-1]
@@ -92,7 +112,7 @@ def cmd_train_base(config):
 
 
 def cmd_fit_oib(config):
-    result = pipeline.fit(pipeline.prepare(config, _load_base_models))
+    result = pipeline.fit(_prepare_stored(config))
     pipeline.write_fit_artifacts(result, config.output_dir)
     write_json({"output_dir": config.output_dir,
                 "artifacts": len(result.compressors) + len(result.reexpanders),
@@ -104,7 +124,7 @@ def cmd_fit_oib(config):
 
 
 def cmd_evaluate(config):
-    result = _load_artifacts(pipeline.prepare(config, _load_base_models))
+    result = _load_artifacts(_prepare_stored(config))
     fit_all_domains(config, result.domains, with_gib=False)
     pipeline.evaluate(result)
     pipeline.write_evaluation(result, config.output_dir)
@@ -116,7 +136,7 @@ def cmd_evaluate(config):
 
 def cmd_retrain(config, mode):
     config = dataclasses.replace(config, compressor_kinds=["oib"])
-    result = _load_artifacts(pipeline.prepare(config, _load_base_models))
+    result = _load_artifacts(_prepare_stored(config))
     if mode == "per_rho_on_z":
         heads, records = pipeline.retrain_bank(config, result)
         heads_dir = os.path.join(config.output_dir, "heads")
@@ -137,7 +157,7 @@ def cmd_retrain(config, mode):
 
 
 def cmd_hz_test(config):
-    train_set, test_set = build_dataset(config)
+    train_set, test_set = pipeline.load_or_build_dataset(config)
     _, features = domain_features(config, train_set, test_set)
     records = pipeline.hz_compare(config, features[RAW][1],
                                   features[TRANSFORM][1])

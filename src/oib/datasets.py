@@ -265,7 +265,10 @@ def _read_only(a):
     return a
 
 
-_GLYPHS = [[_read_only(glyph_array(style, digit)) for digit in range(10)]
+# Classes of the rendered corpus, one per glyph.
+DIGIT_CLASSES = 10
+_GLYPHS = [[_read_only(glyph_array(style, digit))
+            for digit in range(DIGIT_CLASSES)]
            for style in range(len(STYLES))]
 
 
@@ -372,7 +375,7 @@ def render_digit(digit, rng, size=28):
 def synthetic_digits(n, seed, size=28):
     """A seeded LabeledImageSet of procedurally rendered digits."""
     rng = np.random.default_rng(seed)
-    labels = rng.integers(0, 10, size=n)
+    labels = rng.integers(0, DIGIT_CLASSES, size=n)
     x = np.empty((n, size * size))
     for i, digit in enumerate(labels):
         x[i] = render_digit(int(digit), rng, size).ravel()

@@ -2,7 +2,10 @@
 
 Stages, in dependency order:
 
-1. dataset: load IDX files or render the procedural digit corpus.
+1. dataset: load IDX files or render the procedural digit corpus.  The
+   staged commands render it once: ``write_corpus`` saves it next to the
+   base networks, keyed by what ``build_dataset`` reads to render it, and
+   ``load_or_build_dataset`` loads it back when the key matches.
 2. features: orthonormal real-packed 2D-DFT alongside the raw pixels.
 3. base models: one network per domain (the transform domain carries the
    compression experiments; the raw domain exists so the PCA baseline and
@@ -31,8 +34,9 @@ Stages, in dependency order:
    raw versus transform domain.
 
 ``run_experiment`` and the ``oib`` subcommands share one path:
-``prepare`` (stages 1-3, with the base networks trained or loaded),
-``fit`` and ``evaluate``.
+``prepare`` (stages 1-3, with the image sets rendered or loaded and the
+base networks trained or loaded), ``fit`` and ``evaluate``.
+``run_experiment`` renders in memory and saves no corpus.
 
 Fit and deterministic evaluation draw no random numbers; every other
 stage draws randomness only from its named seed in the config, so
@@ -53,7 +57,7 @@ from . import gaussianizer
 from .complexity_model import (CLASSIFICATION, COMPRESSION, pipeline_macs)
 from .config import HZ_PROJECTION_DIM, config_to_dict
 from .datasets import load_idx, subset, synthetic_digits
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .gib_compressor import (cca_compressor, compressor_at_size, encode,
                              pca_basis, pca_compressor, solve_gib)
 from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
@@ -61,8 +65,9 @@ from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
                             train_head_on_z, train_multi_rho_head)
 from .info_metrics import encoding_mi, gaussian_entropy
 from .reexpander import fit_ls, reexpand
-from .serialization import (config_hash, save_compressor, save_model,
-                            save_reexpander, validate_report, write_json)
+from .serialization import (config_hash, load_corpus, save_compressor,
+                            save_corpus, save_model, save_reexpander,
+                            validate_report, write_json)
 from .tensor_stats import CovariancePair, covariance_pair, sample_covariance
 
 TRANSFORM = "transform"
@@ -185,11 +190,60 @@ def build_dataset(config):
                                      size=size)
         test_set = synthetic_digits(ds.n_test, config.seeds.data_test,
                                     size=size)
-    for image_set in (train_set, test_set):
-        if image_set.labels.max() >= sizes[-1]:
+    return _check_labels(config, train_set, test_set)
+
+
+def _check_labels(config, *image_sets):
+    """The image sets, refused if a label is past the model's outputs."""
+    outputs = config.model_layer_sizes[-1]
+    for image_set in image_sets:
+        if image_set.labels.max() >= outputs:
             raise ConfigError("label %d is past the model's %d outputs"
-                              % (image_set.labels.max(), sizes[-1]))
-    return train_set, test_set
+                              % (image_set.labels.max(), outputs))
+    return image_sets
+
+
+def corpus_stem(out_dir):
+    return os.path.join(out_dir, "dataset")
+
+
+def corpus_key(config):
+    """SHA-256 of everything ``build_dataset`` reads to render the corpus."""
+    ds, seeds = config.dataset, config.seeds
+    return config_hash({"n_train": ds.n_train, "n_test": ds.n_test,
+                        "data_train": seeds.data_train,
+                        "data_test": seeds.data_test,
+                        "size": math.isqrt(config.model_layer_sizes[0])})
+
+
+def write_corpus(config, train_set, test_set):
+    """Save a rendered corpus under the output directory with its key."""
+    save_corpus(train_set, test_set, corpus_key(config),
+                corpus_stem(config.output_dir))
+
+
+def load_or_build_dataset(config):
+    """The corpus ``write_corpus`` saved in the output directory when its
+    key is the config's, else ``build_dataset(config)``.
+
+    A saved corpus of another key is ignored and left as it is; one of
+    the config's key that is damaged raises DataFormatError.  IDX configs
+    always read their files.
+    """
+    if not config.dataset.from_files:
+        stem = corpus_stem(config.output_dir)
+        image_sets = load_corpus(stem, corpus_key(config))
+        if image_sets is not None:
+            n_x = config.model_layer_sizes[0]
+            expected = [(config.dataset.n_train, n_x),
+                        (config.dataset.n_test, n_x)]
+            shapes = [s.images.values.shape for s in image_sets]
+            if shapes != expected:
+                raise DataFormatError("damaged artifact %s: images of "
+                                      "shapes %s, expected %s"
+                                      % (stem, shapes, expected))
+            return _check_labels(config, *image_sets)
+    return build_dataset(config)
 
 
 def domain_features(config, train_set, test_set):
@@ -429,14 +483,16 @@ def hz_compare(config, x_raw, x_tf):
     return records
 
 
-def prepare(config, base_models):
+def prepare(config, base_models, image_sets=None):
     """Stages 1-3: the dataset, both domains' features and base networks.
 
-    ``base_models(config, features, train_labels)`` returns one DomainData
-    per domain: ``train_base_models`` trains them, the CLI loads the
-    checkpoints ``train-base`` wrote.
+    ``image_sets`` is the (train, test) pair, by default
+    ``build_dataset(config)``.  ``base_models(config, features,
+    train_labels)`` returns one DomainData per domain:
+    ``train_base_models`` trains them, the CLI loads the checkpoints
+    ``train-base`` wrote.
     """
-    train_set, test_set = build_dataset(config)
+    train_set, test_set = image_sets or build_dataset(config)
     plan, features = domain_features(config, train_set, test_set)
     return ExperimentResult(
         config=config, plan=plan, train_labels=train_set.labels,

@@ -2,12 +2,17 @@
 
 Every artifact is a pair of files sharing a stem: a small JSON manifest
 (sorted keys, so identical objects serialize identically) and a raw binary
-blob of little-endian floats in row-major order.  Matrices round-trip
+blob of little-endian numbers in row-major order.  Matrices round-trip
 bit-exactly; manifests carry enough shape information to validate the blob
-length before any reshaping.  The loaders raise DataFormatError, naming
-the stem, for any damaged artifact: a manifest that is not a JSON object
-or lacks a key, an unknown kind, a blob of the wrong length, or values
-the loaded object rejects.
+length before anything is read, and loaders read the blob straight into
+the arrays they return.  The loaders raise DataFormatError, naming the
+stem, for any damaged artifact: a manifest that is not a JSON object or
+lacks a key, an unknown kind, a blob of the wrong length, or values the
+loaded object rejects.
+
+A rendered digit corpus is an artifact too (``corpus-v1``): train and
+test pixels, then train and test labels, with the key of the settings it
+was rendered from.
 
 Evaluation reports are plain JSON validated against the packaged schema,
 and configs hash to a stable SHA-256 over their canonical JSON form.
@@ -15,6 +20,8 @@ and configs hash to a stable SHA-256 over their canonical JSON form.
 
 import hashlib
 import json
+import math
+import os
 from contextlib import contextmanager
 from dataclasses import asdict
 from importlib import resources
@@ -22,13 +29,16 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
+from .datasets import DIGIT_CLASSES, LabeledImageSet
 from .errors import DataFormatError, DimensionError
 from .gib_compressor import Compressor, CompressorKind
 from .inference_net import MlpModel
 from .reexpander import FitMethod, Reexpander
+from .tensor_stats import DataMatrix
 
 F64 = np.dtype("<f8")
 F32 = np.dtype("<f4")
+I64 = np.dtype("<i8")
 
 
 def write_json(payload, fh):
@@ -38,38 +48,49 @@ def write_json(payload, fh):
     fh.write("\n")
 
 
-def _write_pair(stem, manifest, blob):
+def _write_pair(stem, manifest, *parts):
+    """The manifest, then each buffer of ``parts`` in order as the blob."""
     with open(str(stem) + ".json", "w") as fh:
         write_json(manifest, fh)
     with open(str(stem) + ".bin", "wb") as fh:
-        fh.write(blob)
+        for part in parts:
+            fh.write(part)
 
 
 @contextmanager
 def _artifact(stem, fmt):
-    """The manifest and blob of ``stem`` for the body of a with statement;
-    invalid JSON, a wrong format and any error the body meets while
-    building an object from them raise DataFormatError naming the stem."""
+    """The manifest and open blob file of ``stem`` for the body of a with
+    statement; invalid JSON, a wrong format and any error the body meets
+    while building an object from them raise DataFormatError naming the
+    stem."""
     try:
         with open(str(stem) + ".json") as fh:
             manifest = json.load(fh)
-        with open(str(stem) + ".bin", "rb") as fh:
-            blob = fh.read()
         if manifest.get("format") != fmt:
             raise DataFormatError("%s.json declares format %r, expected %r"
                                   % (stem, manifest.get("format"), fmt))
-        yield manifest, blob
+        with open(str(stem) + ".bin", "rb") as blob:
+            yield manifest, blob
     except (AttributeError, KeyError, TypeError, ValueError,
             DimensionError) as exc:
         raise DataFormatError("damaged artifact %s: %s: %s"
                               % (stem, type(exc).__name__, exc)) from exc
 
 
-def _check_blob(stem, blob, n_values, dtype):
-    expected = n_values * dtype.itemsize
-    if len(blob) != expected:
+def _read_arrays(stem, blob, specs):
+    """One array per ``(shape, dtype)`` of ``specs``, read in order from
+    the open ``blob`` straight into its own memory; a blob of any other
+    length raises DataFormatError before anything is allocated."""
+    expected = sum(math.prod(shape) * dtype.itemsize
+                   for shape, dtype in specs)
+    size = os.fstat(blob.fileno()).st_size
+    if size != expected:
         raise DataFormatError("%s.bin holds %d bytes, expected %d"
-                              % (stem, len(blob), expected))
+                              % (stem, size, expected))
+    arrays = [np.empty(shape, dtype) for shape, dtype in specs]
+    for a in arrays:
+        blob.readinto(memoryview(a).cast("B"))
+    return arrays
 
 
 def save_compressor(comp, stem):
@@ -87,12 +108,10 @@ def save_compressor(comp, stem):
 
 def load_compressor(stem):
     with _artifact(stem, "compressor-v1") as (manifest, blob):
-        n_z, n_x = manifest["n_z"], manifest["n_x"]
-        _check_blob(stem, blob, n_z * n_x, F64)
-        matrix = np.frombuffer(blob, dtype=F64).reshape(n_z, n_x)
+        matrix, = _read_arrays(stem, blob, [
+            ((manifest["n_z"], manifest["n_x"]), F64)])
         return Compressor(kind=CompressorKind(manifest["kind"]),
-                          matrix_a=matrix.astype(np.float64),
-                          beta=manifest["beta"])
+                          matrix_a=matrix, beta=manifest["beta"])
 
 
 def save_reexpander(rx, stem):
@@ -103,21 +122,19 @@ def save_reexpander(rx, stem):
         "n_z": rx.n_z,
         "dtype": F64.str,
     }
-    blob = (np.ascontiguousarray(rx.theta, dtype=F64).tobytes()
-            + np.ascontiguousarray(rx.target_mean, dtype=F64).tobytes())
-    _write_pair(stem, manifest, blob)
+    _write_pair(stem, manifest,
+                np.ascontiguousarray(rx.theta, dtype=F64),
+                np.ascontiguousarray(rx.target_mean, dtype=F64))
 
 
 def load_reexpander(stem):
     with _artifact(stem, "reexpander-v1") as (manifest, blob):
-        n_y, n_z = manifest["n_y"], manifest["n_z"]
-        _check_blob(stem, blob, n_y * n_z + n_y, F64)
-        theta = np.frombuffer(blob, dtype=F64,
-                              count=n_y * n_z).reshape(n_y, n_z)
-        mean = np.frombuffer(blob, dtype=F64, offset=theta.nbytes)
-        return Reexpander(theta=theta.astype(np.float64),
+        n_y = manifest["n_y"]
+        theta, mean = _read_arrays(stem, blob, [
+            ((n_y, manifest["n_z"]), F64), ((n_y,), F64)])
+        return Reexpander(theta=theta,
                           fit_method=FitMethod(manifest["fit_method"]),
-                          target_mean=mean.astype(np.float64))
+                          target_mean=mean)
 
 
 def save_model(model, stem, train_config=None, seed=None):
@@ -129,28 +146,60 @@ def save_model(model, stem, train_config=None, seed=None):
         "seed": seed,
         "train_config": asdict(train_config) if train_config else None,
     }
-    parts = []
-    for w, b in model.layers:
-        parts.append(np.ascontiguousarray(w, dtype=F32).tobytes())
-        parts.append(np.ascontiguousarray(b, dtype=F32).tobytes())
-    _write_pair(stem, manifest, b"".join(parts))
+    _write_pair(stem, manifest, *(np.ascontiguousarray(p, dtype=F32)
+                                  for layer in model.layers
+                                  for p in layer))
 
 
 def load_model(stem):
     with _artifact(stem, "mlp-v1") as (manifest, blob):
         sizes = manifest["layer_sizes"]
-        pairs = list(zip(sizes[:-1], sizes[1:]))
-        _check_blob(stem, blob, sum(fi * fo + fo for fi, fo in pairs), F32)
-        layers = []
-        offset = 0
-        for fan_in, fan_out in pairs:
-            w = np.frombuffer(blob, dtype=F32, count=fan_out * fan_in,
-                              offset=offset).reshape(fan_out, fan_in)
-            offset += w.nbytes
-            b = np.frombuffer(blob, dtype=F32, count=fan_out, offset=offset)
-            offset += b.nbytes
-            layers.append((w.astype(np.float32), b.astype(np.float32)))
-        return MlpModel(layers)
+        arrays = _read_arrays(stem, blob, [
+            (shape, F32) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+            for shape in ((fan_out, fan_in), (fan_out,))])
+        return MlpModel(list(zip(arrays[::2], arrays[1::2])))
+
+
+def save_corpus(train_set, test_set, key, stem):
+    """A rendered corpus and the ``key`` of the settings it came from."""
+    manifest = {
+        "format": "corpus-v1",
+        "n_train": train_set.n_samples,
+        "n_test": test_set.n_samples,
+        "height": train_set.height,
+        "width": train_set.width,
+        "key": key,
+    }
+    _write_pair(stem, manifest,
+                *(np.ascontiguousarray(s.images.values, dtype=F64)
+                  for s in (train_set, test_set)),
+                *(np.ascontiguousarray(s.labels, dtype=I64)
+                  for s in (train_set, test_set)))
+
+
+def load_corpus(stem, key):
+    """The train and test LabeledImageSets saved at ``stem``, or None when
+    there is no manifest or it holds another key than ``key``.  Labels
+    outside the digit classes count as damage."""
+    if not os.path.exists(str(stem) + ".json"):
+        return None
+    with _artifact(stem, "corpus-v1") as (manifest, blob):
+        if manifest["key"] != key:
+            return None
+        n_train, n_test = manifest["n_train"], manifest["n_test"]
+        height, width = manifest["height"], manifest["width"]
+        x_train, x_test, y_train, y_test = _read_arrays(stem, blob, [
+            ((n_train, height * width), F64), ((n_test, height * width), F64),
+            ((n_train,), I64), ((n_test,), I64)])
+        for labels in (y_train, y_test):
+            bad = labels[(labels < 0) | (labels >= DIGIT_CLASSES)]
+            if bad.size:
+                raise DataFormatError("%s.bin holds label %d outside the %d "
+                                      "digit classes"
+                                      % (stem, bad[0], DIGIT_CLASSES))
+        return tuple(LabeledImageSet(images=DataMatrix(x), labels=y,
+                                     height=height, width=width)
+                     for x, y in ((x_train, y_train), (x_test, y_test)))
 
 
 def config_hash(config_dict):

@@ -397,6 +397,9 @@ def counting(monkeypatch, module, name):
 
 def test_stages_skip_work_they_do_not_use(cli_run, monkeypatch, capsys):
     cfg, _ = cli_run
+    # every stage after train-base loads the corpus it saved
+    rendered = counting(monkeypatch, pipeline, "synthetic_digits")
+    assert main(["fit-oib", "--config", cfg]) == 0
     trained = counting(monkeypatch, pipeline, "train")
     loaded = counting(monkeypatch, cli, "load_model")
     assert main(["hz-test", "--config", cfg]) == 0
@@ -410,12 +413,80 @@ def test_stages_skip_work_they_do_not_use(cli_run, monkeypatch, capsys):
         assert main(command + ["--config", cfg]) == 0
         fitted_per_command.append(len(fitted))
         fitted.clear()
-    assert solved == [] and trained == []
+    assert solved == [] and trained == [] and rendered == []
     assert len(loaded) == 3 * 2
     # evaluate fits both domains (PCA is on the grid); retrain fits only
     # the transform domain, and per_rho_on_z fits nothing
     assert fitted_per_command == [2, 1, 0]
     capsys.readouterr()
+
+
+def test_saved_corpus_is_bitwise_the_rendered_one(cli_run, monkeypatch):
+    cfg, out_dir = cli_run
+    config = load_config(cfg)
+    assert (out_dir / "dataset.json").exists()
+    rendered = counting(monkeypatch, pipeline, "synthetic_digits")
+    loaded = pipeline.load_or_build_dataset(config)
+    assert rendered == []
+    for got, want in zip(loaded, pipeline.build_dataset(config)):
+        assert got.images.values.dtype == want.images.values.dtype
+        assert got.images.values.tobytes() == want.images.values.tobytes()
+        assert got.labels.dtype == want.labels.dtype
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert (got.height, got.width) == (want.height, want.width)
+    assert len(rendered) == 2
+
+
+def test_corpus_of_other_settings_is_rendered_again(cli_run, tmp_path,
+                                                    monkeypatch, capsys):
+    cfg, out_dir = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy)
+    saved = {ext: (copy / ("dataset" + ext)).read_bytes()
+             for ext in (".json", ".bin")}
+    other_n_test = tmp_path / "n_test.json"
+    other_n_test.write_text(json.dumps(dict(
+        TINY, dataset=dict(TINY["dataset"], n_test=120))))
+    rendered = counting(monkeypatch, pipeline, "synthetic_digits")
+    for flags in (["--config", cfg, "--seed", "1"],
+                  ["--config", str(other_n_test)]):
+        assert main(["hz-test", "--out", str(copy)] + flags) == 0
+        assert len(rendered) == 2
+        rendered.clear()
+        for ext, content in saved.items():
+            assert (copy / ("dataset" + ext)).read_bytes() == content
+    capsys.readouterr()
+
+
+def test_damaged_corpus_exits_2(cli_run, tmp_path, monkeypatch, capsys):
+    cfg, out_dir = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy)
+    blob = copy / "dataset.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    rendered = counting(monkeypatch, pipeline, "synthetic_digits")
+    for command in (["evaluate"], ["hz-test"]):
+        assert main(command + ["--config", cfg, "--out", str(copy)]) == 2
+        assert str(copy / "dataset") in capsys.readouterr().err
+    assert rendered == []
+
+
+def test_output_dir_that_is_a_file_exits_2_before_work(tmp_path, monkeypatch,
+                                                       capsys):
+    cfg = tiny_config_file(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    rendered = counting(monkeypatch, pipeline, "synthetic_digits")
+    trained = counting(monkeypatch, pipeline, "train")
+    for command in (["train-base"], ["hz-test"]):
+        assert main(command + ["--config", cfg, "--out", str(taken)]) == 2
+        assert "not a directory" in capsys.readouterr().err
+    file_config = tmp_path / "file_config.json"
+    file_config.write_text(json.dumps(dict(TINY, output_dir=str(taken))))
+    assert main(["train-base", "--config", str(file_config)]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert rendered == [] and trained == []
+    assert taken.read_text() == "not a directory"
 
 
 def test_synth_check_passes(capsys):
@@ -475,6 +546,12 @@ def test_idx_files_feed_the_pipeline(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["total"] == 20
     assert (tmp_path / "out" / "hz_report.json").exists()
+    # IDX inputs are read from their files; train-base saves no corpus
+    assert main(["train-base", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "out" / "base_transform.bin").exists()
+    assert not (tmp_path / "out" / "dataset.json").exists()
+    assert not (tmp_path / "out" / "dataset.bin").exists()
 
     # a file with fewer images than n_train is refused before training
     # (it used to train on the 60 images and fail in the re-expander fit)

@@ -6,14 +6,15 @@ import re
 import numpy as np
 import pytest
 
+from oib.datasets import synthetic_digits
 from oib.errors import DataFormatError
 from oib.gib_compressor import Compressor, CompressorKind
 from oib.inference_net import TrainConfig, init_mlp
 from oib.reexpander import FitMethod, Reexpander
-from oib.serialization import (config_hash, load_compressor, load_model,
-                               load_reexpander, report_schema,
-                               save_compressor, save_model, save_reexpander,
-                               validate_report)
+from oib.serialization import (config_hash, load_compressor, load_corpus,
+                               load_model, load_reexpander, report_schema,
+                               save_compressor, save_corpus, save_model,
+                               save_reexpander, validate_report)
 
 
 def sample_report():
@@ -148,6 +149,34 @@ def test_load_rejects_corrupt_artifacts(tmp_path):
         np.array([np.nan], dtype="<f8").tobytes() + blob[8:])
     with pytest.raises(DataFormatError, match=re.escape(rx_stem)):
         load_reexpander(rx_stem)
+
+
+def test_corpus_round_trip_is_bit_exact_and_keyed(tmp_path):
+    train_set, test_set = synthetic_digits(7, 1, size=8), \
+        synthetic_digits(5, 2, size=8)
+    stem = str(tmp_path / "dataset")
+    assert load_corpus(stem, "k") is None
+    save_corpus(train_set, test_set, "k", stem)
+    manifest = json.loads((tmp_path / "dataset.json").read_text())
+    assert manifest == {"format": "corpus-v1", "n_train": 7, "n_test": 5,
+                        "height": 8, "width": 8, "key": "k"}
+    assert (tmp_path / "dataset.bin").stat().st_size == 12 * 64 * 8 + 12 * 8
+    loaded = load_corpus(stem, "k")
+    for got, want in zip(loaded, (train_set, test_set)):
+        assert got.images.values.tobytes() == want.images.values.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.labels.dtype == want.labels.dtype
+        assert (got.height, got.width) == (8, 8)
+    assert load_corpus(stem, "other") is None
+
+    blob = (tmp_path / "dataset.bin").read_bytes()
+    (tmp_path / "dataset.bin").write_bytes(
+        blob[:-8] + np.array([10], dtype="<i8").tobytes())
+    with pytest.raises(DataFormatError, match="label 10"):
+        load_corpus(stem, "k")
+    (tmp_path / "dataset.bin").write_bytes(blob[:-8])
+    with pytest.raises(DataFormatError, match="bytes"):
+        load_corpus(stem, "k")
 
 
 def test_config_hash_is_canonical():
