@@ -11,9 +11,10 @@ without any network, ``macs`` prints the complexity table, and
 and ``retrain`` load the compressors instead of re-solving the
 eigensystem.  ``train-base`` also saves the rendered digit corpus as
 ``dataset.json``/``dataset.bin``, keyed by the sizes, data seeds and image
-size it was rendered from; the later commands load it when the key is
-their config's and render the corpus again otherwise, writing nothing
-(IDX inputs are always read from their files).  The saved corpus is
+size it was rendered from, and the later commands load it.  ``train-base``
+and every command that reads the corpus refuse a saved corpus of another
+key before any work (IDX inputs are always read from their files, and a
+directory without a corpus renders it).  The saved corpus is
 bitwise the rendered one, so commands started in separate processes
 agree bitwise with ``run_experiment`` when they share the numpy/BLAS
 build, CPU kernel and BLAS thread count.  An output directory that exists
@@ -98,6 +99,7 @@ def _load_artifacts(result):
 
 
 def cmd_train_base(config):
+    pipeline.refuse_other_corpus(config)
     image_sets = build_dataset(config)
     result = pipeline.prepare(config, train_base_models, image_sets)
     pipeline.write_base_artifacts(result, config.output_dir)
@@ -125,7 +127,7 @@ def cmd_fit_oib(config):
 
 def cmd_evaluate(config):
     result = _load_artifacts(_prepare_stored(config))
-    fit_all_domains(config, result.domains, with_gib=False)
+    fit_all_domains(config, result.domains)
     pipeline.evaluate(result)
     pipeline.write_evaluation(result, config.output_dir)
     write_json({"report": os.path.join(config.output_dir, "report.json"),
@@ -147,7 +149,7 @@ def cmd_retrain(config, mode):
         payload = pipeline.write_retrain_report(mode, records,
                                                 config.output_dir)
     else:
-        fit_all_domains(config, result.domains, with_gib=False)
+        fit_all_domains(config, result.domains)
         pipeline.evaluate(result)
         result.average_head, result.per_rho_heads, \
             result.retrain_records = pipeline.retrain_heads(config, result)

@@ -207,6 +207,9 @@ def load_config(path):
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config file not found: %s" % path)
+    except OSError as exc:
+        raise ConfigError("cannot read config file %s: %s"
+                          % (path, exc.strerror))
     except json.JSONDecodeError as exc:
         raise ConfigError("config file %s is not valid JSON: %s"
                           % (path, exc))

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import (DimensionError, IdxCountMismatchError, IdxMagicError,
-                     IdxTruncatedError)
+from .errors import (ConfigError, DimensionError, IdxCountMismatchError,
+                     IdxMagicError, IdxTruncatedError)
 from .tensor_stats import DataMatrix, covariance_pair
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -61,7 +61,15 @@ class LabeledImageSet:
         return self.images.n_samples
 
 
-def _read_idx_header(raw, path, expected_magic, n_dims):
+def _read_idx(path, expected_magic, n_dims):
+    """The header dimensions and body of an IDX file; a file that cannot
+    be opened or read raises ConfigError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError("cannot read IDX file %s: %s"
+                          % (path, exc.strerror))
     header = 4 * (1 + n_dims)
     if len(raw) < header:
         raise IdxTruncatedError("%s: %d bytes is too short for an IDX "
@@ -75,20 +83,14 @@ def _read_idx_header(raw, path, expected_magic, n_dims):
 
 def load_idx(images_path, labels_path):
     """Load an IDX image/label file pair, scaling pixels to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        raw = fh.read()
-    (n, height, width), body = _read_idx_header(raw, images_path,
-                                                IDX_IMAGES_MAGIC, 3)
+    (n, height, width), body = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     if len(body) != n * height * width:
         raise IdxTruncatedError("%s: %d pixel bytes, expected %d"
                                 % (images_path, len(body),
                                    n * height * width))
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(n, height * width)
 
-    with open(labels_path, "rb") as fh:
-        raw = fh.read()
-    (n_labels,), body = _read_idx_header(raw, labels_path,
-                                         IDX_LABELS_MAGIC, 1)
+    (n_labels,), body = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if len(body) != n_labels:
         raise IdxTruncatedError("%s: %d label bytes, expected %d"
                                 % (labels_path, len(body), n_labels))

@@ -5,7 +5,8 @@ Stages, in dependency order:
 1. dataset: load IDX files or render the procedural digit corpus.  The
    staged commands render it once: ``write_corpus`` saves it next to the
    base networks, keyed by what ``build_dataset`` reads to render it, and
-   ``load_or_build_dataset`` loads it back when the key matches.
+   ``load_or_build_dataset`` loads it back.  A saved corpus of another
+   key is refused, never rendered around.
 2. features: orthonormal real-packed 2D-DFT alongside the raw pixels.
 3. base models: one network per domain (the transform domain carries the
    compression experiments; the raw domain exists so the PCA baseline and
@@ -17,10 +18,10 @@ Stages, in dependency order:
    the generalized eigensystem in the target's n_y canonical-correlation
    directions (256 by default, so OIB and CCA sizes stop there), and a
    least-squares re-expander per compressor onto the noiseless
-   pre-activations.  The raw domain is fitted only when PCA is
-   on the grid.  Each basis (the transform domain's GIB eigenvectors, the
-   raw domain's PCA eigenvectors) is solved once, and the compressor of
-   every (kind, n_z) is a row prefix of it.
+   pre-activations, for only the domains the grid's kinds run on.  Each
+   basis (the GIB eigenvectors for OIB and CCA, the raw domain's PCA
+   eigenvectors) is solved once, where the compressors are built, and
+   every (kind, n_z) compressor is a row prefix of it.
 5. evaluate: per (kind, n_z), accuracy through the frozen head, the exact
    Gaussian entropy of power-normalized stochastic encodings z + xi
    (computed from the sample covariance of z, drawing nothing), Gaussian
@@ -67,7 +68,7 @@ from .info_metrics import encoding_mi, gaussian_entropy
 from .reexpander import fit_ls, reexpand
 from .serialization import (config_hash, load_corpus, save_compressor,
                             save_corpus, save_model, save_reexpander,
-                            validate_report, write_json)
+                            saved_corpus_key, validate_report, write_json)
 from .tensor_stats import CovariancePair, covariance_pair, sample_covariance
 
 TRANSFORM = "transform"
@@ -99,7 +100,6 @@ class DomainData:
     cov: CovariancePair = None
     pre_train: np.ndarray = None
     pre_test: np.ndarray = None
-    gib: object = None
 
 
 @dataclass
@@ -222,14 +222,26 @@ def write_corpus(config, train_set, test_set):
                 corpus_stem(config.output_dir))
 
 
-def load_or_build_dataset(config):
-    """The corpus ``write_corpus`` saved in the output directory when its
-    key is the config's, else ``build_dataset(config)``.
+def refuse_other_corpus(config):
+    """Raise ConfigError when the output directory holds a corpus saved
+    for another key than the config's; IDX configs read no corpus."""
+    stem = corpus_stem(config.output_dir)
+    if not config.dataset.from_files and \
+            saved_corpus_key(stem) not in (None, corpus_key(config)):
+        raise ConfigError("%s holds a corpus rendered for other settings "
+                          "(sizes, data seeds or image size); use another "
+                          "--out" % stem)
 
-    A saved corpus of another key is ignored and left as it is; one of
-    the config's key that is damaged raises DataFormatError.  IDX configs
-    always read their files.
+
+def load_or_build_dataset(config):
+    """The corpus ``write_corpus`` saved in the output directory, else
+    ``build_dataset(config)`` when there is none.
+
+    A saved corpus of another key raises ConfigError, and one of the
+    config's key that is damaged DataFormatError; neither is touched.
+    IDX configs always read their files.
     """
+    refuse_other_corpus(config)
     if not config.dataset.from_files:
         stem = corpus_stem(config.output_dir)
         image_sets = load_corpus(stem, corpus_key(config))
@@ -282,12 +294,12 @@ def noise_floor(pre):
     return float(NOISE_FLOOR_SCALE * np.sqrt(np.mean(pre.var(axis=0))))
 
 
-def fit_domain(config, domain, targets_seed, with_gib):
-    """Pre-activations, covariance pair, and (optionally) the eigensystem.
+def fit_domain(config, domain, targets_seed=None, with_gib=None):
+    """Pre-activations and the covariance pair; no eigensystem.
 
-    Nothing here is random.  ``config`` and ``targets_seed`` are unread;
-    they, and ``SeedsConfig.targets_transform``, stay only because
-    ``perfbench/workloads.py`` passes them positionally.
+    Nothing here is random.  ``config``, ``targets_seed`` and ``with_gib``
+    are unread; they, and ``SeedsConfig.targets_transform``, stay only
+    because ``perfbench/workloads.py`` passes them.
     """
     w0 = domain.model.layers[0][0].astype(np.float64)
     b0 = domain.model.layers[0][1].astype(np.float64)
@@ -298,19 +310,7 @@ def fit_domain(config, domain, targets_seed, with_gib):
         domain.noise_lambda ** 2 * np.eye(w0.shape[0])
     domain.cov = covariance_pair(sigma_x, sigma_x @ w0.T, sigma_y)
     domain.pre_test = domain.x_test @ w0.T + b0
-    if with_gib:
-        domain.gib = solve_gib(domain.cov)
     return domain
-
-
-def fit_all_domains(config, domains, with_gib=True):
-    """Pre-activations and covariances of the transform domain, and of the
-    raw domain when PCA is on the grid; the transform domain's eigensystem
-    too when ``with_gib`` (compressors loaded from disk do not need it)."""
-    fit_domain(config, domains[TRANSFORM], None, with_gib=with_gib)
-    if "pca" in config.compressor_kinds:
-        fit_domain(config, domains[RAW], None, with_gib=False)
-    return domains
 
 
 def domain_for_kind(kind):
@@ -318,17 +318,28 @@ def domain_for_kind(kind):
     return RAW if kind == "pca" else TRANSFORM
 
 
+def fit_all_domains(config, domains):
+    """Fit each domain the grid's kinds run on, the transform one first."""
+    used = {domain_for_kind(kind) for kind in config.compressor_kinds}
+    for name in (TRANSFORM, RAW):
+        if name in used:
+            fit_domain(config, domains[name])
+    return domains
+
+
 def build_compressors(config, domains):
-    """Every (kind, n_z) compressor, each a row prefix of its kind's basis."""
-    basis = pca_basis(domains[RAW].cov.sigma_x) \
-        if "pca" in config.compressor_kinds else None
+    """Every (kind, n_z) compressor, each a row prefix of its kind's basis;
+    a basis is solved only when a kind on the grid reads it."""
+    used = {domain_for_kind(kind) for kind in config.compressor_kinds}
+    gib = solve_gib(domains[TRANSFORM].cov) if TRANSFORM in used else None
+    basis = pca_basis(domains[RAW].cov.sigma_x) if RAW in used else None
     compressors = {}
     for n_z in config.n_z_grid:
         for kind in config.compressor_kinds:
             if kind == "oib":
-                comp = compressor_at_size(domains[TRANSFORM].gib, n_z)
+                comp = compressor_at_size(gib, n_z)
             elif kind == "cca":
-                comp = cca_compressor(domains[TRANSFORM].gib, n_z)
+                comp = cca_compressor(gib, n_z)
             else:
                 comp = pca_compressor(basis, n_z)
             compressors[(kind, n_z)] = comp
@@ -501,7 +512,7 @@ def prepare(config, base_models, image_sets=None):
 
 
 def fit(result):
-    """Stage 4: the eigensystem, every compressor and its re-expander."""
+    """Stage 4: the covariances, every compressor and its re-expander."""
     config, domains = result.config, result.domains
     fit_all_domains(config, domains)
     result.compressors = build_compressors(config, domains)

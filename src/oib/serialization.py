@@ -177,15 +177,22 @@ def save_corpus(train_set, test_set, key, stem):
                   for s in (train_set, test_set)))
 
 
+def saved_corpus_key(stem):
+    """The key in the corpus manifest at ``stem``, or None when there is
+    no manifest."""
+    if not os.path.exists(str(stem) + ".json"):
+        return None
+    with _artifact(stem, "corpus-v1") as (manifest, _):
+        return manifest["key"]
+
+
 def load_corpus(stem, key):
     """The train and test LabeledImageSets saved at ``stem``, or None when
     there is no manifest or it holds another key than ``key``.  Labels
     outside the digit classes count as damage."""
-    if not os.path.exists(str(stem) + ".json"):
+    if saved_corpus_key(stem) != key:
         return None
     with _artifact(stem, "corpus-v1") as (manifest, blob):
-        if manifest["key"] != key:
-            return None
         n_train, n_test = manifest["n_train"], manifest["n_test"]
         height, width = manifest["height"], manifest["width"]
         x_train, x_test, y_train, y_test = _read_arrays(stem, blob, [

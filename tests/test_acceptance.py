@@ -359,7 +359,7 @@ def test_oib_accuracy_dominates_pca(experiment):
 def test_oib_at_least_cca_at_matched_entropy(experiment):
     result, _ = experiment
     oib = _by_kind(result, "oib")
-    sol = result.transform.gib
+    sol = solve_gib(result.transform.cov)
     violations = []
     for n_z in result.config.n_z_grid:
         # smallest CCA size whose power-normalized entropy can reach the

@@ -175,6 +175,9 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{broken")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(str(bad))
+    with pytest.raises(ConfigError, match="cannot read config file %s"
+                       % tmp_path):
+        load_config(str(tmp_path))
 
 
 def test_apply_overrides():
@@ -266,6 +269,30 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["train-base", "--config", wide]) == 2
     assert "informative" in capsys.readouterr().err
     assert not (wide_dir / "out").exists()
+    # input paths that are directories
+    assert main(["macs", "--config", str(tmp_path)]) == 2
+    assert "cannot read config file %s" % tmp_path in capsys.readouterr().err
+    idx_dir = tmp_path / "idx"
+    idx_dir.mkdir()
+    folders = tiny_config_file(idx_dir, dataset=dict(
+        TINY["dataset"], **{split + part: str(idx_dir)
+                            for split in ("train", "test")
+                            for part in ("_images", "_labels")}))
+    assert main(["hz-test", "--config", folders]) == 2
+    assert "cannot read IDX file %s" % idx_dir in capsys.readouterr().err
+    assert not (idx_dir / "out").exists()
+
+
+def test_top_level_names_are_those_of_their_modules():
+    import oib
+    from oib import config, datasets, gib_compressor, info_metrics
+    modules = {"ExperimentConfig": config, "run_experiment": pipeline,
+               "SyntheticGaussianSpec": datasets, "synth_gaussian": datasets,
+               "solve_gib": gib_compressor,
+               "compressor_at_size": gib_compressor,
+               "encode": gib_compressor, "encoding_mi": info_metrics}
+    for name, module in modules.items():
+        assert getattr(oib, name) is getattr(module, name), name
 
 
 def test_cli_module_invocation_exit_code():
@@ -437,25 +464,33 @@ def test_saved_corpus_is_bitwise_the_rendered_one(cli_run, monkeypatch):
     assert len(rendered) == 2
 
 
-def test_corpus_of_other_settings_is_rendered_again(cli_run, tmp_path,
-                                                    monkeypatch, capsys):
+def _files(root):
+    """Bytes and modification time of every file under ``root``."""
+    return {path.relative_to(root): (path.read_bytes(),
+                                     path.stat().st_mtime_ns)
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_corpus_of_other_settings_is_refused(cli_run, tmp_path, monkeypatch,
+                                             capsys):
     cfg, out_dir = cli_run
     copy = tmp_path / "out"
     shutil.copytree(out_dir, copy)
-    saved = {ext: (copy / ("dataset" + ext)).read_bytes()
-             for ext in (".json", ".bin")}
+    saved = _files(copy)
     other_n_test = tmp_path / "n_test.json"
     other_n_test.write_text(json.dumps(dict(
         TINY, dataset=dict(TINY["dataset"], n_test=120))))
     rendered = counting(monkeypatch, pipeline, "synthetic_digits")
-    for flags in (["--config", cfg, "--seed", "1"],
-                  ["--config", str(other_n_test)]):
-        assert main(["hz-test", "--out", str(copy)] + flags) == 0
-        assert len(rendered) == 2
-        rendered.clear()
-        for ext, content in saved.items():
-            assert (copy / ("dataset" + ext)).read_bytes() == content
-    capsys.readouterr()
+    trained = counting(monkeypatch, pipeline, "train")
+    for command in (["hz-test", "--config", cfg, "--seed", "1"],
+                    ["hz-test", "--config", str(other_n_test)],
+                    ["evaluate", "--config", cfg, "--seed", "1"],
+                    ["train-base", "--config", cfg, "--seed", "1"]):
+        assert main(command + ["--out", str(copy)]) == 2, command
+        err = capsys.readouterr().err
+        assert str(copy / "dataset") in err and "--out" in err
+    assert rendered == [] and trained == []
+    assert _files(copy) == saved
 
 
 def test_damaged_corpus_exits_2(cli_run, tmp_path, monkeypatch, capsys):
@@ -622,6 +657,43 @@ def tiny_fit():
         patch.setattr(np.random, "default_rng", counted)
         pipeline.evaluate(pipeline.fit(result))
     return result, generators
+
+
+def _unfitted(domains):
+    return {name: pipeline.DomainData(name=name, x_train=d.x_train,
+                                      x_test=d.x_test, model=d.model,
+                                      losses=d.losses)
+            for name, d in domains.items()}
+
+
+def test_fitting_the_domains_solves_no_eigensystem(tiny_fit, monkeypatch):
+    result, _ = tiny_fit
+    domains = _unfitted(result.domains)
+    solved = counting(monkeypatch, pipeline, "solve_gib")
+    pipeline.fit_all_domains(result.config, domains)
+    assert solved == []
+    for name, domain in domains.items():
+        fitted = result.domains[name]
+        assert np.array_equal(domain.cov.sigma_x, fitted.cov.sigma_x)
+        assert np.array_equal(domain.pre_test, fitted.pre_test)
+
+
+def test_pca_only_grid_fits_only_the_raw_domain(tiny_fit, monkeypatch):
+    result, _ = tiny_fit
+    config = dataclasses.replace(result.config, compressor_kinds=["pca"])
+    pca_only = dataclasses.replace(result, config=config,
+                                   domains=_unfitted(result.domains))
+    solved = counting(monkeypatch, pipeline, "solve_gib")
+    fitted = counting(monkeypatch, pipeline, "fit_domain")
+    pipeline.fit(pca_only)
+    assert solved == [] and len(fitted) == 1
+    assert pca_only.transform.cov is None
+    assert pca_only.transform.pre_train is None
+    assert np.array_equal(pca_only.raw.pre_train, result.raw.pre_train)
+    assert sorted(pca_only.compressors) == [("pca", n_z)
+                                            for n_z in config.n_z_grid]
+    for key, comp in pca_only.compressors.items():
+        assert np.array_equal(comp.matrix_a, result.compressors[key].matrix_a)
 
 
 def test_fit_and_evaluate_draw_no_random_numbers(tiny_fit):

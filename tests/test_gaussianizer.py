@@ -1,8 +1,13 @@
 """Real-packed orthonormal 2D-DFT and Henze-Zirkler normality test."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import oib
 from oib.errors import DimensionError, NumericalError
 from oib.gaussianizer import RealDft2dPlan, forward, henze_zirkler, inverse
 
@@ -173,6 +178,45 @@ def test_hz_accepts_gaussian_and_rejects_lognormal():
     res_s = henze_zirkler(skewed)
     assert not res_s.normal
     assert res_s.p_value < 1e-6
+
+
+def hz_p_reference(n, d, hz):
+    """The log-normal p-value of ``hz`` through scipy.stats.lognorm."""
+    from scipy.stats import lognorm
+    b = ((n * (2.0 * d + 1.0) / 4.0) ** (1.0 / (d + 4.0))) / np.sqrt(2.0)
+    b2 = b * b
+    a = 1.0 + 2.0 * b2
+    wb = (1.0 + b2) * (1.0 + 3.0 * b2)
+    mu = 1.0 - a ** (-d / 2.0) * (1.0 + d * b2 / a
+                                  + d * (d + 2.0) * b2 ** 2 / (2.0 * a * a))
+    si2 = (2.0 * (1.0 + 4.0 * b2) ** (-d / 2.0)
+           + 2.0 * a ** (-d) * (1.0 + 2.0 * d * b2 ** 2 / a ** 2
+                                + 3.0 * d * (d + 2.0) * b2 ** 4 / (4.0 * a ** 4))
+           - 4.0 * wb ** (-d / 2.0) * (1.0 + 3.0 * d * b2 ** 2 / (2.0 * wb)
+                                       + d * (d + 2.0) * b2 ** 4 / (2.0 * wb ** 2)))
+    pmu = np.log(np.sqrt(mu ** 4 / (si2 + mu * mu)))
+    psi = np.sqrt(np.log1p(si2 / (mu * mu)))
+    return float(lognorm.sf(hz, psi, scale=np.exp(pmu)))
+
+
+@pytest.mark.parametrize("n, d", [(11, 10), (40, 2), (200, 10), (500, 3),
+                                  (2000, 10)])
+def test_hz_p_value_is_bitwise_scipys_lognormal(n, d):
+    rng = np.random.default_rng(n + d)
+    for sample in (rng.standard_normal((n, d)),
+                   np.exp(rng.standard_normal((n, d))),
+                   rng.random((n, d)) ** 3):
+        res = henze_zirkler(sample)
+        assert res.p_value == hz_p_reference(n, d, res.statistic)
+
+
+def test_import_oib_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(oib.__file__))
+    code = "import sys, oib; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_hz_is_affine_invariant():

@@ -218,7 +218,7 @@ def test_compressor_validates_shape_and_noise():
 
 
 def _grid_domains(cov):
-    return {pipeline.TRANSFORM: SimpleNamespace(gib=solve_gib(cov)),
+    return {pipeline.TRANSFORM: SimpleNamespace(cov=cov),
             pipeline.RAW: SimpleNamespace(cov=cov)}
 
 
@@ -244,9 +244,28 @@ def test_build_compressors_solves_pca_basis_once(monkeypatch):
         assert comp.kind is CompressorKind.PCA
         assert np.array_equal(comp.matrix_a, basis[:n_z])
         assert np.array_equal(compressors[("cca", n_z)].matrix_a,
-                              domains[pipeline.TRANSFORM].gib.eigen
-                              .left_eigenvectors[:n_z])
+                              solve_gib(cov).eigen.left_eigenvectors[:n_z])
     assert len(compressors) == 3 * len(config.n_z_grid)
+
+
+def test_build_compressors_solves_the_gib_once_when_a_kind_reads_it(
+        monkeypatch):
+    cov, _ = exact_pair(12)
+    domains = _grid_domains(cov)
+    calls = []
+    solve = pipeline.solve_gib
+
+    def counted(pair):
+        calls.append(pair)
+        return solve(pair)
+    monkeypatch.setattr(pipeline, "solve_gib", counted)
+    for kinds, solved in ((["oib", "cca", "pca"], 1), (["oib"], 1),
+                          (["cca"], 1), (["pca"], 0)):
+        calls.clear()
+        config = SimpleNamespace(n_z_grid=[1, 2, 3], compressor_kinds=kinds)
+        pipeline.build_compressors(config, domains)
+        assert len(calls) == solved, kinds
+        assert all(pair is cov for pair in calls)
 
 
 def test_build_compressors_without_pca_leaves_raw_domain_alone():
