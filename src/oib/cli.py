@@ -8,17 +8,18 @@ per-size heads (``per_rho_head``) or trains one classifier per size on the
 codes themselves (``per_rho_on_z``), ``hz-test`` compares domain normality
 without any network, ``macs`` prints the complexity table, and
 ``synth-check`` runs the synthetic-Gaussian oracle suites.  ``evaluate``
-and ``retrain`` load the compressors instead of re-solving the
-eigensystem.  ``train-base`` also saves the rendered digit corpus as
-``dataset.json``/``dataset.bin``, keyed by the sizes, data seeds and image
-size it was rendered from, and the later commands load it.  ``train-base``
-and every command that reads the corpus refuse a saved corpus of another
-key before any work (IDX inputs are always read from their files, and a
-directory without a corpus renders it).  The saved corpus is
-bitwise the rendered one, so commands started in separate processes
-agree bitwise with ``run_experiment`` when they share the numpy/BLAS
-build, CPU kernel and BLAS thread count.  An output directory that exists
-as a regular file is refused before any work.
+and ``retrain`` load the compressors instead of re-solving the eigensystem.
+Every command that reads the digit corpus follows one rule, decided by one
+read of ``dataset.json``: it renders the corpus when the output directory
+holds none (IDX inputs are always read from their files), loads it when its
+key (the sizes, data seeds and image size it was rendered from) matches,
+and refuses one of another key before any work.  ``train-base`` saves
+``dataset.json``/``dataset.bin`` only when it rendered them.  The saved
+corpus is bitwise the rendered one, so commands started in separate
+processes agree bitwise with ``run_experiment`` when they share the
+numpy/BLAS build, CPU kernel and BLAS thread count.  Base checkpoints of
+other layer sizes than the config's, and an output directory that exists as
+a regular file, are refused before any work.
 
 Exit codes: 0 success, 2 configuration, input-file or damaged-artifact
 problems, 3 numerical failures.
@@ -68,15 +69,20 @@ def _load_base_models(config, features, train_labels):
         if not os.path.exists(stem + ".json"):
             raise ConfigError("missing base checkpoint %s.json; run "
                               "train-base first" % stem)
+        model, sizes = load_model(stem), list(config.model_layer_sizes)
+        if model.layer_sizes != sizes:
+            raise ConfigError("base checkpoint %s has layer sizes %s, not "
+                              "the config's %s; rerun train-base"
+                              % (stem, model.layer_sizes, sizes))
         domains[name] = DomainData(name=name, x_train=x_tr, x_test=x_te,
-                                   model=load_model(stem), losses=[])
+                                   model=model, losses=[])
     return domains
 
 
 def _prepare_stored(config):
     """Stages 1-3 from what ``train-base`` saved in the output directory."""
     return pipeline.prepare(config, _load_base_models,
-                            pipeline.load_or_build_dataset(config))
+                            pipeline.saved_corpus(config))
 
 
 def _load_artifacts(result):
@@ -99,11 +105,11 @@ def _load_artifacts(result):
 
 
 def cmd_train_base(config):
-    pipeline.refuse_other_corpus(config)
-    image_sets = build_dataset(config)
+    saved = pipeline.saved_corpus(config)
+    image_sets = saved or build_dataset(config)
     result = pipeline.prepare(config, train_base_models, image_sets)
     pipeline.write_base_artifacts(result, config.output_dir)
-    if not config.dataset.from_files:
+    if saved is None and not config.dataset.from_files:
         pipeline.write_corpus(config, *image_sets)
     write_json({"output_dir": config.output_dir,
                 "baseline": pipeline.baseline_accuracies(result),
@@ -145,7 +151,7 @@ def cmd_retrain(config, mode):
         os.makedirs(heads_dir, exist_ok=True)
         for n_z, head in heads.items():
             save_model(head, os.path.join(heads_dir, "bank_%03d" % n_z),
-                       seed=config.seeds.head_per_rho_base + n_z)
+                       seed=pipeline.head_seed(config, n_z))
         payload = pipeline.write_retrain_report(mode, records,
                                                 config.output_dir)
     else:
@@ -159,7 +165,8 @@ def cmd_retrain(config, mode):
 
 
 def cmd_hz_test(config):
-    train_set, test_set = pipeline.load_or_build_dataset(config)
+    train_set, test_set = pipeline.saved_corpus(config) or \
+        build_dataset(config)
     _, features = domain_features(config, train_set, test_set)
     records = pipeline.hz_compare(config, features[RAW][1],
                                   features[TRANSFORM][1])

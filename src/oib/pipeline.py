@@ -5,8 +5,9 @@ Stages, in dependency order:
 1. dataset: load IDX files or render the procedural digit corpus.  The
    staged commands render it once: ``write_corpus`` saves it next to the
    base networks, keyed by what ``build_dataset`` reads to render it, and
-   ``load_or_build_dataset`` loads it back.  A saved corpus of another
-   key is refused, never rendered around.
+   every command, ``train-base`` included, gets it from ``saved_corpus``
+   when the key matches and renders only when there is none.  A saved
+   corpus of another key is refused, never rendered around.
 2. features: orthonormal real-packed 2D-DFT alongside the raw pixels.
 3. base models: one network per domain (the transform domain carries the
    compression experiments; the raw domain exists so the PCA baseline and
@@ -68,7 +69,7 @@ from .info_metrics import encoding_mi, gaussian_entropy
 from .reexpander import fit_ls, reexpand
 from .serialization import (config_hash, load_corpus, save_compressor,
                             save_corpus, save_model, save_reexpander,
-                            saved_corpus_key, validate_report, write_json)
+                            validate_report, write_json)
 from .tensor_stats import CovariancePair, covariance_pair, sample_covariance
 
 TRANSFORM = "transform"
@@ -222,40 +223,27 @@ def write_corpus(config, train_set, test_set):
                 corpus_stem(config.output_dir))
 
 
-def refuse_other_corpus(config):
-    """Raise ConfigError when the output directory holds a corpus saved
-    for another key than the config's; IDX configs read no corpus."""
-    stem = corpus_stem(config.output_dir)
-    if not config.dataset.from_files and \
-            saved_corpus_key(stem) not in (None, corpus_key(config)):
-        raise ConfigError("%s holds a corpus rendered for other settings "
-                          "(sizes, data seeds or image size); use another "
-                          "--out" % stem)
+def saved_corpus(config):
+    """The (train, test) corpus ``write_corpus`` saved in the output
+    directory, or None when there is none or the config reads IDX files.
 
-
-def load_or_build_dataset(config):
-    """The corpus ``write_corpus`` saved in the output directory, else
-    ``build_dataset(config)`` when there is none.
-
-    A saved corpus of another key raises ConfigError, and one of the
-    config's key that is damaged DataFormatError; neither is touched.
-    IDX configs always read their files.
+    One read of the manifest decides: a corpus of another key raises
+    ConfigError before its blob is read, and a damaged one of the config's
+    key DataFormatError; neither is touched.
     """
-    refuse_other_corpus(config)
-    if not config.dataset.from_files:
-        stem = corpus_stem(config.output_dir)
-        image_sets = load_corpus(stem, corpus_key(config))
-        if image_sets is not None:
-            n_x = config.model_layer_sizes[0]
-            expected = [(config.dataset.n_train, n_x),
-                        (config.dataset.n_test, n_x)]
-            shapes = [s.images.values.shape for s in image_sets]
-            if shapes != expected:
-                raise DataFormatError("damaged artifact %s: images of "
-                                      "shapes %s, expected %s"
-                                      % (stem, shapes, expected))
-            return _check_labels(config, *image_sets)
-    return build_dataset(config)
+    if config.dataset.from_files:
+        return None
+    stem = corpus_stem(config.output_dir)
+    image_sets = load_corpus(stem, corpus_key(config))
+    if image_sets is None:
+        return None
+    n_x = config.model_layer_sizes[0]
+    expected = [(config.dataset.n_train, n_x), (config.dataset.n_test, n_x)]
+    shapes = [s.images.values.shape for s in image_sets]
+    if shapes != expected:
+        raise DataFormatError("damaged artifact %s: images of shapes %s, "
+                              "expected %s" % (stem, shapes, expected))
+    return _check_labels(config, *image_sets)
 
 
 def domain_features(config, train_set, test_set):
@@ -286,6 +274,11 @@ def train_base_models(config, features, train_labels):
         domains[name] = DomainData(name=name, x_train=x_tr, x_test=x_te,
                                    model=model, losses=losses)
     return domains
+
+
+def head_seed(config, n_z):
+    """The seed of the head trained or fine-tuned for size ``n_z``."""
+    return config.seeds.head_per_rho_base + n_z
 
 
 def noise_floor(pre):
@@ -437,7 +430,7 @@ def retrain_heads(config, result):
     for n_z in config.n_z_grid:
         ft_cfg = TrainConfig(epochs=rt.finetune_epochs,
                              learning_rate=FINETUNE_LEARNING_RATE,
-                             seed=config.seeds.head_per_rho_base + n_z,
+                             seed=head_seed(config, n_z),
                              val_fraction=FINETUNE_VAL_FRACTION)
         head = finetune_head(average_head,
                              result.reconstructions_train[n_z], labels_tr,
@@ -467,7 +460,7 @@ def retrain_bank(config, result):
         z_test = encode(comp, result.transform.x_test)
         sizes = [n_z] + list(config.model_layer_sizes[2:])
         cfg = replace(base_train_config(config),
-                      seed=config.seeds.head_per_rho_base + n_z)
+                      seed=head_seed(config, n_z))
         head = train_head_on_z(z_train, result.train_labels, sizes, cfg)
         heads[n_z] = head
         records.append({"n_z": n_z,
@@ -497,7 +490,7 @@ def hz_compare(config, x_raw, x_tf):
 def prepare(config, base_models, image_sets=None):
     """Stages 1-3: the dataset, both domains' features and base networks.
 
-    ``image_sets`` is the (train, test) pair, by default
+    ``image_sets`` is the (train, test) pair; when it is None,
     ``build_dataset(config)``.  ``base_models(config, features,
     train_labels)`` returns one DomainData per domain:
     ``train_base_models`` trains them, the CLI loads the checkpoints
@@ -646,7 +639,7 @@ def write_retrain_artifacts(result, out_dir):
                seed=result.config.seeds.head_average)
     for n_z, head in result.per_rho_heads.items():
         save_model(head, os.path.join(heads_dir, "per_rho_%03d" % n_z),
-                   seed=result.config.seeds.head_per_rho_base + n_z)
+                   seed=head_seed(result.config, n_z))
     return write_retrain_report(
         "per_rho_head", [asdict(r) for r in result.retrain_records], out_dir)
 

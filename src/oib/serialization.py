@@ -12,7 +12,7 @@ loaded object rejects.
 
 A rendered digit corpus is an artifact too (``corpus-v1``): train and
 test pixels, then train and test labels, with the key of the settings it
-was rendered from.
+was rendered from; loading it for another key raises ConfigError.
 
 Evaluation reports are plain JSON validated against the packaged schema,
 and configs hash to a stable SHA-256 over their canonical JSON form.
@@ -30,7 +30,7 @@ import jsonschema
 import numpy as np
 
 from .datasets import DIGIT_CLASSES, LabeledImageSet
-from .errors import DataFormatError, DimensionError
+from .errors import ConfigError, DataFormatError, DimensionError
 from .gib_compressor import Compressor, CompressorKind
 from .inference_net import MlpModel
 from .reexpander import FitMethod, Reexpander
@@ -177,22 +177,18 @@ def save_corpus(train_set, test_set, key, stem):
                   for s in (train_set, test_set)))
 
 
-def saved_corpus_key(stem):
-    """The key in the corpus manifest at ``stem``, or None when there is
-    no manifest."""
-    if not os.path.exists(str(stem) + ".json"):
-        return None
-    with _artifact(stem, "corpus-v1") as (manifest, _):
-        return manifest["key"]
-
-
 def load_corpus(stem, key):
     """The train and test LabeledImageSets saved at ``stem``, or None when
-    there is no manifest or it holds another key than ``key``.  Labels
-    outside the digit classes count as damage."""
-    if saved_corpus_key(stem) != key:
+    there is no manifest.  A manifest of another key than ``key`` raises
+    ConfigError before the blob is read; labels outside the digit classes
+    count as damage."""
+    if not os.path.exists(str(stem) + ".json"):
         return None
     with _artifact(stem, "corpus-v1") as (manifest, blob):
+        if manifest["key"] != key:
+            raise ConfigError("%s holds a corpus rendered for other "
+                              "settings (sizes, data seeds or image size); "
+                              "use another --out" % stem)
         n_train, n_test = manifest["n_train"], manifest["n_test"]
         height, width = manifest["height"], manifest["width"]
         x_train, x_test, y_train, y_test = _read_arrays(stem, blob, [

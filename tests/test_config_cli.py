@@ -453,7 +453,7 @@ def test_saved_corpus_is_bitwise_the_rendered_one(cli_run, monkeypatch):
     config = load_config(cfg)
     assert (out_dir / "dataset.json").exists()
     rendered = counting(monkeypatch, pipeline, "synthetic_digits")
-    loaded = pipeline.load_or_build_dataset(config)
+    loaded = pipeline.saved_corpus(config)
     assert rendered == []
     for got, want in zip(loaded, pipeline.build_dataset(config)):
         assert got.images.values.dtype == want.images.values.dtype
@@ -499,11 +499,52 @@ def test_damaged_corpus_exits_2(cli_run, tmp_path, monkeypatch, capsys):
     shutil.copytree(out_dir, copy)
     blob = copy / "dataset.bin"
     blob.write_bytes(blob.read_bytes()[:-8])
+    damaged = blob.read_bytes()
     rendered = counting(monkeypatch, pipeline, "synthetic_digits")
-    for command in (["evaluate"], ["hz-test"]):
+    for command in (["evaluate"], ["hz-test"], ["train-base"]):
         assert main(command + ["--config", cfg, "--out", str(copy)]) == 2
         assert str(copy / "dataset") in capsys.readouterr().err
     assert rendered == []
+    # train-base no longer renders over a damaged corpus of its own key
+    assert blob.read_bytes() == damaged
+
+
+def test_train_base_reuses_a_matching_corpus(cli_run, tmp_path, monkeypatch,
+                                             capsys):
+    cfg, out_dir = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy)
+    corpus = {name: files for name, files in _files(copy).items()
+              if name.stem == "dataset"}
+    assert len(corpus) == 2
+    rendered = counting(monkeypatch, pipeline, "synthetic_digits")
+    for _ in range(2):
+        assert main(["train-base", "--config", cfg, "--out", str(copy)]) == 0
+    capsys.readouterr()
+    assert rendered == []
+    after = _files(copy)
+    assert {name: after[name] for name in corpus} == corpus
+    # the loaded corpus is bitwise the rendered one, so are the networks
+    for name in ("base_transform.bin", "base_raw.bin"):
+        assert (copy / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+def test_base_checkpoint_of_other_layer_sizes_exits_2(cli_run, tmp_path,
+                                                      monkeypatch, capsys):
+    cfg, out_dir = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy)
+    saved = _files(copy)
+    narrow = tmp_path / "narrow.json"
+    narrow.write_text(json.dumps(dict(TINY, model_layer_sizes=[784, 32, 10])))
+    fitted = counting(monkeypatch, pipeline, "fit_domain")
+    for command in (["fit-oib"], ["evaluate"], ["retrain"]):
+        assert main(command + ["--config", str(narrow),
+                               "--out", str(copy)]) == 2, command
+        err = capsys.readouterr().err
+        assert str(copy / "base_transform") in err and "train-base" in err
+    assert fitted == []
+    assert _files(copy) == saved
 
 
 def test_output_dir_that_is_a_file_exits_2_before_work(tmp_path, monkeypatch,

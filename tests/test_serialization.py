@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oib.datasets import synthetic_digits
-from oib.errors import DataFormatError
+from oib.errors import ConfigError, DataFormatError
 from oib.gib_compressor import Compressor, CompressorKind
 from oib.inference_net import TrainConfig, init_mlp
 from oib.reexpander import FitMethod, Reexpander
@@ -167,7 +167,8 @@ def test_corpus_round_trip_is_bit_exact_and_keyed(tmp_path):
         assert got.labels.tobytes() == want.labels.tobytes()
         assert got.labels.dtype == want.labels.dtype
         assert (got.height, got.width) == (8, 8)
-    assert load_corpus(stem, "other") is None
+    with pytest.raises(ConfigError, match=re.escape(stem)):
+        load_corpus(stem, "other")
 
     blob = (tmp_path / "dataset.bin").read_bytes()
     (tmp_path / "dataset.bin").write_bytes(
