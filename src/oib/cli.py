@@ -9,17 +9,17 @@ codes themselves (``per_rho_on_z``), ``hz-test`` compares domain normality
 without any network, ``macs`` prints the complexity table, and
 ``synth-check`` runs the synthetic-Gaussian oracle suites.  ``evaluate``
 and ``retrain`` load the compressors instead of re-solving the eigensystem.
-Every command that reads the digit corpus follows one rule, decided by one
-read of ``dataset.json``: it renders the corpus when the output directory
-holds none (IDX inputs are always read from their files), loads it when its
-key (the sizes, data seeds and image size it was rendered from) matches,
-and refuses one of another key before any work.  ``train-base`` saves
+Every artifact a command reads from the output directory follows one rule:
+its manifest's key must be the one the config gives (``corpus_key`` for the
+digit corpus, ``model_key`` for base checkpoints, compressors and
+re-expanders), or the command exits 2 naming it before any work that
+depends on it.  The one exception is a missing corpus, which is rendered
+(IDX inputs are always read from their files); ``train-base`` saves
 ``dataset.json``/``dataset.bin`` only when it rendered them.  The saved
 corpus is bitwise the rendered one, so commands started in separate
 processes agree bitwise with ``run_experiment`` when they share the
-numpy/BLAS build, CPU kernel and BLAS thread count.  Base checkpoints of
-other layer sizes than the config's, and an output directory that exists as
-a regular file, are refused before any work.
+numpy/BLAS build, CPU kernel and BLAS thread count.  An output directory
+that exists as a regular file is refused before any work.
 
 Exit codes: 0 success, 2 configuration, input-file or damaged-artifact
 problems, 3 numerical failures.
@@ -37,7 +37,7 @@ from .complexity_model import (macs_rows, macs_table, network_macs,
                                saving_baseline)
 from .config import ExperimentConfig, apply_overrides, load_config
 from .datasets import SyntheticGaussianSpec, synth_gaussian
-from .errors import ConfigError, DataFormatError, NumericalError, OibError
+from .errors import ConfigError, NumericalError, OibError
 from .gib_compressor import (cca_compressor, compressor_at_beta,
                              compressor_at_size, solve_gib)
 from .info_metrics import (gaussian_entropy, mi_loading_invariance_check,
@@ -63,20 +63,11 @@ def _resolve_config(args):
 
 def _load_base_models(config, features, train_labels):
     """The base networks ``train-base`` wrote, around both domains' data."""
-    domains = {}
-    for name, (x_tr, x_te) in features.items():
-        stem = pipeline.base_stem(config.output_dir, name)
-        if not os.path.exists(stem + ".json"):
-            raise ConfigError("missing base checkpoint %s.json; run "
-                              "train-base first" % stem)
-        model, sizes = load_model(stem), list(config.model_layer_sizes)
-        if model.layer_sizes != sizes:
-            raise ConfigError("base checkpoint %s has layer sizes %s, not "
-                              "the config's %s; rerun train-base"
-                              % (stem, model.layer_sizes, sizes))
-        domains[name] = DomainData(name=name, x_train=x_tr, x_test=x_te,
-                                   model=model, losses=[])
-    return domains
+    key = pipeline.model_key(config)
+    return {name: DomainData(
+        name=name, x_train=x_tr, x_test=x_te, losses=[],
+        model=load_model(pipeline.base_stem(config.output_dir, name), key))
+        for name, (x_tr, x_te) in features.items()}
 
 
 def _prepare_stored(config):
@@ -87,20 +78,14 @@ def _prepare_stored(config):
 
 def _load_artifacts(result):
     """The compressors and re-expanders ``fit-oib`` wrote for the grid."""
-    config = result.config
+    config, key = result.config, pipeline.model_key(result.config)
     result.compressors, result.reexpanders = {}, {}
     for n_z in config.n_z_grid:
         for kind in config.compressor_kinds:
-            comp_stem = artifact_stem(config.output_dir, "compressors",
-                                      kind, n_z)
-            rx_stem = artifact_stem(config.output_dir, "reexpanders", kind,
-                                    n_z)
-            for stem in (comp_stem, rx_stem):
-                if not os.path.exists(stem + ".json"):
-                    raise ConfigError("missing artifact %s.json; run "
-                                      "fit-oib first" % stem)
-            result.compressors[(kind, n_z)] = load_compressor(comp_stem)
-            result.reexpanders[(kind, n_z)] = load_reexpander(rx_stem)
+            result.compressors[(kind, n_z)] = load_compressor(artifact_stem(
+                config.output_dir, "compressors", kind, n_z), key)
+            result.reexpanders[(kind, n_z)] = load_reexpander(artifact_stem(
+                config.output_dir, "reexpanders", kind, n_z), key)
     return result
 
 
@@ -108,11 +93,11 @@ def cmd_train_base(config):
     saved = pipeline.saved_corpus(config)
     image_sets = saved or build_dataset(config)
     result = pipeline.prepare(config, train_base_models, image_sets)
-    pipeline.write_base_artifacts(result, config.output_dir)
+    trace = pipeline.write_base_artifacts(result, config.output_dir)
     if saved is None and not config.dataset.from_files:
         pipeline.write_corpus(config, *image_sets)
     write_json({"output_dir": config.output_dir,
-                "baseline": pipeline.baseline_accuracies(result),
+                "baseline": trace["baseline"],
                 "final_epoch_loss": {name: domain.losses[-1]
                                      for name, domain in result.domains.items()
                                      if domain.losses}}, sys.stdout)
@@ -257,6 +242,19 @@ def cmd_synth_check(config):
     return 0
 
 
+# Every subcommand and its help.  ``main`` looks its ``cmd_`` function up
+# by name when it runs, so a wrapper set on the module attribute is called.
+COMMANDS = {
+    "train-base": "train the base networks in both domains",
+    "fit-oib": "fit compressors and re-expanders for the grid",
+    "evaluate": "accuracy/entropy/MI/MACs report over the grid",
+    "retrain": "retrain classifier heads on reconstructions",
+    "hz-test": "normality comparison of raw vs transform domain",
+    "macs": "complexity table for the configured model",
+    "synth-check": "run the synthetic-Gaussian oracle suites",
+}
+
+
 def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON experiment config")
@@ -275,53 +273,25 @@ def make_parser():
                     "information-bottleneck encoders inside a trained "
                     "classifier")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("train-base", parents=[common],
-                   help="train the base networks in both domains")
-    sub.add_parser("fit-oib", parents=[common],
-                   help="fit compressors and re-expanders for the grid")
-    sub.add_parser("evaluate", parents=[common],
-                   help="accuracy/entropy/MI/MACs report over the grid")
-    retrain = sub.add_parser("retrain", parents=[common],
-                             help="retrain classifier heads on "
-                                  "reconstructions")
-    retrain.add_argument("--mode", default="per_rho_head",
-                         choices=["per_rho_head", "per_rho_on_z"])
-    sub.add_parser("hz-test", parents=[common],
-                   help="normality comparison of raw vs transform domain")
-    sub.add_parser("macs", parents=[common],
-                   help="complexity table for the configured model")
-    sub.add_parser("synth-check", parents=[common],
-                   help="run the synthetic-Gaussian oracle suites")
+    for name, text in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=text)
+        if name == "retrain":
+            command.add_argument("--mode", default="per_rho_head",
+                                 choices=["per_rho_head", "per_rho_on_z"])
     return parser
 
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        config = _resolve_config(args)
-        if args.command == "train-base":
-            return cmd_train_base(config)
-        if args.command == "fit-oib":
-            return cmd_fit_oib(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        if args.command == "retrain":
-            return cmd_retrain(config, args.mode)
-        if args.command == "hz-test":
-            return cmd_hz_test(config)
-        if args.command == "macs":
-            return cmd_macs(config)
-        if args.command == "synth-check":
-            return cmd_synth_check(config)
-        raise ConfigError("unknown command %r" % args.command)
-    except (ConfigError, DataFormatError, FileNotFoundError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
+        modes = [args.mode] if args.command == "retrain" else []
+        return command(_resolve_config(args), *modes)
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
     except OibError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("config error: %s" % exc, file=sys.stderr)
         return 2
 
 

@@ -4,10 +4,12 @@ Stages, in dependency order:
 
 1. dataset: load IDX files or render the procedural digit corpus.  The
    staged commands render it once: ``write_corpus`` saves it next to the
-   base networks, keyed by what ``build_dataset`` reads to render it, and
-   every command, ``train-base`` included, gets it from ``saved_corpus``
-   when the key matches and renders only when there is none.  A saved
-   corpus of another key is refused, never rendered around.
+   base networks, keyed by ``corpus_key``, what ``build_dataset`` reads to
+   render it, and every command, ``train-base`` included, gets it from
+   ``saved_corpus`` when the key matches and renders only when there is
+   none.  Base checkpoints, compressors and re-expanders are keyed by
+   ``model_key``, what the base networks are made from.  An artifact of
+   another key is refused, never rendered or trained around.
 2. features: orthonormal real-packed 2D-DFT alongside the raw pixels.
 3. base models: one network per domain (the transform domain carries the
    compression experiments; the raw domain exists so the PCA baseline and
@@ -215,6 +217,19 @@ def corpus_key(config):
                         "data_train": seeds.data_train,
                         "data_test": seeds.data_test,
                         "size": math.isqrt(config.model_layer_sizes[0])})
+
+
+def model_key(config):
+    """SHA-256 of what the base networks, and every compressor and
+    re-expander fitted to them, are made from: the dataset section (IDX
+    paths too), corpus key, layer sizes, epochs, init and shuffle seeds."""
+    seeds = config.seeds
+    return config_hash({"dataset": asdict(config.dataset),
+                        "corpus": corpus_key(config),
+                        "layer_sizes": config.model_layer_sizes,
+                        "epochs": config.train.epochs,
+                        "model_init": seeds.model_init,
+                        "train_shuffle": seeds.train_shuffle})
 
 
 def write_corpus(config, train_set, test_set):
@@ -590,16 +605,18 @@ def base_stem(out_dir, domain):
 
 
 def write_base_artifacts(result, out_dir):
+    """The keyed base checkpoints, and the training trace it returns."""
     os.makedirs(out_dir, exist_ok=True)
+    config = result.config
     for name in (TRANSFORM, RAW):
-        domain = result.domains[name]
-        save_model(domain.model, base_stem(out_dir, name),
-                   train_config=base_train_config(result.config),
-                   seed=result.config.seeds.model_init)
+        save_model(result.domains[name].model, base_stem(out_dir, name),
+                   train_config=base_train_config(config),
+                   seed=config.seeds.model_init, key=model_key(config))
     trace = {name: result.domains[name].losses for name in (TRANSFORM, RAW)}
     trace["baseline"] = baseline_accuracies(result)
     with open(os.path.join(out_dir, "training_trace.json"), "w") as fh:
         write_json(trace, fh)
+    return trace
 
 
 def artifact_stem(out_dir, group, kind, n_z):
@@ -607,14 +624,15 @@ def artifact_stem(out_dir, group, kind, n_z):
 
 
 def write_fit_artifacts(result, out_dir):
+    key = model_key(result.config)
     for group in ("compressors", "reexpanders"):
         os.makedirs(os.path.join(out_dir, group), exist_ok=True)
     for (kind, n_z), comp in result.compressors.items():
         save_compressor(comp, artifact_stem(out_dir, "compressors", kind,
-                                            n_z))
+                                            n_z), key)
     for (kind, n_z), rx in result.reexpanders.items():
         save_reexpander(rx, artifact_stem(out_dir, "reexpanders", kind,
-                                          n_z))
+                                          n_z), key)
 
 
 def write_evaluation(result, out_dir):

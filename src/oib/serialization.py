@@ -7,12 +7,16 @@ bit-exactly; manifests carry enough shape information to validate the blob
 length before anything is read, and loaders read the blob straight into
 the arrays they return.  The loaders raise DataFormatError, naming the
 stem, for any damaged artifact: a manifest that is not a JSON object or
-lacks a key, an unknown kind, a blob of the wrong length, or values the
-loaded object rejects.
+lacks a field, an unknown kind, a missing blob or one of the wrong length,
+or values the loaded object rejects.
 
-A rendered digit corpus is an artifact too (``corpus-v1``): train and
-test pixels, then train and test labels, with the key of the settings it
-was rendered from; loading it for another key raises ConfigError.
+Every manifest has a ``key`` field: the hash of the settings the artifact
+was made from, or null.  A loader given a key checks it in ``_artifact``,
+the one place that decides whether an artifact belongs to the settings a
+caller runs with: a missing manifest or one of another key raises
+ConfigError, naming the stem, before the blob is opened.  A rendered digit
+corpus is an artifact too (``corpus-v1``): train and test pixels, then
+train and test labels.
 
 Evaluation reports are plain JSON validated against the packaged schema,
 and configs hash to a stable SHA-256 over their canonical JSON form.
@@ -58,20 +62,29 @@ def _write_pair(stem, manifest, *parts):
 
 
 @contextmanager
-def _artifact(stem, fmt):
+def _artifact(stem, fmt, key=None):
     """The manifest and open blob file of ``stem`` for the body of a with
-    statement; invalid JSON, a wrong format and any error the body meets
-    while building an object from them raise DataFormatError naming the
-    stem."""
+    statement; invalid JSON, a wrong format, a missing blob and any error
+    the body meets while building an object from them raise
+    DataFormatError naming the stem.  Given a ``key``, a missing manifest
+    or one of another key raises ConfigError before the blob is opened."""
+    path = str(stem) + ".json"
     try:
-        with open(str(stem) + ".json") as fh:
-            manifest = json.load(fh)
-        if manifest.get("format") != fmt:
-            raise DataFormatError("%s.json declares format %r, expected %r"
-                                  % (stem, manifest.get("format"), fmt))
+        manifest = {}
+        if key is None or os.path.exists(path):
+            with open(path) as fh:
+                manifest = json.load(fh)
+            if manifest.get("format") != fmt:
+                raise DataFormatError("%s declares format %r, expected %r"
+                                      % (path, manifest.get("format"), fmt))
+        if key is not None and manifest.get("key") != key:
+            raise ConfigError("%s is missing or was written for other "
+                              "settings; run train-base and fit-oib with "
+                              "these settings into --out, or use another "
+                              "--out" % path)
         with open(str(stem) + ".bin", "rb") as blob:
             yield manifest, blob
-    except (AttributeError, KeyError, TypeError, ValueError,
+    except (AttributeError, KeyError, OSError, TypeError, ValueError,
             DimensionError) as exc:
         raise DataFormatError("damaged artifact %s: %s: %s"
                               % (stem, type(exc).__name__, exc)) from exc
@@ -93,9 +106,10 @@ def _read_arrays(stem, blob, specs):
     return arrays
 
 
-def save_compressor(comp, stem):
+def save_compressor(comp, stem, key=None):
     manifest = {
         "format": "compressor-v1",
+        "key": key,
         "kind": comp.kind.value,
         "n_x": comp.n_x,
         "n_z": comp.n_z,
@@ -106,17 +120,18 @@ def save_compressor(comp, stem):
     _write_pair(stem, manifest, blob)
 
 
-def load_compressor(stem):
-    with _artifact(stem, "compressor-v1") as (manifest, blob):
+def load_compressor(stem, key=None):
+    with _artifact(stem, "compressor-v1", key) as (manifest, blob):
         matrix, = _read_arrays(stem, blob, [
             ((manifest["n_z"], manifest["n_x"]), F64)])
         return Compressor(kind=CompressorKind(manifest["kind"]),
                           matrix_a=matrix, beta=manifest["beta"])
 
 
-def save_reexpander(rx, stem):
+def save_reexpander(rx, stem, key=None):
     manifest = {
         "format": "reexpander-v1",
+        "key": key,
         "fit_method": rx.fit_method.value,
         "n_y": rx.n_y,
         "n_z": rx.n_z,
@@ -127,8 +142,8 @@ def save_reexpander(rx, stem):
                 np.ascontiguousarray(rx.target_mean, dtype=F64))
 
 
-def load_reexpander(stem):
-    with _artifact(stem, "reexpander-v1") as (manifest, blob):
+def load_reexpander(stem, key=None):
+    with _artifact(stem, "reexpander-v1", key) as (manifest, blob):
         n_y = manifest["n_y"]
         theta, mean = _read_arrays(stem, blob, [
             ((n_y, manifest["n_z"]), F64), ((n_y,), F64)])
@@ -137,9 +152,10 @@ def load_reexpander(stem):
                           target_mean=mean)
 
 
-def save_model(model, stem, train_config=None, seed=None):
+def save_model(model, stem, train_config=None, seed=None, key=None):
     manifest = {
         "format": "mlp-v1",
+        "key": key,
         "layer_sizes": model.layer_sizes,
         "activation": "relu",
         "dtype": F32.str,
@@ -151,8 +167,8 @@ def save_model(model, stem, train_config=None, seed=None):
                                   for p in layer))
 
 
-def load_model(stem):
-    with _artifact(stem, "mlp-v1") as (manifest, blob):
+def load_model(stem, key=None):
+    with _artifact(stem, "mlp-v1", key) as (manifest, blob):
         sizes = manifest["layer_sizes"]
         arrays = _read_arrays(stem, blob, [
             (shape, F32) for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
@@ -179,16 +195,11 @@ def save_corpus(train_set, test_set, key, stem):
 
 def load_corpus(stem, key):
     """The train and test LabeledImageSets saved at ``stem``, or None when
-    there is no manifest.  A manifest of another key than ``key`` raises
-    ConfigError before the blob is read; labels outside the digit classes
-    count as damage."""
+    there is no manifest; labels outside the digit classes count as
+    damage."""
     if not os.path.exists(str(stem) + ".json"):
         return None
-    with _artifact(stem, "corpus-v1") as (manifest, blob):
-        if manifest["key"] != key:
-            raise ConfigError("%s holds a corpus rendered for other "
-                              "settings (sizes, data seeds or image size); "
-                              "use another --out" % stem)
+    with _artifact(stem, "corpus-v1", key) as (manifest, blob):
         n_train, n_test = manifest["n_train"], manifest["n_test"]
         height, width = manifest["height"], manifest["width"]
         x_train, x_test, y_train, y_test = _read_arrays(stem, blob, [

@@ -529,22 +529,71 @@ def test_train_base_reuses_a_matching_corpus(cli_run, tmp_path, monkeypatch,
         assert (copy / name).read_bytes() == (out_dir / name).read_bytes()
 
 
-def test_base_checkpoint_of_other_layer_sizes_exits_2(cli_run, tmp_path,
-                                                      monkeypatch, capsys):
+@pytest.mark.parametrize("setting", [
+    pytest.param({"model_layer_sizes": [784, 32, 10]}, id="layer_sizes"),
+    pytest.param({"train": {"epochs": 3}}, id="epochs")])
+def test_base_checkpoint_of_other_settings_exits_2(cli_run, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   setting):
     cfg, out_dir = cli_run
     copy = tmp_path / "out"
     shutil.copytree(out_dir, copy)
     saved = _files(copy)
-    narrow = tmp_path / "narrow.json"
-    narrow.write_text(json.dumps(dict(TINY, model_layer_sizes=[784, 32, 10])))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(TINY, **setting)))
     fitted = counting(monkeypatch, pipeline, "fit_domain")
     for command in (["fit-oib"], ["evaluate"], ["retrain"]):
-        assert main(command + ["--config", str(narrow),
+        assert main(command + ["--config", str(other),
                                "--out", str(copy)]) == 2, command
         err = capsys.readouterr().err
         assert str(copy / "base_transform") in err and "train-base" in err
     assert fitted == []
     assert _files(copy) == saved
+
+
+def test_fitted_artifacts_of_other_base_networks_exit_2(cli_run, tmp_path,
+                                                        monkeypatch, capsys):
+    # train-base again at other epochs leaves the old compressors and
+    # re-expanders beside the new networks; none of them may be scored
+    cfg, out_dir = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy)
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps(dict(TINY, train={"epochs": 3})))
+    assert main(["train-base", "--config", str(longer),
+                 "--out", str(copy)]) == 0
+    capsys.readouterr()
+    saved = _files(copy)
+    fitted = counting(monkeypatch, pipeline, "fit_domain")
+    for command in (["evaluate"], ["retrain"],
+                    ["retrain", "--mode", "per_rho_on_z"]):
+        assert main(command + ["--config", str(longer),
+                               "--out", str(copy)]) == 2, command
+        err = capsys.readouterr().err
+        assert str(copy / "compressors" / "oib_") in err and "fit-oib" in err
+    assert fitted == []
+    assert _files(copy) == saved
+
+
+def _drop_key(path):
+    manifest = json.loads(path.read_text())
+    del manifest["key"]
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("damage, stem", [
+    pytest.param(lambda copy: _drop_key(copy / "reexpanders" / "pca_010.json"),
+                 "reexpanders/pca_010", id="manifest_without_key"),
+    pytest.param(lambda copy: (copy / "compressors" / "oib_010.bin").unlink(),
+                 "compressors/oib_010", id="missing_blob")])
+def test_unkeyed_or_blobless_artifact_exits_2(cli_run, tmp_path, capsys,
+                                              damage, stem):
+    cfg, out_dir = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy)
+    damage(copy)
+    assert main(["evaluate", "--config", cfg, "--out", str(copy)]) == 2
+    assert str(copy / stem) in capsys.readouterr().err
 
 
 def test_output_dir_that_is_a_file_exits_2_before_work(tmp_path, monkeypatch,
@@ -641,6 +690,30 @@ def test_idx_files_feed_the_pipeline(tmp_path, capsys):
     err = capsys.readouterr().err
     assert small_images in err and "60" in err and "150" in err
     assert not (tmp_path / "small_out").exists()
+
+
+def test_base_networks_of_other_idx_files_exit_2(tmp_path, capsys):
+    # the saved networks were trained on another IDX pair of the same sizes
+    paths = {}
+    for split, n, seed in (("train", 300, 1), ("test", 60, 2),
+                           ("other", 300, 3)):
+        _, paths[split] = write_idx_pair(tmp_path, split, n, seed)
+    dataset = {"n_train": 150, "n_test": 40,
+               "train_images": paths["train"][0],
+               "train_labels": paths["train"][1],
+               "test_images": paths["test"][0],
+               "test_labels": paths["test"][1]}
+    out = str(tmp_path / "out")
+    for name, images, labels in (("first", *paths["train"]),
+                                 ("second", *paths["other"])):
+        data = dict(TINY, output_dir=out, dataset=dict(
+            dataset, train_images=images, train_labels=labels))
+        (tmp_path / (name + ".json")).write_text(json.dumps(data))
+    assert main(["train-base", "--config", str(tmp_path / "first.json")]) == 0
+    capsys.readouterr()
+    assert main(["fit-oib", "--config", str(tmp_path / "second.json")]) == 2
+    assert str(tmp_path / "out" / "base_transform") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "compressors").exists()
 
 
 @pytest.mark.parametrize("side, n_classes, message", [

@@ -151,6 +151,33 @@ def test_load_rejects_corrupt_artifacts(tmp_path):
         load_reexpander(rx_stem)
 
 
+def test_keyed_loaders_check_the_key_before_the_blob(tmp_path):
+    comp = Compressor(kind=CompressorKind.CCA, matrix_a=np.eye(3))
+    stem = str(tmp_path / "c")
+    with pytest.raises(ConfigError, match=re.escape(stem)):
+        load_compressor(stem, "k")
+    save_compressor(comp, stem, "k")
+    assert json.loads((tmp_path / "c.json").read_text())["key"] == "k"
+    for key in ("k", None):
+        np.testing.assert_array_equal(load_compressor(stem, key).matrix_a,
+                                      comp.matrix_a)
+    (tmp_path / "c.bin").unlink()
+    with pytest.raises(ConfigError, match=re.escape(stem)):
+        load_compressor(stem, "other")
+    with pytest.raises(DataFormatError, match=re.escape(stem)):
+        load_compressor(stem, "k")
+
+    # a manifest written before manifests carried a key
+    model_stem = str(tmp_path / "m")
+    save_model(init_mlp([3, 2, 2], seed=0), model_stem, key="k")
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    del manifest["key"]
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    assert load_model(model_stem).layer_sizes == [3, 2, 2]
+    with pytest.raises(ConfigError, match=re.escape(model_stem)):
+        load_model(model_stem, "k")
+
+
 def test_corpus_round_trip_is_bit_exact_and_keyed(tmp_path):
     train_set, test_set = synthetic_digits(7, 1, size=8), \
         synthetic_digits(5, 2, size=8)
