@@ -7,19 +7,21 @@ everything and writes the report, ``retrain`` fine-tunes the shared and
 per-size heads (``per_rho_head``) or trains one classifier per size on the
 codes themselves (``per_rho_on_z``), ``hz-test`` compares domain normality
 without any network, ``macs`` prints the complexity table, and
-``synth-check`` runs the synthetic-Gaussian oracle suites.  ``evaluate``
-and ``retrain`` load the compressors instead of re-solving the eigensystem.
-Every artifact a command reads from the output directory follows one rule:
-its manifest's key must be the one the config gives (``corpus_key`` for the
-digit corpus, ``model_key`` for base checkpoints, compressors and
-re-expanders), or the command exits 2 naming it before any work that
-depends on it.  The one exception is a missing corpus, which is rendered
-(IDX inputs are always read from their files); ``train-base`` saves
+``synth-check`` runs the synthetic-Gaussian oracle suites.
+
+Before any work, a command checks its config, that the output directory
+or its nearest existing parent is a directory, and for ``retrain`` that
+``oib`` is on the grid.  It then reads what earlier commands stored, in
+one order: the saved corpus, both base checkpoints (all but ``train-base``
+and ``hz-test``), and every compressor and re-expander of the grid
+(``evaluate`` and ``retrain``).  An artifact whose manifest key is not the
+one the config gives (``corpus_key`` for the corpus, ``model_key`` for the
+rest) exits 2, naming it.  Only then is a missing corpus rendered (IDX
+inputs are always read from their files); ``train-base`` saves
 ``dataset.json``/``dataset.bin`` only when it rendered them.  The saved
 corpus is bitwise the rendered one, so commands started in separate
 processes agree bitwise with ``run_experiment`` when they share the
-numpy/BLAS build, CPU kernel and BLAS thread count.  An output directory
-that exists as a regular file is refused before any work.
+numpy/BLAS build, CPU kernel and BLAS thread count.
 
 Exit codes: 0 success, 2 configuration, input-file or damaged-artifact
 problems, 3 numerical failures.
@@ -42,10 +44,11 @@ from .gib_compressor import (cca_compressor, compressor_at_beta,
                              compressor_at_size, solve_gib)
 from .info_metrics import (gaussian_entropy, mi_loading_invariance_check,
                            random_projection_optimality_check)
-from .pipeline import (RAW, TRANSFORM, DomainData, artifact_stem,
-                       build_dataset, domain_features, fit_all_domains,
-                       train_base_models)
+from .pipeline import (RAW, TRANSFORM, artifact_stem, build_dataset,
+                       domain_features, fit_all_domains, train_base_models)
 from .reexpander import fit_lmmse, fit_ls, mse_entropy_gap, reexpand
+# ``pipeline`` alone calls ``train_base_models`` and ``save_model``; they
+# are imported here because the benchmark traces them under this module.
 from .serialization import (load_compressor, load_model, load_reexpander,
                             save_model, write_json)
 
@@ -54,45 +57,40 @@ def _resolve_config(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
     config = apply_overrides(config, seed=args.seed, out=args.out,
                              encoding=args.encoding, subset_n=args.subset)
-    if os.path.exists(config.output_dir) and \
-            not os.path.isdir(config.output_dir):
-        raise ConfigError("output directory %s exists and is not a "
-                          "directory" % config.output_dir)
+    existing = os.path.abspath(config.output_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError("output directory %s cannot be made: %s is not a "
+                          "directory" % (config.output_dir, existing))
     return config
 
 
-def _load_base_models(config, features, train_labels):
-    """The base networks ``train-base`` wrote, around both domains' data."""
-    key = pipeline.model_key(config)
-    return {name: DomainData(
-        name=name, x_train=x_tr, x_test=x_te, losses=[],
-        model=load_model(pipeline.base_stem(config.output_dir, name), key))
-        for name, (x_tr, x_te) in features.items()}
-
-
-def _prepare_stored(config):
-    """Stages 1-3 from what ``train-base`` saved in the output directory."""
-    return pipeline.prepare(config, _load_base_models,
-                            pipeline.saved_corpus(config))
-
-
-def _load_artifacts(result):
-    """The compressors and re-expanders ``fit-oib`` wrote for the grid."""
-    config, key = result.config, pipeline.model_key(result.config)
-    result.compressors, result.reexpanders = {}, {}
-    for n_z in config.n_z_grid:
-        for kind in config.compressor_kinds:
-            result.compressors[(kind, n_z)] = load_compressor(artifact_stem(
-                config.output_dir, "compressors", kind, n_z), key)
-            result.reexpanders[(kind, n_z)] = load_reexpander(artifact_stem(
-                config.output_dir, "reexpanders", kind, n_z), key)
+def _stored(config, fitted=False):
+    """Stages 1-3 on what earlier commands stored in the output directory,
+    all read before ``prepare`` renders a corpus that was never saved."""
+    image_sets = pipeline.saved_corpus(config)
+    out, key = config.output_dir, pipeline.model_key(config)
+    models = {name: load_model(pipeline.base_stem(out, name), key)
+              for name in (TRANSFORM, RAW)}
+    compressors, reexpanders = {}, {}
+    if fitted:
+        for n_z in config.n_z_grid:
+            for kind in config.compressor_kinds:
+                compressors[(kind, n_z)] = load_compressor(
+                    artifact_stem(out, "compressors", kind, n_z), key)
+                reexpanders[(kind, n_z)] = load_reexpander(
+                    artifact_stem(out, "reexpanders", kind, n_z), key)
+    result = pipeline.prepare(config, image_sets, models)
+    if fitted:
+        result.compressors, result.reexpanders = compressors, reexpanders
     return result
 
 
 def cmd_train_base(config):
     saved = pipeline.saved_corpus(config)
     image_sets = saved or build_dataset(config)
-    result = pipeline.prepare(config, train_base_models, image_sets)
+    result = pipeline.prepare(config, image_sets)
     trace = pipeline.write_base_artifacts(result, config.output_dir)
     if saved is None and not config.dataset.from_files:
         pipeline.write_corpus(config, *image_sets)
@@ -105,7 +103,7 @@ def cmd_train_base(config):
 
 
 def cmd_fit_oib(config):
-    result = pipeline.fit(_prepare_stored(config))
+    result = pipeline.fit(_stored(config))
     pipeline.write_fit_artifacts(result, config.output_dir)
     write_json({"output_dir": config.output_dir,
                 "artifacts": len(result.compressors) + len(result.reexpanders),
@@ -117,7 +115,7 @@ def cmd_fit_oib(config):
 
 
 def cmd_evaluate(config):
-    result = _load_artifacts(_prepare_stored(config))
+    result = _stored(config, fitted=True)
     fit_all_domains(config, result.domains)
     pipeline.evaluate(result)
     pipeline.write_evaluation(result, config.output_dir)
@@ -128,22 +126,19 @@ def cmd_evaluate(config):
 
 
 def cmd_retrain(config, mode):
+    if "oib" not in config.compressor_kinds:
+        raise ConfigError("retrain needs oib in compressor_kinds")
     config = dataclasses.replace(config, compressor_kinds=["oib"])
-    result = _load_artifacts(_prepare_stored(config))
+    result = _stored(config, fitted=True)
     if mode == "per_rho_on_z":
         heads, records = pipeline.retrain_bank(config, result)
-        heads_dir = os.path.join(config.output_dir, "heads")
-        os.makedirs(heads_dir, exist_ok=True)
-        for n_z, head in heads.items():
-            save_model(head, os.path.join(heads_dir, "bank_%03d" % n_z),
-                       seed=pipeline.head_seed(config, n_z))
+        pipeline.write_heads(config, heads, "bank", config.output_dir)
         payload = pipeline.write_retrain_report(mode, records,
                                                 config.output_dir)
     else:
         fit_all_domains(config, result.domains)
         pipeline.evaluate(result)
-        result.average_head, result.per_rho_heads, \
-            result.retrain_records = pipeline.retrain_heads(config, result)
+        pipeline.retrain_heads(config, result)
         payload = pipeline.write_retrain_artifacts(result, config.output_dir)
     write_json(payload, sys.stdout)
     return 0

@@ -162,6 +162,9 @@ class ExperimentConfig:
                               "stochastic")
         if not _is_count(self.seed, 0):
             raise ConfigError("seed must be a non-negative integer")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError("output_dir must be a non-empty path, not %r"
+                              % (self.output_dir,))
         if self.dataset.n_train <= self.n_z_grid[-1]:
             raise ConfigError("dataset.n_train (%d) must exceed the largest "
                               "n_z (%d): the least-squares re-expansion "

@@ -38,8 +38,9 @@ Stages, in dependency order:
    raw versus transform domain.
 
 ``run_experiment`` and the ``oib`` subcommands share one path:
-``prepare`` (stages 1-3, with the image sets rendered or loaded and the
-base networks trained or loaded), ``fit`` and ``evaluate``.
+``prepare`` (stages 1-3; it renders the image sets and trains the base
+networks unless it is given them), ``fit``, ``evaluate`` and
+``retrain_heads``, each setting its own fields of the result.
 ``run_experiment`` renders in memory and saves no corpus.
 
 Fit and deterministic evaluation draw no random numbers; every other
@@ -439,9 +440,8 @@ def retrain_heads(config, result):
                           lr_decay_at=rt.average_decay_at)
     average_head = train_multi_rho_head(model, result.reconstructions_train,
                                         labels_tr, avg_cfg)
-
-    heads = {}
-    retrain_records = []
+    result.average_head = average_head
+    result.per_rho_heads, result.retrain_records = {}, []
     for n_z in config.n_z_grid:
         ft_cfg = TrainConfig(epochs=rt.finetune_epochs,
                              learning_rate=FINETUNE_LEARNING_RATE,
@@ -450,14 +450,14 @@ def retrain_heads(config, result):
         head = finetune_head(average_head,
                              result.reconstructions_train[n_z], labels_tr,
                              ft_cfg)
-        heads[n_z] = head
+        result.per_rho_heads[n_z] = head
         relu_te = np.maximum(result.reconstructions_test[n_z], 0)
-        retrain_records.append(RetrainRecord(
+        result.retrain_records.append(RetrainRecord(
             n_z=n_z,
             accuracy_non_retrained=result.record("oib", n_z).accuracy,
             accuracy_average=accuracy(average_head, relu_te, labels_te),
             accuracy_per_rho=accuracy(head, relu_te, labels_te)))
-    return average_head, heads, retrain_records
+    return result
 
 
 def retrain_bank(config, result):
@@ -502,21 +502,24 @@ def hz_compare(config, x_raw, x_tf):
     return records
 
 
-def prepare(config, base_models, image_sets=None):
+def prepare(config, image_sets=None, models=None):
     """Stages 1-3: the dataset, both domains' features and base networks.
 
     ``image_sets`` is the (train, test) pair; when it is None,
-    ``build_dataset(config)``.  ``base_models(config, features,
-    train_labels)`` returns one DomainData per domain:
-    ``train_base_models`` trains them, the CLI loads the checkpoints
-    ``train-base`` wrote.
+    ``build_dataset(config)``.  ``models`` maps each domain to its base
+    network; when it is None, ``train_base_models`` trains them.
     """
     train_set, test_set = image_sets or build_dataset(config)
     plan, features = domain_features(config, train_set, test_set)
+    if models is None:
+        domains = train_base_models(config, features, train_set.labels)
+    else:
+        domains = {name: DomainData(name=name, x_train=x_tr, x_test=x_te,
+                                    model=models[name], losses=[])
+                   for name, (x_tr, x_te) in features.items()}
     return ExperimentResult(
         config=config, plan=plan, train_labels=train_set.labels,
-        test_labels=test_set.labels,
-        domains=base_models(config, features, train_set.labels))
+        test_labels=test_set.labels, domains=domains)
 
 
 def fit(result):
@@ -539,10 +542,9 @@ def evaluate(result):
 
 def run_experiment(config, out_dir=None):
     """Run every stage in order; optionally persist artifacts under out_dir."""
-    result = evaluate(fit(prepare(config, train_base_models)))
+    result = evaluate(fit(prepare(config)))
     if "oib" in config.compressor_kinds:
-        result.average_head, result.per_rho_heads, \
-            result.retrain_records = retrain_heads(config, result)
+        retrain_heads(config, result)
     result.hz_records = hz_compare(config, result.raw.x_test,
                                    result.transform.x_test)
 
@@ -650,14 +652,21 @@ def write_retrain_report(mode, records, out_dir):
     return payload
 
 
-def write_retrain_artifacts(result, out_dir):
+def write_heads(config, heads, prefix, out_dir):
+    """Each size's head as ``heads/<prefix>_<n_z>``; returns ``heads/``."""
     heads_dir = os.path.join(out_dir, "heads")
     os.makedirs(heads_dir, exist_ok=True)
+    for n_z, head in heads.items():
+        save_model(head, os.path.join(heads_dir, "%s_%03d" % (prefix, n_z)),
+                   seed=head_seed(config, n_z))
+    return heads_dir
+
+
+def write_retrain_artifacts(result, out_dir):
+    heads_dir = write_heads(result.config, result.per_rho_heads, "per_rho",
+                            out_dir)
     save_model(result.average_head, os.path.join(heads_dir, "average"),
                seed=result.config.seeds.head_average)
-    for n_z, head in result.per_rho_heads.items():
-        save_model(head, os.path.join(heads_dir, "per_rho_%03d" % n_z),
-                   seed=head_seed(result.config, n_z))
     return write_retrain_report(
         "per_rho_head", [asdict(r) for r in result.retrain_records], out_dir)
 
@@ -678,9 +687,7 @@ def write_hz_report(hz_records, out_dir):
 def write_artifacts(result, out_dir):
     write_base_artifacts(result, out_dir)
     write_fit_artifacts(result, out_dir)
-    if result.records is not None:
-        write_evaluation(result, out_dir)
+    write_evaluation(result, out_dir)
     if result.retrain_records is not None:
         write_retrain_artifacts(result, out_dir)
-    if result.hz_records is not None:
-        write_hz_report(result.hz_records, out_dir)
+    write_hz_report(result.hz_records, out_dir)

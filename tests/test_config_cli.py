@@ -97,6 +97,9 @@ def test_config_value_validation():
         config_from_dict({"model_layer_sizes": [784, 64, 10]})
     config_from_dict({"n_z_grid": [10, 256]})
     config_from_dict({"n_z_grid": [10, 300], "compressor_kinds": ["pca"]})
+    for out in (None, 5, ""):
+        with pytest.raises(ConfigError, match="output_dir"):
+            config_from_dict({"output_dir": out})
 
 
 def test_config_round_trip_and_hash_stability():
@@ -281,6 +284,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["hz-test", "--config", folders]) == 2
     assert "cannot read IDX file %s" % idx_dir in capsys.readouterr().err
     assert not (idx_dir / "out").exists()
+    # retrain trains heads on OIB codes, so it refuses a grid without oib
+    # before it reads anything
+    pca_dir = tmp_path / "pca"
+    pca_dir.mkdir()
+    pca_only = tiny_config_file(pca_dir, compressor_kinds=["pca"])
+    for mode in ("per_rho_head", "per_rho_on_z"):
+        assert main(["retrain", "--mode", mode, "--config", pca_only]) == 2
+        assert "needs oib" in capsys.readouterr().err
+    assert not (pca_dir / "out").exists()
 
 
 def test_top_level_names_are_those_of_their_modules():
@@ -404,8 +416,7 @@ def test_evaluate_is_deterministic_across_runs(cli_run, capsys):
 def test_cli_records_equal_run_experiment(cli_run, tmp_path):
     cfg, out_dir = cli_run
     config = apply_overrides(load_config(cfg), out=str(tmp_path))
-    result = pipeline.evaluate(pipeline.fit(pipeline.prepare(
-        config, pipeline.train_base_models)))
+    result = pipeline.evaluate(pipeline.fit(pipeline.prepare(config)))
     pipeline.write_evaluation(result, str(tmp_path))
     assert (tmp_path / "records.csv").read_bytes() == \
         (out_dir / "records.csv").read_bytes()
@@ -604,14 +615,46 @@ def test_output_dir_that_is_a_file_exits_2_before_work(tmp_path, monkeypatch,
     rendered = counting(monkeypatch, pipeline, "synthetic_digits")
     trained = counting(monkeypatch, pipeline, "train")
     for command in (["train-base"], ["hz-test"]):
-        assert main(command + ["--config", cfg, "--out", str(taken)]) == 2
-        assert "not a directory" in capsys.readouterr().err
+        for out in (taken, taken / "sub"):
+            assert main(command + ["--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert str(out) in err and "not a directory" in err
     file_config = tmp_path / "file_config.json"
     file_config.write_text(json.dumps(dict(TINY, output_dir=str(taken))))
     assert main(["train-base", "--config", str(file_config)]) == 2
     assert "not a directory" in capsys.readouterr().err
     assert rendered == [] and trained == []
     assert taken.read_text() == "not a directory"
+
+
+def test_stages_into_an_empty_out_exit_2_before_rendering(tmp_path,
+                                                          monkeypatch, capsys):
+    # the base checkpoints are read before a missing corpus is rendered
+    cfg = tiny_config_file(tmp_path)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    rendered = counting(monkeypatch, pipeline, "synthetic_digits")
+    trained = counting(monkeypatch, pipeline, "train")
+    for command in (["fit-oib"], ["evaluate"],
+                    ["retrain", "--mode", "per_rho_head"],
+                    ["retrain", "--mode", "per_rho_on_z"]):
+        assert main(command + ["--config", cfg, "--out", str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert "base_transform" in err and "train-base" in err, command
+    assert rendered == [] and trained == []
+    assert list(empty.iterdir()) == []
+
+
+def test_pca_only_experiment_writes_no_heads(tmp_path):
+    config = config_from_dict(dict(TINY, compressor_kinds=["pca"]))
+    pipeline.run_experiment(config, out_dir=str(tmp_path))
+    for name in ("report.json", "records.csv", "hz_report.json"):
+        assert (tmp_path / name).exists(), name
+    with open(tmp_path / "records.csv") as fh:
+        kinds = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
+    assert kinds == ["pca"] * len(TINY["n_z_grid"])
+    assert not (tmp_path / "heads").exists()
+    assert not (tmp_path / "retrain_report.json").exists()
 
 
 def test_synth_check_passes(capsys):
@@ -738,8 +781,7 @@ def test_idx_files_that_do_not_fit_the_model_exit_2(tmp_path, capsys, side,
 
 def test_stochastic_encoding_moves_only_accuracy_and_mse():
     config = config_from_dict(TINY)
-    result = pipeline.fit(pipeline.prepare(config,
-                                           pipeline.train_base_models))
+    result = pipeline.fit(pipeline.prepare(config))
 
     def records(encoding):
         result.config = dataclasses.replace(config, encoding=encoding)
@@ -759,8 +801,7 @@ def test_stochastic_encoding_moves_only_accuracy_and_mse():
 def tiny_fit():
     """Fit and deterministic evaluate on TINY, counting every generator
     they ask numpy for."""
-    result = pipeline.prepare(config_from_dict(TINY),
-                              pipeline.train_base_models)
+    result = pipeline.prepare(config_from_dict(TINY))
     generators = []
     original = np.random.default_rng
 
