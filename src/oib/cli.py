@@ -10,7 +10,8 @@ without any network, ``macs`` prints the complexity table, and
 ``synth-check`` runs the synthetic-Gaussian oracle suites.
 
 Before any work, a command checks its config, that the output directory
-or its nearest existing parent is a directory, and for ``retrain`` that
+or its nearest existing parent is a directory (except ``macs`` and
+``synth-check``, which write nothing there), and for ``retrain`` that
 ``oib`` is on the grid.  It then reads what earlier commands stored, in
 one order: the saved corpus, both base checkpoints (all but ``train-base``
 and ``hz-test``), and every compressor and re-expander of the grid
@@ -57,6 +58,8 @@ def _resolve_config(args):
     config = load_config(args.config) if args.config else ExperimentConfig()
     config = apply_overrides(config, seed=args.seed, out=args.out,
                              encoding=args.encoding, subset_n=args.subset)
+    if args.command in ("macs", "synth-check"):
+        return config   # they write nothing under the output directory
     existing = os.path.abspath(config.output_dir)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -157,11 +160,10 @@ def cmd_hz_test(config):
 
 def cmd_macs(config):
     sizes = config.model_layer_sizes
-    args = (sizes[0], config.n_z_grid, sizes[1:], sizes)
-    print(macs_table(*args))
+    print(macs_table(sizes, config.n_z_grid))
     write_json({"network_total": network_macs(sizes).total,
                 "saving_baseline": saving_baseline(sizes),
-                "rows": macs_rows(*args)}, sys.stdout)
+                "rows": macs_rows(sizes, config.n_z_grid)}, sys.stdout)
     return 0
 
 

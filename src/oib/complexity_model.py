@@ -102,13 +102,14 @@ def saving_percent(pipeline, baseline_macs):
     return 100.0 * (1.0 - pipeline.total / baseline_macs)
 
 
-def macs_rows(n_x, n_z_values, head_layer_dims, layer_sizes):
+def macs_rows(layer_sizes, n_z_values):
     """n_z, compression and classification MACs, and the saving percent,
-    one dict per n_z in that key order."""
+    one dict per n_z in that key order, for the network ``layer_sizes``
+    with its first layer replaced by the compressed path."""
     baseline = saving_baseline(layer_sizes)
     rows = []
     for n_z in n_z_values:
-        bd = pipeline_macs(n_x, n_z, head_layer_dims)
+        bd = pipeline_macs(layer_sizes[0], n_z, layer_sizes[1:])
         rows.append({"n_z": n_z,
                      "macs_compression": bd.subtotal(COMPRESSION),
                      "macs_classification": bd.subtotal(CLASSIFICATION),
@@ -117,10 +118,10 @@ def macs_rows(n_x, n_z_values, head_layer_dims, layer_sizes):
     return rows
 
 
-def macs_table(n_x, n_z_values, head_layer_dims, layer_sizes):
+def macs_table(layer_sizes, n_z_values):
     """Plain-text table of the ``macs_rows``."""
     lines = ["%6s %12s %12s %12s" % ("n_z", "comp_macs", "class_macs",
                                      "saving_pct")]
-    for row in macs_rows(n_x, n_z_values, head_layer_dims, layer_sizes):
+    for row in macs_rows(layer_sizes, n_z_values):
         lines.append("%6d %12d %12d %12.2f" % tuple(row.values()))
     return "\n".join(lines)

@@ -301,7 +301,8 @@ def _gaussian_kernel(sigma):
 def _blur_planes(u, sigma):
     """``ndimage.gaussian_filter(u, (0, sigma, sigma))`` of a (k, n, n)
     stack, byte-equal to it: the same two reflecting 1-D passes with a
-    kernel built once per sigma."""
+    kernel built once per sigma.  ``render_digit`` blurs only through
+    this: its displacement fields and, as a one-plane stack, the image."""
     w = _gaussian_kernel(sigma)
     out = ndimage.correlate1d(u, w, axis=1, mode="reflect")
     return ndimage.correlate1d(out, w, axis=2, output=out, mode="reflect")
@@ -320,7 +321,7 @@ def render_digit(digit, rng, size=28):
     angle and slope, the contrast, four clutter waves (a 2-vector of
     frequencies, a 2-vector of phases and an amplitude each) and a
     (size, size) pixel-noise field.  Reordering, merging or splitting them
-    changes the corpus.
+    changes the corpus.  Every blur goes through ``_blur_planes``.
     """
     g = _GLYPHS[rng.integers(0, len(STYLES))][digit]
     gh, gw = g.shape
@@ -354,7 +355,7 @@ def render_digit(digit, rng, size=28):
                                   mode="constant")
     if rng.uniform() < 0.35:
         img = ndimage.grey_dilation(img, size=(2, 2))
-    img = ndimage.gaussian_filter(img, rng.uniform(0.4, 1.0))
+    img = _blur_planes(img[None], rng.uniform(0.4, 1.0))[0]
     peak = img.max()
     if peak > 1e-6:
         img *= rng.uniform(0.9, 1.15) / peak

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import fft, linalg, special
 
 from .errors import DimensionError, NumericalError
+from .tensor_stats import as_rows
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -61,19 +62,9 @@ class RealDft2dPlan:
         return self.height * self.width
 
 
-def _as_batch(plan, x):
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.ndim != 2 or batch.shape[1] != plan.n_features:
-        raise DimensionError("expected vectors of length %d, got shape %s"
-                             % (plan.n_features, x.shape))
-    return batch, single
-
-
 def forward(plan, x):
     """Real-packed orthonormal 2D-DFT of one vector or a batch of rows."""
-    batch, single = _as_batch(plan, x)
+    batch, single = as_rows(x, plan.n_features)
     n = len(batch)
     images = batch.reshape(n, plan.height, plan.width)
     f = fft.rfftn(images, axes=(2, 1), norm="ortho")
@@ -86,7 +77,7 @@ def forward(plan, x):
 
 def inverse(plan, coeffs):
     """Exact inverse of forward()."""
-    batch, single = _as_batch(plan, coeffs)
+    batch, single = as_rows(coeffs, plan.n_features)
     n_real = plan.real_slots.size
     n_pair = plan.pair_repr.size
     f = np.zeros((len(batch), plan.n_features), dtype=np.complex128)

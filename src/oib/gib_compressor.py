@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor_stats import GeneralizedEigenResult, gib_eigensystem
+from .tensor_stats import GeneralizedEigenResult, as_rows, gib_eigensystem
 
 
 class CompressorKind(str, enum.Enum):
@@ -138,11 +138,6 @@ def pca_compressor(basis, n_z):
 
 def encode(comp, x):
     """z = A x for one vector or a batch of rows."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.shape[1] != comp.n_x:
-        raise DimensionError("expected inputs of length %d, got shape %s"
-                             % (comp.n_x, x.shape))
+    batch, single = as_rows(x, comp.n_x)
     z = batch @ comp.matrix_a.T
     return z[0] if single else z

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
+from .tensor_stats import as_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -124,14 +125,8 @@ def _forward_layers(layers, a):
 def _forward_from(model, start_layer, x):
     """Logits from ``start_layer`` on: ReLU first when entering after layer
     0, then the cast to the weight dtype, then the remaining layers."""
-    a = np.asarray(x)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
-    n_in = model.layers[start_layer][0].shape[1]
-    if a.shape[1] != n_in:
-        raise DimensionError("expected inputs of length %d, got shape %s"
-                             % (n_in, np.shape(x)))
+    a, single = as_rows(x, model.layers[start_layer][0].shape[1],
+                        dtype=None)
     if start_layer > 0:
         a = np.maximum(a, 0)
     out = _forward_layers(model.layers[start_layer:],

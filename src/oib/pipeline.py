@@ -315,9 +315,10 @@ def fit_domain(config, domain, targets_seed=None, with_gib=None):
     domain.pre_train = domain.x_train @ w0.T + b0
     domain.noise_lambda = noise_floor(domain.pre_train)
     sigma_x = sample_covariance(domain.x_train, shrinkage=SIGMA_X_SHRINKAGE)
-    sigma_y = w0 @ sigma_x @ w0.T + \
+    sigma_xy = sigma_x @ w0.T
+    sigma_y = sigma_xy.T @ w0.T + \
         domain.noise_lambda ** 2 * np.eye(w0.shape[0])
-    domain.cov = covariance_pair(sigma_x, sigma_x @ w0.T, sigma_y)
+    domain.cov = covariance_pair(sigma_x, sigma_xy, sigma_y)
     domain.pre_test = domain.x_test @ w0.T + b0
     return domain
 
@@ -606,6 +607,15 @@ def base_stem(out_dir, domain):
     return os.path.join(out_dir, "base_%s" % domain)
 
 
+def _write_report(payload, out_dir, name):
+    """``payload`` as the JSON report ``name`` in ``out_dir``, which is
+    made if missing; returns the payload."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as fh:
+        write_json(payload, fh)
+    return payload
+
+
 def write_base_artifacts(result, out_dir):
     """The keyed base checkpoints, and the training trace it returns."""
     os.makedirs(out_dir, exist_ok=True)
@@ -616,9 +626,7 @@ def write_base_artifacts(result, out_dir):
                    seed=config.seeds.model_init, key=model_key(config))
     trace = {name: result.domains[name].losses for name in (TRANSFORM, RAW)}
     trace["baseline"] = baseline_accuracies(result)
-    with open(os.path.join(out_dir, "training_trace.json"), "w") as fh:
-        write_json(trace, fh)
-    return trace
+    return _write_report(trace, out_dir, "training_trace.json")
 
 
 def artifact_stem(out_dir, group, kind, n_z):
@@ -638,18 +646,14 @@ def write_fit_artifacts(result, out_dir):
 
 
 def write_evaluation(result, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        write_json(report_dict(result), fh)
+    _write_report(report_dict(result), out_dir, "report.json")
     write_records_csv(result.records, os.path.join(out_dir, "records.csv"))
 
 
 def write_retrain_report(mode, records, out_dir):
     """``retrain_report.json`` for one retrain mode; returns its payload."""
-    payload = {"mode": mode, "records": records}
-    with open(os.path.join(out_dir, "retrain_report.json"), "w") as fh:
-        write_json(payload, fh)
-    return payload
+    return _write_report({"mode": mode, "records": records}, out_dir,
+                         "retrain_report.json")
 
 
 def write_heads(config, heads, prefix, out_dir):
@@ -673,15 +677,10 @@ def write_retrain_artifacts(result, out_dir):
 
 def write_hz_report(hz_records, out_dir):
     """``hz_report.json`` for the given projections; returns its payload."""
-    os.makedirs(out_dir, exist_ok=True)
     records = [asdict(r) for r in hz_records]
-    payload = {"projections": records,
-               "transform_wins": sum(r["p_transform"] > r["p_raw"]
-                                     for r in records),
-               "total": len(records)}
-    with open(os.path.join(out_dir, "hz_report.json"), "w") as fh:
-        write_json(payload, fh)
-    return payload
+    wins = sum(r["p_transform"] > r["p_raw"] for r in records)
+    return _write_report({"projections": records, "transform_wins": wins,
+                          "total": len(records)}, out_dir, "hz_report.json")
 
 
 def write_artifacts(result, out_dir):

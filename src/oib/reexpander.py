@@ -14,6 +14,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import DimensionError, NumericalError
+from .tensor_stats import as_rows
 
 DEFAULT_RIDGE_SCALE = 1e-8
 
@@ -97,12 +98,7 @@ def fit_ls(z_train, y_train, ridge=None):
 
 def reexpand(rx, z):
     """Predict targets for one encoding or a batch of encodings."""
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    batch = z[None, :] if single else z
-    if batch.shape[1] != rx.n_z:
-        raise DimensionError("expected encodings of length %d, got shape %s"
-                             % (rx.n_z, z.shape))
+    batch, single = as_rows(z, rx.n_z)
     out = batch @ rx.theta.T + rx.target_mean
     return out[0] if single else out
 

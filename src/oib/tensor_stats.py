@@ -7,7 +7,8 @@ sigma_y = L_y L_y^T), and the generalized eigenproblem
 sigma_x|y v = lam sigma_x v with sigma_x|y = sigma_x - K^T K, solved in
 the target's min(n_x, n_y) dimensions without forming sigma_x|y.  The
 eigenvalues are clamped away from the boundary of [0, 1] so that
-downstream loading formulas stay finite.
+downstream loading formulas stay finite.  ``as_rows`` is the one input
+check of the four inference stages: DFT, encoder, re-expander and head.
 """
 
 from dataclasses import dataclass, field
@@ -90,6 +91,18 @@ class GeneralizedEigenResult:
     @property
     def clamped(self):
         return bool(np.any(self.eigenvalues != self.raw_eigenvalues))
+
+
+def as_rows(x, width, dtype=np.float64):
+    """``x``, one vector or a batch, as 2-d rows of ``width`` values each,
+    and whether it was one vector.  ``dtype=None`` keeps the input's."""
+    x = np.asarray(x, dtype=dtype)
+    single = x.ndim == 1
+    batch = x[None, :] if single else x
+    if batch.ndim != 2 or batch.shape[1] != width:
+        raise DimensionError("expected rows of length %d, got shape %s"
+                             % (width, x.shape))
+    return batch, single
 
 
 def sample_covariance(x, shrinkage=0.0):

@@ -100,8 +100,7 @@ def test_breakdown_invariants():
 
 
 def test_macs_table_lists_every_grid_point():
-    text = macs_table(784, [row[0] for row in PUBLISHED_ROWS], HEAD_DIMS,
-                      MODEL_LAYERS)
+    text = macs_table(MODEL_LAYERS, [row[0] for row in PUBLISHED_ROWS])
     lines = text.splitlines()
     assert len(lines) == 1 + len(PUBLISHED_ROWS)
     for line, (n_z, comp, cls, saving) in zip(lines[1:], PUBLISHED_ROWS):

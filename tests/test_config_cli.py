@@ -619,6 +619,11 @@ def test_output_dir_that_is_a_file_exits_2_before_work(tmp_path, monkeypatch,
             assert main(command + ["--config", cfg, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert str(out) in err and "not a directory" in err
+    # macs and synth-check write nothing there, so they run
+    for command in (["macs"], ["synth-check"]):
+        for out in (taken, taken / "sub"):
+            assert main(command + ["--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
     file_config = tmp_path / "file_config.json"
     file_config.write_text(json.dumps(dict(TINY, output_dir=str(taken))))
     assert main(["train-base", "--config", str(file_config)]) == 2

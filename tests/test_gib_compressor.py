@@ -204,6 +204,8 @@ def test_encode_rejects_wrong_width():
     comp = compressor_at_size(solve_gib(cov), 2)
     with pytest.raises(DimensionError):
         encode(comp, np.zeros(comp.n_x + 1))
+    with pytest.raises(DimensionError):
+        encode(comp, np.zeros((2, comp.n_x, 1)))
 
 
 def test_compressor_validates_shape_and_noise():

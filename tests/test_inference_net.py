@@ -57,6 +57,8 @@ def test_forward_matches_manual_relu_chain():
                                rtol=1e-6, atol=1e-6)
     with pytest.raises(DimensionError):
         forward(model, np.zeros(5))
+    with pytest.raises(DimensionError):
+        forward(model, x[:, :, None])
 
 
 def test_forward_from_layer_matches_full_pass():
@@ -68,8 +70,13 @@ def test_forward_from_layer_matches_full_pass():
                                   forward(model, x))
     np.testing.assert_array_equal(forward_from_layer(model, 0, x),
                                   forward(model, x))
+    # one vector, within the ulps of test_forward_matches_manual_relu_chain
+    np.testing.assert_allclose(forward_from_layer(model, 1, pre[0]),
+                               forward(model, x)[0], rtol=1e-6, atol=1e-6)
     with pytest.raises(DimensionError):
         forward_from_layer(model, 4, pre)
+    with pytest.raises(DimensionError):
+        forward_from_layer(model, 1, pre[:, :, None])
 
 
 def test_analytic_gradients_match_finite_differences():

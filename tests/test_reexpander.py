@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oib.errors import NumericalError
+from oib.errors import DimensionError, NumericalError
 from oib.info_metrics import gaussian_entropy
 from oib.reexpander import (FitMethod, fit_lmmse, fit_ls, mse_entropy_gap,
                             reexpand)
@@ -96,6 +96,8 @@ def test_reexpand_applies_affine_map():
     want = z @ theta.T + np.array([1.0, 2.0, 3.0])
     np.testing.assert_allclose(reexpand(rx, z), want)
     np.testing.assert_allclose(reexpand(rx, z[0]), want[0])
+    with pytest.raises(DimensionError):
+        reexpand(rx, z[:, :, None])
 
 
 def test_mse_entropy_gap_formula():
