@@ -2,12 +2,14 @@
 
 Subcommands run the pipeline's own stages and compose through the output
 directory: ``train-base`` writes the base model checkpoints, ``fit-oib``
-reads them and writes compressors and re-expanders, ``evaluate`` reads
-everything and writes the report, ``retrain`` fine-tunes the shared and
-per-size heads (``per_rho_head``) or trains one classifier per size on the
-codes themselves (``per_rho_on_z``), ``hz-test`` compares domain normality
-without any network, ``macs`` prints the complexity table, and
-``synth-check`` runs the synthetic-Gaussian oracle suites.
+reads them and writes compressors (each with its MI) and re-expanders,
+``evaluate`` reads everything and writes the report, ``retrain``
+fine-tunes the shared and per-size heads (``per_rho_head``) or trains one
+classifier per size on the codes themselves (``per_rho_on_z``),
+``hz-test`` compares domain normality without any network, ``macs``
+prints the complexity table, and ``synth-check`` runs the
+synthetic-Gaussian oracle suites.  Only ``fit-oib`` fits: ``evaluate``
+and ``retrain`` apply what it stored.
 
 Before any work, a command checks its config, that the output directory
 or its nearest existing parent is a directory (except ``macs`` and
@@ -48,8 +50,9 @@ from .info_metrics import (gaussian_entropy, mi_loading_invariance_check,
 from .pipeline import (RAW, TRANSFORM, artifact_stem, build_dataset,
                        domain_features, fit_all_domains, train_base_models)
 from .reexpander import fit_lmmse, fit_ls, mse_entropy_gap, reexpand
-# ``pipeline`` alone calls ``train_base_models`` and ``save_model``; they
-# are imported here because the benchmark traces them under this module.
+# ``pipeline`` alone calls ``fit_all_domains``, ``train_base_models`` and
+# ``save_model``; they are imported here because the benchmark traces them
+# under this module.
 from .serialization import (load_compressor, load_model, load_reexpander,
                             save_model, write_json)
 
@@ -119,7 +122,6 @@ def cmd_fit_oib(config):
 
 def cmd_evaluate(config):
     result = _stored(config, fitted=True)
-    fit_all_domains(config, result.domains)
     pipeline.evaluate(result)
     pipeline.write_evaluation(result, config.output_dir)
     write_json({"report": os.path.join(config.output_dir, "report.json"),
@@ -139,7 +141,6 @@ def cmd_retrain(config, mode):
         payload = pipeline.write_retrain_report(mode, records,
                                                 config.output_dir)
     else:
-        fit_all_domains(config, result.domains)
         pipeline.evaluate(result)
         pipeline.retrain_heads(config, result)
         payload = pipeline.write_retrain_artifacts(result, config.output_dir)

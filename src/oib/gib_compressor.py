@@ -21,6 +21,7 @@ deterministic linear map z = A x.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +46,21 @@ class GibSolution:
 
 @dataclass
 class Compressor:
-    """A fitted linear feature extractor z = A x."""
+    """A fitted linear feature extractor z = A x; ``mi_nats`` is I(z; y) on
+    the covariance pair it was fitted to, or None if built outside a fit."""
 
     kind: CompressorKind
     matrix_a: np.ndarray
     beta: float = None
+    mi_nats: float = None
 
     def __post_init__(self):
         self.matrix_a = np.asarray(self.matrix_a, dtype=np.float64)
         if self.matrix_a.ndim != 2:
             raise DimensionError("matrix_a must be 2-d, got shape %s"
                                  % (self.matrix_a.shape,))
+        if self.mi_nats is not None and not math.isfinite(self.mi_nats):
+            raise ValueError("mi_nats %r is not finite" % (self.mi_nats,))
 
     @property
     def n_z(self):

@@ -24,12 +24,13 @@ Stages, in dependency order:
    pre-activations, for only the domains the grid's kinds run on.  Each
    basis (the GIB eigenvectors for OIB and CCA, the raw domain's PCA
    eigenvectors) is solved once, where the compressors are built, and
-   every (kind, n_z) compressor is a row prefix of it.
+   every (kind, n_z) compressor is a row prefix of it that carries its
+   Gaussian MI I(z; y) on the covariance pair.
 5. evaluate: per (kind, n_z), accuracy through the frozen head, the exact
    Gaussian entropy of power-normalized stochastic encodings z + xi
-   (computed from the sample covariance of z, drawing nothing), Gaussian
-   MI, reconstruction MSE, and the MACs split, in grid order (n_z outer,
-   kind inner).
+   (computed from the sample covariance of z, drawing nothing), the
+   compressor's MI, reconstruction MSE against the test pre-activations,
+   and the MACs split, in grid order (n_z outer, kind inner).
 6. retrain: a single average head trained on the mixture of all grid
    reconstructions, then one fine-tuned head per n_z with early stopping
    on a validation split (keeping the average head when fine-tuning does
@@ -40,7 +41,9 @@ Stages, in dependency order:
 ``run_experiment`` and the ``oib`` subcommands share one path:
 ``prepare`` (stages 1-3; it renders the image sets and trains the base
 networks unless it is given them), ``fit``, ``evaluate`` and
-``retrain_heads``, each setting its own fields of the result.
+``retrain_heads``, each setting its own fields of the result.  Stages 5
+and 6 read no covariance, so ``evaluate`` and ``retrain`` run on the
+compressors and re-expanders ``fit-oib`` stored and fit nothing.
 ``run_experiment`` renders in memory and saves no corpus.
 
 Fit and deterministic evaluation draw no random numbers; every other
@@ -103,7 +106,6 @@ class DomainData:
     noise_lambda: float = None
     cov: CovariancePair = None
     pre_train: np.ndarray = None
-    pre_test: np.ndarray = None
 
 
 @dataclass
@@ -303,23 +305,29 @@ def noise_floor(pre):
     return float(NOISE_FLOOR_SCALE * np.sqrt(np.mean(pre.var(axis=0))))
 
 
+def pre_activations(model, x):
+    """The first layer's noiseless pre-activations of the rows of ``x``,
+    in float64."""
+    w0 = model.layers[0][0].astype(np.float64)
+    b0 = model.layers[0][1].astype(np.float64)
+    return x @ w0.T + b0
+
+
 def fit_domain(config, domain, targets_seed=None, with_gib=None):
-    """Pre-activations and the covariance pair; no eigensystem.
+    """Training pre-activations, noise floor and covariance pair only.
 
     Nothing here is random.  ``config``, ``targets_seed`` and ``with_gib``
     are unread; they, and ``SeedsConfig.targets_transform``, stay only
     because ``perfbench/workloads.py`` passes them.
     """
     w0 = domain.model.layers[0][0].astype(np.float64)
-    b0 = domain.model.layers[0][1].astype(np.float64)
-    domain.pre_train = domain.x_train @ w0.T + b0
+    domain.pre_train = pre_activations(domain.model, domain.x_train)
     domain.noise_lambda = noise_floor(domain.pre_train)
     sigma_x = sample_covariance(domain.x_train, shrinkage=SIGMA_X_SHRINKAGE)
     sigma_xy = sigma_x @ w0.T
     sigma_y = sigma_xy.T @ w0.T + \
         domain.noise_lambda ** 2 * np.eye(w0.shape[0])
     domain.cov = covariance_pair(sigma_x, sigma_xy, sigma_y)
-    domain.pre_test = domain.x_test @ w0.T + b0
     return domain
 
 
@@ -338,8 +346,9 @@ def fit_all_domains(config, domains):
 
 
 def build_compressors(config, domains):
-    """Every (kind, n_z) compressor, each a row prefix of its kind's basis;
-    a basis is solved only when a kind on the grid reads it."""
+    """Every (kind, n_z) compressor, each a row prefix of its kind's basis
+    and carrying its MI on its domain's covariance pair; a basis is solved
+    only when a kind on the grid reads it."""
     used = {domain_for_kind(kind) for kind in config.compressor_kinds}
     gib = solve_gib(domains[TRANSFORM].cov) if TRANSFORM in used else None
     basis = pca_basis(domains[RAW].cov.sigma_x) if RAW in used else None
@@ -352,6 +361,8 @@ def build_compressors(config, domains):
                 comp = cca_compressor(gib, n_z)
             else:
                 comp = pca_compressor(basis, n_z)
+            comp.mi_nats = float(encoding_mi(
+                comp.matrix_a, domains[domain_for_kind(kind)].cov))
             compressors[(kind, n_z)] = comp
     return compressors
 
@@ -373,50 +384,39 @@ def _entropy_of_encodings(z_train):
     return gaussian_entropy(s * (s.shape[0] / np.trace(s)))
 
 
-def _eval_one(config, domains, compressors, reexpanders, test_labels,
-              kind, n_z):
-    domain = domains[domain_for_kind(kind)]
-    comp = compressors[(kind, n_z)]
-    rx = reexpanders[(kind, n_z)]
-
-    z_test = encode(comp, domain.x_test)
-    if config.encoding == "stochastic":
-        rng = np.random.default_rng([config.seeds.entropy_base, n_z, 1])
-        z_test = z_test + rng.standard_normal(z_test.shape)
-    y_rec_test = reexpand(rx, z_test)
-    logits = forward_from_layer(domain.model, 1, y_rec_test)
-    acc = float(np.mean(logits.argmax(axis=1) == test_labels))
-
-    z_train = encode(comp, domain.x_train)
-    entropy = _entropy_of_encodings(z_train)
-    mi = encoding_mi(comp.matrix_a, domain.cov)
-    mse = float(np.mean((y_rec_test - domain.pre_test) ** 2))
-    macs = pipeline_macs(comp.n_x, n_z, config.model_layer_sizes[1:])
-
-    record = EvalRecord(kind=kind, n_z=n_z, rho=comp.rho, accuracy=acc,
-                        entropy_nats=float(entropy), mi_nats=float(mi),
-                        mse=mse,
-                        macs_comp=macs.subtotal(COMPRESSION),
-                        macs_class=macs.subtotal(CLASSIFICATION))
-    extras = None
-    if kind == "oib":
-        extras = (reexpand(rx, z_train), y_rec_test)
-    return record, extras
-
-
 def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
     """All (kind, n_z) records, plus the OIB reconstructions for retraining.
 
     Records come in grid order, n_z outer and kind inner.
     """
+    used = {domain_for_kind(kind) for kind in config.compressor_kinds}
+    pre_test = {name: pre_activations(domains[name].model,
+                                      domains[name].x_test) for name in used}
     records, rec_train, rec_test = [], {}, {}
     for n_z in config.n_z_grid:
         for kind in config.compressor_kinds:
-            record, extras = _eval_one(config, domains, compressors,
-                                       reexpanders, test_labels, kind, n_z)
-            records.append(record)
-            if extras:
-                rec_train[n_z], rec_test[n_z] = extras
+            domain = domains[domain_for_kind(kind)]
+            comp, rx = compressors[(kind, n_z)], reexpanders[(kind, n_z)]
+            z_test = encode(comp, domain.x_test)
+            if config.encoding == "stochastic":
+                rng = np.random.default_rng(
+                    [config.seeds.entropy_base, n_z, 1])
+                z_test = z_test + rng.standard_normal(z_test.shape)
+            y_rec_test = reexpand(rx, z_test)
+            logits = forward_from_layer(domain.model, 1, y_rec_test)
+            z_train = encode(comp, domain.x_train)
+            macs = pipeline_macs(comp.n_x, n_z, config.model_layer_sizes[1:])
+            records.append(EvalRecord(
+                kind=kind, n_z=n_z, rho=comp.rho,
+                accuracy=float(np.mean(logits.argmax(axis=1) == test_labels)),
+                entropy_nats=float(_entropy_of_encodings(z_train)),
+                mi_nats=comp.mi_nats,
+                mse=float(np.mean((y_rec_test - pre_test[domain.name]) ** 2)),
+                macs_comp=macs.subtotal(COMPRESSION),
+                macs_class=macs.subtotal(CLASSIFICATION)))
+            if kind == "oib":
+                rec_train[n_z] = reexpand(rx, z_train)
+                rec_test[n_z] = y_rec_test
     return records, rec_train, rec_test
 
 

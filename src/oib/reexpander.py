@@ -7,7 +7,6 @@ Both fit on centered data and store the offset needed to undo the
 centering, so predictions are theta @ z + target_mean.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +18,11 @@ from .tensor_stats import as_rows
 DEFAULT_RIDGE_SCALE = 1e-8
 
 
-class FitMethod(str, enum.Enum):
-    LMMSE_POPULATION = "lmmse_population"
-    LS_SAMPLE = "ls_sample"
-
-
 @dataclass
 class Reexpander:
     """Linear estimator mapping n_z encodings to n_y targets."""
 
     theta: np.ndarray
-    fit_method: FitMethod
     target_mean: np.ndarray
 
     def __post_init__(self):
@@ -61,8 +54,7 @@ def fit_lmmse(c_yz, c_zz):
     except np.linalg.LinAlgError as exc:
         raise NumericalError("C_zz is not positive definite") from exc
     theta = linalg.cho_solve(cho, c_yz.T).T
-    return Reexpander(theta=theta, fit_method=FitMethod.LMMSE_POPULATION,
-                      target_mean=np.zeros(theta.shape[0]))
+    return Reexpander(theta=theta, target_mean=np.zeros(theta.shape[0]))
 
 
 def fit_ls(z_train, y_train, ridge=None):
@@ -92,8 +84,7 @@ def fit_ls(z_train, y_train, ridge=None):
         raise NumericalError("Z'Z + ridge*I is singular with ridge %g; "
                              "increase ridge" % ridge) from exc
     target_mean = y_mean - theta @ z_mean
-    return Reexpander(theta=theta, fit_method=FitMethod.LS_SAMPLE,
-                      target_mean=target_mean)
+    return Reexpander(theta=theta, target_mean=target_mean)
 
 
 def reexpand(rx, z):

@@ -37,7 +37,7 @@ from .datasets import DIGIT_CLASSES, LabeledImageSet
 from .errors import ConfigError, DataFormatError, DimensionError
 from .gib_compressor import Compressor, CompressorKind
 from .inference_net import MlpModel
-from .reexpander import FitMethod, Reexpander
+from .reexpander import Reexpander
 from .tensor_stats import DataMatrix
 
 F64 = np.dtype("<f8")
@@ -108,12 +108,13 @@ def _read_arrays(stem, blob, specs):
 
 def save_compressor(comp, stem, key=None):
     manifest = {
-        "format": "compressor-v1",
+        "format": "compressor-v2",
         "key": key,
         "kind": comp.kind.value,
         "n_x": comp.n_x,
         "n_z": comp.n_z,
         "beta": comp.beta,
+        "mi_nats": comp.mi_nats,
         "dtype": F64.str,
     }
     blob = np.ascontiguousarray(comp.matrix_a, dtype=F64).tobytes()
@@ -121,18 +122,18 @@ def save_compressor(comp, stem, key=None):
 
 
 def load_compressor(stem, key=None):
-    with _artifact(stem, "compressor-v1", key) as (manifest, blob):
+    with _artifact(stem, "compressor-v2", key) as (manifest, blob):
         matrix, = _read_arrays(stem, blob, [
             ((manifest["n_z"], manifest["n_x"]), F64)])
         return Compressor(kind=CompressorKind(manifest["kind"]),
-                          matrix_a=matrix, beta=manifest["beta"])
+                          matrix_a=matrix, beta=manifest["beta"],
+                          mi_nats=manifest["mi_nats"])
 
 
 def save_reexpander(rx, stem, key=None):
     manifest = {
         "format": "reexpander-v1",
         "key": key,
-        "fit_method": rx.fit_method.value,
         "n_y": rx.n_y,
         "n_z": rx.n_z,
         "dtype": F64.str,
@@ -147,9 +148,7 @@ def load_reexpander(stem, key=None):
         n_y = manifest["n_y"]
         theta, mean = _read_arrays(stem, blob, [
             ((n_y, manifest["n_z"]), F64), ((n_y,), F64)])
-        return Reexpander(theta=theta,
-                          fit_method=FitMethod(manifest["fit_method"]),
-                          target_mean=mean)
+        return Reexpander(theta=theta, target_mean=mean)
 
 
 def save_model(model, stem, train_config=None, seed=None, key=None):

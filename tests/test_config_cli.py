@@ -445,6 +445,7 @@ def test_stages_skip_work_they_do_not_use(cli_run, monkeypatch, capsys):
 
     solved = counting(monkeypatch, pipeline, "solve_gib")
     fitted = counting(monkeypatch, pipeline, "fit_domain")
+    measured = counting(monkeypatch, pipeline, "encoding_mi")
     fitted_per_command = []
     for command in (["evaluate"], ["retrain"],
                     ["retrain", "--mode", "per_rho_on_z"]):
@@ -453,9 +454,10 @@ def test_stages_skip_work_they_do_not_use(cli_run, monkeypatch, capsys):
         fitted.clear()
     assert solved == [] and trained == [] and rendered == []
     assert len(loaded) == 3 * 2
-    # evaluate fits both domains (PCA is on the grid); retrain fits only
-    # the transform domain, and per_rho_on_z fits nothing
-    assert fitted_per_command == [2, 1, 0]
+    # fit-oib fitted the domains and stored each compressor's MI, so no
+    # later command fits a domain or measures an MI again
+    assert fitted_per_command == [0, 0, 0]
+    assert measured == []
     capsys.readouterr()
 
 
@@ -592,11 +594,27 @@ def _drop_key(path):
     path.write_text(json.dumps(manifest))
 
 
+def _rewrite(path, change):
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+
+
+def _as_compressor_v1(manifest):
+    """A compressor manifest as written before compressors carried MI."""
+    old = {k: v for k, v in manifest.items() if k != "mi_nats"}
+    return dict(old, format="compressor-v1")
+
+
 @pytest.mark.parametrize("damage, stem", [
     pytest.param(lambda copy: _drop_key(copy / "reexpanders" / "pca_010.json"),
                  "reexpanders/pca_010", id="manifest_without_key"),
     pytest.param(lambda copy: (copy / "compressors" / "oib_010.bin").unlink(),
-                 "compressors/oib_010", id="missing_blob")])
+                 "compressors/oib_010", id="missing_blob"),
+    pytest.param(lambda copy: _rewrite(copy / "compressors" / "cca_005.json",
+                                       _as_compressor_v1),
+                 "compressors/cca_005", id="compressor_v1_without_mi"),
+    pytest.param(lambda copy: _rewrite(copy / "compressors" / "pca_010.json",
+                                       lambda m: dict(m, mi_nats="NaN")),
+                 "compressors/pca_010", id="mi_not_a_number")])
 def test_unkeyed_or_blobless_artifact_exits_2(cli_run, tmp_path, capsys,
                                               damage, stem):
     cfg, out_dir = cli_run
@@ -835,7 +853,7 @@ def test_fitting_the_domains_solves_no_eigensystem(tiny_fit, monkeypatch):
     for name, domain in domains.items():
         fitted = result.domains[name]
         assert np.array_equal(domain.cov.sigma_x, fitted.cov.sigma_x)
-        assert np.array_equal(domain.pre_test, fitted.pre_test)
+        assert np.array_equal(domain.pre_train, fitted.pre_train)
 
 
 def test_pca_only_grid_fits_only_the_raw_domain(tiny_fit, monkeypatch):

@@ -219,6 +219,14 @@ def test_compressor_validates_shape_and_noise():
     assert comp.n_z == 0 and comp.rho == float("inf")
 
 
+@pytest.mark.parametrize("mi", [float("nan"), float("inf"), "NaN"])
+def test_compressor_rejects_an_mi_that_is_not_a_finite_number(mi):
+    with pytest.raises((TypeError, ValueError)):
+        Compressor(kind=CompressorKind.OIB, matrix_a=np.eye(2), mi_nats=mi)
+    assert Compressor(kind=CompressorKind.OIB, matrix_a=np.eye(2),
+                      mi_nats=1.5).mi_nats == 1.5
+
+
 def _grid_domains(cov):
     return {pipeline.TRANSFORM: SimpleNamespace(cov=cov),
             pipeline.RAW: SimpleNamespace(cov=cov)}

@@ -10,7 +10,7 @@ from oib.datasets import synthetic_digits
 from oib.errors import ConfigError, DataFormatError
 from oib.gib_compressor import Compressor, CompressorKind
 from oib.inference_net import TrainConfig, init_mlp
-from oib.reexpander import FitMethod, Reexpander
+from oib.reexpander import Reexpander
 from oib.serialization import (config_hash, load_compressor, load_corpus,
                                load_model, load_reexpander, report_schema,
                                save_compressor, save_corpus, save_model,
@@ -68,17 +68,21 @@ def test_compressor_round_trip(tmp_path):
                                                         noise_std=0.0)))
     np.testing.assert_array_equal(load_compressor(stem).matrix_a,
                                   comp.matrix_a)
+    # the MI a compressor carries loads back exactly, and None as None
+    assert loaded.mi_nats is None
+    mi_stem = str(tmp_path / "mi")
+    save_compressor(Compressor(kind=CompressorKind.OIB, matrix_a=np.eye(2),
+                               mi_nats=0.1 + 0.2), mi_stem)
+    assert load_compressor(mi_stem).mi_nats == 0.1 + 0.2
 
 
 def test_reexpander_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     rx = Reexpander(theta=rng.standard_normal((5, 3)),
-                    fit_method=FitMethod.LS_SAMPLE,
                     target_mean=rng.standard_normal(5))
     stem = str(tmp_path / "rx")
     save_reexpander(rx, stem)
     loaded = load_reexpander(stem)
-    assert loaded.fit_method is FitMethod.LS_SAMPLE
     np.testing.assert_array_equal(loaded.theta, rx.theta)
     np.testing.assert_array_equal(loaded.target_mean, rx.target_mean)
 
@@ -142,7 +146,6 @@ def test_load_rejects_corrupt_artifacts(tmp_path):
 
     rx_stem = str(tmp_path / "nan_rx")
     save_reexpander(Reexpander(theta=np.ones((2, 3)),
-                               fit_method=FitMethod.LS_SAMPLE,
                                target_mean=np.zeros(2)), rx_stem)
     blob = (tmp_path / "nan_rx.bin").read_bytes()
     (tmp_path / "nan_rx.bin").write_bytes(
