@@ -4,8 +4,9 @@ Subcommands run the pipeline's own stages and compose through the output
 directory: ``train-base`` writes the base model checkpoints, ``fit-oib``
 reads them and writes compressors (each with its MI) and re-expanders,
 ``evaluate`` reads everything and writes the report, ``retrain``
-fine-tunes the shared and per-size heads (``per_rho_head``) or trains one
-classifier per size on the codes themselves (``per_rho_on_z``),
+fine-tunes the shared and per-size heads (``per_rho_head``, reported in
+``retrain_report.json``) or trains one classifier per size on the codes
+themselves (``per_rho_on_z``, reported in ``bank_report.json``),
 ``hz-test`` compares domain normality without any network, ``macs``
 prints the complexity table, and ``synth-check`` runs the
 synthetic-Gaussian oracle suites.  Only ``fit-oib`` fits: ``evaluate``
@@ -137,14 +138,12 @@ def cmd_retrain(config, mode):
     result = _stored(config, fitted=True)
     if mode == "per_rho_on_z":
         heads, records = pipeline.retrain_bank(config, result)
-        pipeline.write_heads(config, heads, "bank", config.output_dir)
-        payload = pipeline.write_retrain_report(mode, records,
-                                                config.output_dir)
     else:
-        pipeline.evaluate(result)
-        pipeline.retrain_heads(config, result)
-        payload = pipeline.write_retrain_artifacts(result, config.output_dir)
-    write_json(payload, sys.stdout)
+        heads, records = pipeline.retrain_heads(config,
+                                                pipeline.evaluate(result))
+    write_json(pipeline.write_retrain_artifacts(mode, heads, records,
+                                                config.output_dir),
+               sys.stdout)
     return 0
 
 
@@ -275,7 +274,7 @@ def make_parser():
         command = sub.add_parser(name, parents=[common], help=text)
         if name == "retrain":
             command.add_argument("--mode", default="per_rho_head",
-                                 choices=["per_rho_head", "per_rho_on_z"])
+                                 choices=list(pipeline.RETRAIN_REPORTS))
     return parser
 
 

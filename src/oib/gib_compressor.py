@@ -20,20 +20,13 @@ rows), so each basis is solved once and sliced per n_z.  Encoding is the
 deterministic linear map z = A x.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NumericalError
 from .tensor_stats import GeneralizedEigenResult, as_rows, gib_eigensystem
-
-
-class CompressorKind(str, enum.Enum):
-    OIB = "oib"
-    CCA = "cca"
-    PCA = "pca"
 
 
 @dataclass
@@ -47,9 +40,10 @@ class GibSolution:
 @dataclass
 class Compressor:
     """A fitted linear feature extractor z = A x; ``mi_nats`` is I(z; y) on
-    the covariance pair it was fitted to, or None if built outside a fit."""
+    the covariance pair it was fitted to, or None if built outside a fit.
+    Which basis it came from is named by its (kind, n_z) key on the grid,
+    not by the compressor."""
 
-    kind: CompressorKind
     matrix_a: np.ndarray
     beta: float = None
     mi_nats: float = None
@@ -95,8 +89,7 @@ def _oib_compressor(sol, beta, n_z):
     lam = sol.eigen.eigenvalues[:n_z]
     alpha = np.sqrt(np.maximum(beta * (1.0 - lam) - 1.0, 0.0) / lam)
     matrix = alpha[:, None] * sol.eigen.left_eigenvectors[:n_z]
-    return Compressor(kind=CompressorKind.OIB, matrix_a=matrix,
-                      beta=float(beta))
+    return Compressor(matrix_a=matrix, beta=float(beta))
 
 
 def compressor_at_beta(sol, beta):
@@ -125,20 +118,23 @@ def compressor_at_size(sol, n_z):
 def cca_compressor(sol, n_z):
     """Unit-loading compressor on the first n_z eigendirections."""
     _check_size(n_z, sol.eigen.dim)
-    return Compressor(kind=CompressorKind.CCA,
-                      matrix_a=sol.eigen.left_eigenvectors[:n_z].copy())
+    return Compressor(matrix_a=sol.eigen.left_eigenvectors[:n_z].copy())
 
 
 def pca_basis(sigma_x):
     """Eigenvectors of sigma_x as rows, in descending order of variance."""
-    _, vecs = np.linalg.eigh(np.asarray(sigma_x, dtype=np.float64))
+    try:
+        _, vecs = np.linalg.eigh(np.asarray(sigma_x, dtype=np.float64))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigendecomposition of sigma_x did not "
+                             "converge") from exc
     return vecs[:, ::-1].T
 
 
 def pca_compressor(basis, n_z):
     """Projection on the first n_z rows of a ``pca_basis``."""
     _check_size(n_z, basis.shape[0])
-    return Compressor(kind=CompressorKind.PCA, matrix_a=basis[:n_z].copy())
+    return Compressor(matrix_a=basis[:n_z].copy())
 
 
 def encode(comp, x):

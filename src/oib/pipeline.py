@@ -34,14 +34,15 @@ Stages, in dependency order:
 6. retrain: a single average head trained on the mixture of all grid
    reconstructions, then one fine-tuned head per n_z with early stopping
    on a validation split (keeping the average head when fine-tuning does
-   not help).
+   not help); or one classifier per n_z on the codes themselves.  Each
+   mode's heads and records are saved by one writer into its own report.
 7. normality: Henze-Zirkler p-values of random coordinate projections,
    raw versus transform domain.
 
 ``run_experiment`` and the ``oib`` subcommands share one path:
 ``prepare`` (stages 1-3; it renders the image sets and trains the base
-networks unless it is given them), ``fit``, ``evaluate`` and
-``retrain_heads``, each setting its own fields of the result.  Stages 5
+networks unless it is given them), then ``fit`` and ``evaluate``, each
+setting its own fields of the result, and ``retrain_heads``.  Stages 5
 and 6 read no covariance, so ``evaluate`` and ``retrain`` run on the
 compressors and re-expanders ``fit-oib`` stored and fit nothing.
 ``run_experiment`` renders in memory and saves no corpus.
@@ -65,7 +66,7 @@ from . import gaussianizer
 from .complexity_model import (CLASSIFICATION, COMPRESSION, pipeline_macs)
 from .config import HZ_PROJECTION_DIM, config_to_dict
 from .datasets import load_idx, subset, synthetic_digits
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, NumericalError
 from .gib_compressor import (cca_compressor, compressor_at_size, encode,
                              pca_basis, pca_compressor, solve_gib)
 from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
@@ -92,6 +93,9 @@ NOISE_FLOOR_SCALE = 0.1
 AVERAGE_LEARNING_RATE = 1e-3
 FINETUNE_LEARNING_RATE = 1e-4
 FINETUNE_VAL_FRACTION = 0.1
+# The report each retrain mode writes, so that one mode keeps the other's.
+RETRAIN_REPORTS = {"per_rho_head": "retrain_report.json",
+                   "per_rho_on_z": "bank_report.json"}
 
 
 @dataclass
@@ -130,6 +134,12 @@ class RetrainRecord:
 
 
 @dataclass
+class BankRecord:
+    n_z: int
+    accuracy_bank: float
+
+
+@dataclass
 class HzRecord:
     index: int
     p_raw: float
@@ -148,8 +158,7 @@ class ExperimentResult:
     records: list = None
     reconstructions_train: dict = None
     reconstructions_test: dict = None
-    average_head: MlpModel = None
-    per_rho_heads: dict = None
+    heads: dict = None
     retrain_records: list = None
     hz_records: list = None
 
@@ -361,9 +370,12 @@ def build_compressors(config, domains):
                 comp = cca_compressor(gib, n_z)
             else:
                 comp = pca_compressor(basis, n_z)
-            comp.mi_nats = float(encoding_mi(
-                comp.matrix_a, domains[domain_for_kind(kind)].cov))
-            compressors[(kind, n_z)] = comp
+            mi = float(encoding_mi(comp.matrix_a,
+                                   domains[domain_for_kind(kind)].cov))
+            if not math.isfinite(mi):
+                raise NumericalError("MI of the %s compressor at n_z=%d is "
+                                     "%r" % (kind, n_z, mi))
+            compressors[(kind, n_z)] = replace(comp, mi_nats=mi)
     return compressors
 
 
@@ -421,7 +433,8 @@ def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
 
 
 def retrain_heads(config, result):
-    """Average head over all sizes, then per-size fine-tuning.
+    """Average head over all sizes, then per-size fine-tuning; returns
+    ``(heads, records)``, the heads keyed by their file name.
 
     The average head starts from the base model's head and trains on the
     mixture of every grid size's reconstructions with a step-down learning
@@ -439,26 +452,24 @@ def retrain_heads(config, result):
                           learning_rate=AVERAGE_LEARNING_RATE,
                           seed=config.seeds.head_average,
                           lr_decay_at=rt.average_decay_at)
-    average_head = train_multi_rho_head(model, result.reconstructions_train,
-                                        labels_tr, avg_cfg)
-    result.average_head = average_head
-    result.per_rho_heads, result.retrain_records = {}, []
+    average = train_multi_rho_head(model, result.reconstructions_train,
+                                   labels_tr, avg_cfg)
+    heads, records = {"average": (average, avg_cfg.seed)}, []
     for n_z in config.n_z_grid:
         ft_cfg = TrainConfig(epochs=rt.finetune_epochs,
                              learning_rate=FINETUNE_LEARNING_RATE,
                              seed=head_seed(config, n_z),
                              val_fraction=FINETUNE_VAL_FRACTION)
-        head = finetune_head(average_head,
-                             result.reconstructions_train[n_z], labels_tr,
-                             ft_cfg)
-        result.per_rho_heads[n_z] = head
+        head = finetune_head(average, result.reconstructions_train[n_z],
+                             labels_tr, ft_cfg)
+        heads["per_rho_%03d" % n_z] = (head, ft_cfg.seed)
         relu_te = np.maximum(result.reconstructions_test[n_z], 0)
-        result.retrain_records.append(RetrainRecord(
+        records.append(RetrainRecord(
             n_z=n_z,
             accuracy_non_retrained=result.record("oib", n_z).accuracy,
-            accuracy_average=accuracy(average_head, relu_te, labels_te),
+            accuracy_average=accuracy(average, relu_te, labels_te),
             accuracy_per_rho=accuracy(head, relu_te, labels_te)))
-    return result
+    return heads, records
 
 
 def retrain_bank(config, result):
@@ -466,10 +477,9 @@ def retrain_bank(config, result):
 
     Unlike re-expansion plus the shared head, the bank trains a separate
     network whose input width is n_z, so deployment needs one model per
-    compression size.
+    compression size.  Returns ``(heads, records)`` as ``retrain_heads``.
     """
-    heads = {}
-    records = []
+    heads, records = {}, []
     for n_z in config.n_z_grid:
         comp = result.compressors[("oib", n_z)]
         z_train = encode(comp, result.transform.x_train)
@@ -478,10 +488,9 @@ def retrain_bank(config, result):
         cfg = replace(base_train_config(config),
                       seed=head_seed(config, n_z))
         head = train_head_on_z(z_train, result.train_labels, sizes, cfg)
-        heads[n_z] = head
-        records.append({"n_z": n_z,
-                        "accuracy_bank": accuracy(head, z_test,
-                                                  result.test_labels)})
+        heads["bank_%03d" % n_z] = (head, cfg.seed)
+        records.append(BankRecord(n_z, accuracy(head, z_test,
+                                                result.test_labels)))
     return heads, records
 
 
@@ -545,7 +554,7 @@ def run_experiment(config, out_dir=None):
     """Run every stage in order; optionally persist artifacts under out_dir."""
     result = evaluate(fit(prepare(config)))
     if "oib" in config.compressor_kinds:
-        retrain_heads(config, result)
+        result.heads, result.retrain_records = retrain_heads(config, result)
     result.hz_records = hz_compare(config, result.raw.x_test,
                                    result.transform.x_test)
 
@@ -650,29 +659,15 @@ def write_evaluation(result, out_dir):
     write_records_csv(result.records, os.path.join(out_dir, "records.csv"))
 
 
-def write_retrain_report(mode, records, out_dir):
-    """``retrain_report.json`` for one retrain mode; returns its payload."""
-    return _write_report({"mode": mode, "records": records}, out_dir,
-                         "retrain_report.json")
-
-
-def write_heads(config, heads, prefix, out_dir):
-    """Each size's head as ``heads/<prefix>_<n_z>``; returns ``heads/``."""
-    heads_dir = os.path.join(out_dir, "heads")
-    os.makedirs(heads_dir, exist_ok=True)
-    for n_z, head in heads.items():
-        save_model(head, os.path.join(heads_dir, "%s_%03d" % (prefix, n_z)),
-                   seed=head_seed(config, n_z))
-    return heads_dir
-
-
-def write_retrain_artifacts(result, out_dir):
-    heads_dir = write_heads(result.config, result.per_rho_heads, "per_rho",
-                            out_dir)
-    save_model(result.average_head, os.path.join(heads_dir, "average"),
-               seed=result.config.seeds.head_average)
-    return write_retrain_report(
-        "per_rho_head", [asdict(r) for r in result.retrain_records], out_dir)
+def write_retrain_artifacts(mode, heads, records, out_dir):
+    """Each ``(model, seed)`` of ``heads`` under ``heads/`` by its name,
+    and the mode's report in ``RETRAIN_REPORTS``; returns the report."""
+    os.makedirs(os.path.join(out_dir, "heads"), exist_ok=True)
+    for name, (head, seed) in heads.items():
+        save_model(head, os.path.join(out_dir, "heads", name), seed=seed)
+    return _write_report({"mode": mode,
+                          "records": [asdict(r) for r in records]},
+                         out_dir, RETRAIN_REPORTS[mode])
 
 
 def write_hz_report(hz_records, out_dir):
@@ -688,5 +683,6 @@ def write_artifacts(result, out_dir):
     write_fit_artifacts(result, out_dir)
     write_evaluation(result, out_dir)
     if result.retrain_records is not None:
-        write_retrain_artifacts(result, out_dir)
+        write_retrain_artifacts("per_rho_head", result.heads,
+                                result.retrain_records, out_dir)
     write_hz_report(result.hz_records, out_dir)

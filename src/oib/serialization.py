@@ -7,7 +7,7 @@ bit-exactly; manifests carry enough shape information to validate the blob
 length before anything is read, and loaders read the blob straight into
 the arrays they return.  The loaders raise DataFormatError, naming the
 stem, for any damaged artifact: a manifest that is not a JSON object or
-lacks a field, an unknown kind, a missing blob or one of the wrong length,
+lacks a field, a missing blob or one of the wrong length,
 or values the loaded object rejects.
 
 Every manifest has a ``key`` field: the hash of the settings the artifact
@@ -35,11 +35,14 @@ import numpy as np
 
 from .datasets import DIGIT_CLASSES, LabeledImageSet
 from .errors import ConfigError, DataFormatError, DimensionError
-from .gib_compressor import Compressor, CompressorKind
+from .gib_compressor import Compressor
 from .inference_net import MlpModel
 from .reexpander import Reexpander
 from .tensor_stats import DataMatrix
 
+# What to do about an artifact that does not belong to the caller's settings.
+_REMEDY = ("run train-base and fit-oib with these settings into --out, or "
+          "use another --out")
 F64 = np.dtype("<f8")
 F32 = np.dtype("<f4")
 I64 = np.dtype("<i8")
@@ -75,13 +78,12 @@ def _artifact(stem, fmt, key=None):
             with open(path) as fh:
                 manifest = json.load(fh)
             if manifest.get("format") != fmt:
-                raise DataFormatError("%s declares format %r, expected %r"
-                                      % (path, manifest.get("format"), fmt))
+                raise DataFormatError("%s declares format %r, expected %r; "
+                                      "%s" % (path, manifest.get("format"),
+                                              fmt, _REMEDY))
         if key is not None and manifest.get("key") != key:
             raise ConfigError("%s is missing or was written for other "
-                              "settings; run train-base and fit-oib with "
-                              "these settings into --out, or use another "
-                              "--out" % path)
+                              "settings; %s" % (path, _REMEDY))
         with open(str(stem) + ".bin", "rb") as blob:
             yield manifest, blob
     except (AttributeError, KeyError, OSError, TypeError, ValueError,
@@ -110,7 +112,6 @@ def save_compressor(comp, stem, key=None):
     manifest = {
         "format": "compressor-v2",
         "key": key,
-        "kind": comp.kind.value,
         "n_x": comp.n_x,
         "n_z": comp.n_z,
         "beta": comp.beta,
@@ -125,8 +126,7 @@ def load_compressor(stem, key=None):
     with _artifact(stem, "compressor-v2", key) as (manifest, blob):
         matrix, = _read_arrays(stem, blob, [
             ((manifest["n_z"], manifest["n_x"]), F64)])
-        return Compressor(kind=CompressorKind(manifest["kind"]),
-                          matrix_a=matrix, beta=manifest["beta"],
+        return Compressor(matrix_a=matrix, beta=manifest["beta"],
                           mi_nats=manifest["mi_nats"])
 
 

@@ -150,7 +150,11 @@ def gib_eigensystem(cov):
         raise NumericalError("sigma_x is not positive definite; raise the "
                              "shrinkage coefficient") from exc
     g = linalg.solve_triangular(chol, cov.cross.T, lower=True)
-    p, s, _ = np.linalg.svd(g, full_matrices=False)
+    try:
+        p, s, _ = np.linalg.svd(g, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("SVD of the whitened cross-covariance did not "
+                             "converge") from exc
     v = linalg.solve_triangular(chol, p, lower=True, trans="T")
     pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     v *= np.sign(pivots)

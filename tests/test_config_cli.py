@@ -372,7 +372,7 @@ def test_bank_accuracies_are_those_of_the_saved_heads(cli_run, capsys):
     cfg, out_dir = cli_run
     assert main(["retrain", "--config", cfg, "--mode", "per_rho_on_z"]) == 0
     capsys.readouterr()
-    report = json.loads((out_dir / "retrain_report.json").read_text())
+    report = json.loads((out_dir / "bank_report.json").read_text())
     assert report["mode"] == "per_rho_on_z"
     config = load_config(cfg)
     train_set, test_set = pipeline.build_dataset(config)
@@ -394,9 +394,63 @@ def test_damaged_artifact_exits_2(cli_run, tmp_path, capsys):
     shutil.copytree(out_dir, copy)
     manifest = copy / "compressors" / "oib_010.json"
     manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()),
-                                        kind="bogus")))
+                                        n_z=11)))
     assert main(["evaluate", "--config", cfg, "--out", str(copy)]) == 2
     assert "oib_010" in capsys.readouterr().err
+
+
+def test_each_retrain_mode_keeps_its_own_report(cli_run, tmp_path, capsys):
+    cfg, out_dir = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy)
+    common = ["--config", cfg, "--out", str(copy)]
+    assert main(["retrain"] + common) == 0
+    per_size = (copy / "retrain_report.json").read_bytes()
+    assert main(["retrain", "--mode", "per_rho_on_z"] + common) == 0
+    capsys.readouterr()
+    assert (copy / "retrain_report.json").read_bytes() == per_size
+    assert json.loads(per_size)["mode"] == "per_rho_head"
+    bank = json.loads((copy / "bank_report.json").read_text())
+    assert bank["mode"] == "per_rho_on_z"
+    assert [r["n_z"] for r in bank["records"]] == TINY["n_z_grid"]
+
+
+def _unfitted_copy(out_dir, tmp_path):
+    """A copy of ``out_dir`` without what fit-oib wrote."""
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy, ignore=shutil.ignore_patterns(
+        "compressors", "reexpanders"))
+    return copy
+
+
+def _fails_numerically(cfg, copy, capsys):
+    """fit-oib into ``copy`` exits 3 with one stderr line, storing nothing."""
+    assert main(["fit-oib", "--config", cfg, "--out", str(copy)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and err.count("\n") == 1
+    assert not (copy / "compressors").exists()
+    assert not (copy / "reexpanders").exists()
+    return err
+
+
+def test_a_non_finite_mi_fails_the_fit(cli_run, tmp_path, monkeypatch,
+                                       capsys):
+    cfg, out_dir = cli_run
+    copy = _unfitted_copy(out_dir, tmp_path)
+    monkeypatch.setattr(pipeline, "encoding_mi", lambda *a: float("nan"))
+    assert "oib compressor at n_z=5" in _fails_numerically(cfg, copy, capsys)
+
+
+@pytest.mark.parametrize("decomposition", ["eigh", "svd"])
+def test_a_decomposition_that_does_not_converge_exits_3(
+        cli_run, tmp_path, monkeypatch, capsys, decomposition):
+    cfg, out_dir = cli_run
+    copy = _unfitted_copy(out_dir, tmp_path)
+
+    def diverges(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+    monkeypatch.setattr(np.linalg, decomposition, diverges)
+    _fails_numerically(cfg, copy, capsys)
 
 
 def test_evaluate_is_deterministic_across_runs(cli_run, capsys):
@@ -604,25 +658,28 @@ def _as_compressor_v1(manifest):
     return dict(old, format="compressor-v1")
 
 
-@pytest.mark.parametrize("damage, stem", [
+@pytest.mark.parametrize("damage, stem, remedy", [
     pytest.param(lambda copy: _drop_key(copy / "reexpanders" / "pca_010.json"),
-                 "reexpanders/pca_010", id="manifest_without_key"),
+                 "reexpanders/pca_010", True, id="manifest_without_key"),
     pytest.param(lambda copy: (copy / "compressors" / "oib_010.bin").unlink(),
-                 "compressors/oib_010", id="missing_blob"),
+                 "compressors/oib_010", False, id="missing_blob"),
     pytest.param(lambda copy: _rewrite(copy / "compressors" / "cca_005.json",
                                        _as_compressor_v1),
-                 "compressors/cca_005", id="compressor_v1_without_mi"),
+                 "compressors/cca_005", True, id="compressor_v1_without_mi"),
     pytest.param(lambda copy: _rewrite(copy / "compressors" / "pca_010.json",
                                        lambda m: dict(m, mi_nats="NaN")),
-                 "compressors/pca_010", id="mi_not_a_number")])
+                 "compressors/pca_010", False, id="mi_not_a_number")])
 def test_unkeyed_or_blobless_artifact_exits_2(cli_run, tmp_path, capsys,
-                                              damage, stem):
+                                              damage, stem, remedy):
     cfg, out_dir = cli_run
     copy = tmp_path / "out"
     shutil.copytree(out_dir, copy)
     damage(copy)
     assert main(["evaluate", "--config", cfg, "--out", str(copy)]) == 2
-    assert str(copy / stem) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(copy / stem) in err
+    # a manifest of an older format or another key says what to rerun
+    assert ("fit-oib" in err) == remedy
 
 
 def test_output_dir_that_is_a_file_exits_2_before_work(tmp_path, monkeypatch,

@@ -8,10 +8,9 @@ import pytest
 from gib_pairs import exact_pair, pipeline_pair
 from oib import pipeline
 from oib.errors import DimensionError
-from oib.gib_compressor import (CompressorKind, Compressor, beta_for_size,
-                                cca_compressor, compressor_at_beta,
-                                compressor_at_size, encode, pca_basis,
-                                pca_compressor, solve_gib)
+from oib.gib_compressor import (Compressor, beta_for_size, cca_compressor,
+                                compressor_at_beta, compressor_at_size,
+                                encode, pca_basis, pca_compressor, solve_gib)
 
 
 def test_critical_betas_follow_eigenvalues():
@@ -70,7 +69,6 @@ def test_compressor_at_size_hits_requested_rank():
         comp = compressor_at_size(sol, n_z)
         assert comp.n_z == n_z
         assert comp.matrix_a.shape == (n_z, cov.dim)
-        assert comp.kind is CompressorKind.OIB
         # the chosen beta sits strictly inside the matching interval
         assert comp.beta > sol.beta_critical[n_z - 1]
         if n_z < sol.eigen.dim:
@@ -137,7 +135,6 @@ def test_cca_compressor_has_unit_loadings():
     cov, _ = exact_pair(6)
     sol = solve_gib(cov)
     comp = cca_compressor(sol, 3)
-    assert comp.kind is CompressorKind.CCA
     np.testing.assert_array_equal(comp.matrix_a,
                                   sol.eigen.left_eigenvectors[:3])
     oib = compressor_at_size(sol, 3)
@@ -152,7 +149,6 @@ def test_pca_compressor_takes_top_variance_directions():
     a = rng.standard_normal((5, 5))
     sigma = a @ a.T + 0.1 * np.eye(5)
     comp = pca_compressor(pca_basis(sigma), 2)
-    assert comp.kind is CompressorKind.PCA
     vals = np.linalg.eigvalsh(sigma)
     captured = np.einsum("ij,jk,ik->i", comp.matrix_a, sigma, comp.matrix_a)
     np.testing.assert_allclose(np.sort(captured), np.sort(vals[-2:]),
@@ -210,21 +206,19 @@ def test_encode_rejects_wrong_width():
 
 def test_compressor_validates_shape_and_noise():
     with pytest.raises(DimensionError):
-        Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros(4))
+        Compressor(matrix_a=np.zeros(4))
     # a compressor is a deterministic linear map with no noise model
     with pytest.raises(TypeError):
-        Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros((2, 4)),
-                   noise_std=1.0)
-    comp = Compressor(kind=CompressorKind.OIB, matrix_a=np.zeros((0, 4)))
+        Compressor(matrix_a=np.zeros((2, 4)), noise_std=1.0)
+    comp = Compressor(matrix_a=np.zeros((0, 4)))
     assert comp.n_z == 0 and comp.rho == float("inf")
 
 
 @pytest.mark.parametrize("mi", [float("nan"), float("inf"), "NaN"])
 def test_compressor_rejects_an_mi_that_is_not_a_finite_number(mi):
     with pytest.raises((TypeError, ValueError)):
-        Compressor(kind=CompressorKind.OIB, matrix_a=np.eye(2), mi_nats=mi)
-    assert Compressor(kind=CompressorKind.OIB, matrix_a=np.eye(2),
-                      mi_nats=1.5).mi_nats == 1.5
+        Compressor(matrix_a=np.eye(2), mi_nats=mi)
+    assert Compressor(matrix_a=np.eye(2), mi_nats=1.5).mi_nats == 1.5
 
 
 def _grid_domains(cov):
@@ -251,7 +245,6 @@ def test_build_compressors_solves_pca_basis_once(monkeypatch):
     basis = pca_basis(cov.sigma_x)
     for n_z in config.n_z_grid:
         comp = compressors[("pca", n_z)]
-        assert comp.kind is CompressorKind.PCA
         assert np.array_equal(comp.matrix_a, basis[:n_z])
         assert np.array_equal(compressors[("cca", n_z)].matrix_a,
                               solve_gib(cov).eigen.left_eigenvectors[:n_z])

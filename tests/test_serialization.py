@@ -8,7 +8,7 @@ import pytest
 
 from oib.datasets import synthetic_digits
 from oib.errors import ConfigError, DataFormatError
-from oib.gib_compressor import Compressor, CompressorKind
+from oib.gib_compressor import Compressor
 from oib.inference_net import TrainConfig, init_mlp
 from oib.reexpander import Reexpander
 from oib.serialization import (config_hash, load_compressor, load_corpus,
@@ -46,12 +46,10 @@ def sample_report():
 
 def test_compressor_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    comp = Compressor(kind=CompressorKind.OIB,
-                      matrix_a=rng.standard_normal((4, 9)), beta=3.25)
+    comp = Compressor(matrix_a=rng.standard_normal((4, 9)), beta=3.25)
     stem = str(tmp_path / "comp")
     save_compressor(comp, stem)
     loaded = load_compressor(stem)
-    assert loaded.kind is CompressorKind.OIB
     assert loaded.n_z == 4 and loaded.n_x == 9
     assert loaded.beta == comp.beta
     np.testing.assert_array_equal(loaded.matrix_a, comp.matrix_a)
@@ -71,8 +69,8 @@ def test_compressor_round_trip(tmp_path):
     # the MI a compressor carries loads back exactly, and None as None
     assert loaded.mi_nats is None
     mi_stem = str(tmp_path / "mi")
-    save_compressor(Compressor(kind=CompressorKind.OIB, matrix_a=np.eye(2),
-                               mi_nats=0.1 + 0.2), mi_stem)
+    save_compressor(Compressor(matrix_a=np.eye(2), mi_nats=0.1 + 0.2),
+                    mi_stem)
     assert load_compressor(mi_stem).mi_nats == 0.1 + 0.2
 
 
@@ -106,7 +104,7 @@ def test_model_round_trip(tmp_path):
 
 
 def test_load_rejects_corrupt_artifacts(tmp_path):
-    comp = Compressor(kind=CompressorKind.CCA, matrix_a=np.eye(3))
+    comp = Compressor(matrix_a=np.eye(3))
     stem = str(tmp_path / "c")
     save_compressor(comp, stem)
 
@@ -137,7 +135,6 @@ def test_load_rejects_corrupt_artifacts(tmp_path):
         return damaged
 
     for name, change in (
-            ("bogus_kind", lambda m: dict(m, kind="bogus")),
             ("no_n_x", lambda m: {k: v for k, v in m.items() if k != "n_x"}),
             ("as_list", lambda m: sorted(m.items()))):
         damaged = tampered(name, change)
@@ -155,7 +152,7 @@ def test_load_rejects_corrupt_artifacts(tmp_path):
 
 
 def test_keyed_loaders_check_the_key_before_the_blob(tmp_path):
-    comp = Compressor(kind=CompressorKind.CCA, matrix_a=np.eye(3))
+    comp = Compressor(matrix_a=np.eye(3))
     stem = str(tmp_path / "c")
     with pytest.raises(ConfigError, match=re.escape(stem)):
         load_compressor(stem, "k")
