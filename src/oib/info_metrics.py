@@ -4,8 +4,11 @@ Everything here evaluates closed-form Gaussian quantities from covariance
 matrices: differential entropy ½ log((2πe)^n |Σ|) and mutual information
 as a half log-determinant ratio.  Nothing is estimated from samples drawn
 here: the pipeline's entropy column is ``gaussian_entropy`` of an exact
-covariance (that of the power-normalized noisy encodings).  All values are
-in nats; convert to bits only for display.
+covariance (that of the power-normalized noisy encodings), and its MI
+column is ``prefix_mi``, the MI of every row prefix of one basis from one
+pair of Cholesky factors.  ``encoding_mi`` measures one encoder, noisy or
+not, and backs the checks below.  All values are in nats; convert to bits
+only for display.
 
 Two verification helpers back the theory the compressor relies on:
 loading invariance (deterministic mutual information ignores row scaling,
@@ -83,6 +86,29 @@ def encoding_mi(matrix_a, cov, noise_std=0.0):
     sigma_z = a @ cov.sigma_x @ a.T + noise
     ak = a @ cov.cross.T
     return gaussian_mi(sigma_z, sigma_z - ak @ ak.T)
+
+
+def prefix_mi(matrix_b, cov):
+    """I(z_k; y) of every row prefix z_k = B[:k] x̃, k = 1..n_rows, in nats.
+
+    The leading k×k block of a Cholesky factor is the factor of the
+    leading block, so the cumulative sums of the log-diagonal differences
+    of the factors of BΣ_xBᵀ and BΣ_{x|y}Bᵀ are the MI of every prefix:
+    one pair of factorizations, without jitter as in ``gaussian_mi``.  MI
+    ignores positive row loadings, so these are also the MI of every
+    encoder whose rows are scaled prefixes of B's.
+    """
+    b = np.asarray(matrix_b, dtype=np.float64)
+    sigma_z = b @ cov.sigma_x @ b.T
+    bk = b @ cov.cross.T
+    log_diags = []
+    for sigma in (sigma_z, sigma_z - bk @ bk.T):
+        try:
+            log_diags.append(np.log(np.diag(np.linalg.cholesky(sigma))))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("encoding covariance is not positive "
+                                 "definite") from exc
+    return np.cumsum(log_diags[0] - log_diags[1])
 
 
 def mi_loading_invariance_check(sol, cov, n_z, trials=20, seed=0):

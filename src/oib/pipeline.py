@@ -21,16 +21,24 @@ Stages, in dependency order:
    the generalized eigensystem in the target's n_y canonical-correlation
    directions (256 by default, so OIB and CCA sizes stop there), and a
    least-squares re-expander per compressor onto the noiseless
-   pre-activations, for only the domains the grid's kinds run on.  Each
-   basis (the GIB eigenvectors for OIB and CCA, the raw domain's PCA
-   eigenvectors) is solved once, where the compressors are built, and
-   every (kind, n_z) compressor is a row prefix of it that carries its
-   Gaussian MI I(z; y) on the covariance pair.
-5. evaluate: per (kind, n_z), accuracy through the frozen head, the exact
-   Gaussian entropy of power-normalized stochastic encodings z + xi
-   (computed from the sample covariance of z, drawing nothing), the
+   pre-activations, for only the domains the grid's kinds run on.  The
+   solution is nested: each basis (the GIB eigenvectors for OIB and CCA,
+   the raw domain's PCA eigenvectors) is solved once, every (kind, n_z)
+   compressor is a positive row scaling of its leading rows (the scale is
+   1 for CCA and PCA, alpha_i(beta) for OIB), and MI ignores such
+   scalings.  So one pair of Cholesky factors per basis gives the
+   Gaussian MI I(z; y) of every size (OIB and CCA share it), and per kind
+   one encode of the training features with the largest compressor and
+   one Gram matrix of its codes give every size's re-expander, each the
+   least-squares fit of its scaled leading codes.
+5. evaluate: per (kind, n_z), accuracy through the frozen head on its own
+   test codes, the exact Gaussian entropy of power-normalized stochastic
+   encodings z + xi (computed from the scaled leading block of the
+   kind's one training-code covariance, drawing nothing), the
    compressor's MI, reconstruction MSE against the test pre-activations,
-   and the MACs split, in grid order (n_z outer, kind inner).
+   and the MACs split, in grid order (n_z outer, kind inner).  The row
+   scalings are derived from the compressors alone, so stored and fresh
+   compressors take one path, and a set that is not nested is refused.
 6. retrain: a single average head trained on the mixture of all grid
    reconstructions, then one fine-tuned head per n_z with early stopping
    on a validation split (keeping the average head when fine-tuning does
@@ -72,8 +80,10 @@ from .gib_compressor import (cca_compressor, compressor_at_size, encode,
 from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
                             forward_from_layer, init_mlp, train,
                             train_head_on_z, train_multi_rho_head)
-from .info_metrics import encoding_mi, gaussian_entropy
-from .reexpander import fit_ls, reexpand
+# Nothing here calls ``encoding_mi`` or ``fit_ls``; they are imported
+# because the benchmark traces them under this module.
+from .info_metrics import encoding_mi, gaussian_entropy, prefix_mi
+from .reexpander import fit_ls, fit_ls_prefix, ls_moments, reexpand
 from .serialization import (config_hash, load_corpus, save_compressor,
                             save_corpus, save_model, save_reexpander,
                             validate_report, write_json)
@@ -354,44 +364,101 @@ def fit_all_domains(config, domains):
     return domains
 
 
+def _grid_keys(config):
+    """(kind, n_z) in grid order: n_z outer, kind inner."""
+    return [(kind, n_z) for n_z in config.n_z_grid
+            for kind in config.compressor_kinds]
+
+
 def build_compressors(config, domains):
     """Every (kind, n_z) compressor, each a row prefix of its kind's basis
-    and carrying its MI on its domain's covariance pair; a basis is solved
-    only when a kind on the grid reads it."""
+    and carrying its MI on its domain's covariance pair.  A basis is
+    solved, and the MI of all its prefixes taken from one ``prefix_mi``
+    call, only when a kind on the grid reads it; OIB and CCA share the
+    GIB basis and so their MI."""
     used = {domain_for_kind(kind) for kind in config.compressor_kinds}
-    gib = solve_gib(domains[TRANSFORM].cov) if TRANSFORM in used else None
-    basis = pca_basis(domains[RAW].cov.sigma_x) if RAW in used else None
+    bases = {}
+    if TRANSFORM in used:
+        gib = solve_gib(domains[TRANSFORM].cov)
+        bases[TRANSFORM] = gib.eigen.left_eigenvectors
+    if RAW in used:
+        bases[RAW] = pca_basis(domains[RAW].cov.sigma_x)
+    n_max = max(config.n_z_grid)
+    prefix = {name: prefix_mi(basis[:n_max], domains[name].cov)
+              for name, basis in bases.items()}
     compressors = {}
-    for n_z in config.n_z_grid:
-        for kind in config.compressor_kinds:
-            if kind == "oib":
-                comp = compressor_at_size(gib, n_z)
-            elif kind == "cca":
-                comp = cca_compressor(gib, n_z)
-            else:
-                comp = pca_compressor(basis, n_z)
-            mi = float(encoding_mi(comp.matrix_a,
-                                   domains[domain_for_kind(kind)].cov))
-            if not math.isfinite(mi):
-                raise NumericalError("MI of the %s compressor at n_z=%d is "
-                                     "%r" % (kind, n_z, mi))
-            compressors[(kind, n_z)] = replace(comp, mi_nats=mi)
+    for kind, n_z in _grid_keys(config):
+        if kind == "oib":
+            comp = compressor_at_size(gib, n_z)
+        elif kind == "cca":
+            comp = cca_compressor(gib, n_z)
+        else:
+            comp = pca_compressor(bases[RAW], n_z)
+        mi = float(prefix[domain_for_kind(kind)][n_z - 1])
+        if not math.isfinite(mi):
+            raise NumericalError("MI of the %s compressor at n_z=%d is %r"
+                                 % (kind, n_z, mi))
+        compressors[(kind, n_z)] = replace(comp, mi_nats=mi)
     return compressors
 
 
+# A compressor whose rows miss their scaled leading rows of the largest
+# one by more than this, relative to its largest entry, is refused.
+NESTING_RTOL = 1e-12
+
+
+def nested_scales(config, compressors, kind):
+    """Per n_z of the grid, the positive scales s with A = s·B[:n_z], where
+    A is the ``kind`` compressor of that size and B the largest one.
+
+    Every compressor of a kind is such a scaling of the leading rows of
+    the largest: s is exactly 1 for CCA and PCA and
+    alpha_i(beta_k)/alpha_i(beta_max) for OIB.  The scales are derived
+    from the compressors alone, s_i = <a_i, b_i>/<b_i, b_i>, so stored and
+    freshly fitted compressors take the same path; a set that breaks the
+    rule raises DataFormatError.
+    """
+    n_max = max(config.n_z_grid)
+    big = compressors[(kind, n_max)].matrix_a
+    norms = np.einsum("ij,ij->i", big, big)
+    scales = {}
+    for n_z in config.n_z_grid:
+        a = compressors[(kind, n_z)].matrix_a
+        b = big[:n_z]
+        ok = a.shape == b.shape
+        if ok:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.einsum("ij,ij->i", a, b) / norms[:n_z]
+                miss = np.max(np.abs(a - s[:, None] * b))
+            ok = bool(np.all(s > 0) and
+                      miss <= NESTING_RTOL * np.max(np.abs(a)))
+        if not ok:
+            raise DataFormatError("the %s compressor at n_z=%d is not a "
+                                  "positive row scaling of the leading rows "
+                                  "of the one at n_z=%d" % (kind, n_z, n_max))
+        scales[n_z] = s
+    return scales
+
+
 def fit_reexpanders(config, domains, compressors):
-    reexpanders = {}
-    for (kind, n_z), comp in compressors.items():
+    """Every (kind, n_z) re-expander: one encode of the training features
+    with the kind's largest compressor, one Gram matrix of its codes, and
+    per size the least-squares fit of its scaled leading codes."""
+    n_max = max(config.n_z_grid)
+    scales, moments = {}, {}
+    for kind in config.compressor_kinds:
         domain = domains[domain_for_kind(kind)]
-        z_train = encode(comp, domain.x_train)
-        reexpanders[(kind, n_z)] = fit_ls(z_train, domain.pre_train)
-    return reexpanders
+        scales[kind] = nested_scales(config, compressors, kind)
+        moments[kind] = ls_moments(encode(compressors[(kind, n_max)],
+                                          domain.x_train), domain.pre_train)
+    return {(kind, n_z): fit_ls_prefix(moments[kind], scales[kind][n_z])
+            for kind, n_z in _grid_keys(config)}
 
 
-def _entropy_of_encodings(z_train):
+def _noisy_code_entropy(cov_z):
     """Entropy of z + xi with unit-variance xi, power-normalized to a
-    covariance of trace n_z: exact for the sample covariance of z."""
-    s = sample_covariance(z_train)
+    covariance of trace n_z, for codes z of covariance ``cov_z``."""
+    s = 0.5 * (cov_z + cov_z.T)
     s[np.diag_indices_from(s)] += 1.0
     return gaussian_entropy(s * (s.shape[0] / np.trace(s)))
 
@@ -399,15 +466,26 @@ def _entropy_of_encodings(z_train):
 def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
     """All (kind, n_z) records, plus the OIB reconstructions for retraining.
 
-    Records come in grid order, n_z outer and kind inner.
+    The training side takes one encode per kind, with its largest
+    compressor: each record's entropy comes from the scaled leading block
+    of that code covariance, and the OIB training reconstructions from
+    the scaled leading codes.  Test codes are encoded per record.  Kinds
+    are evaluated one at a time, so only one kind's codes are held, and
+    the records are returned in grid order, n_z outer and kind inner.
     """
     used = {domain_for_kind(kind) for kind in config.compressor_kinds}
     pre_test = {name: pre_activations(domains[name].model,
                                       domains[name].x_test) for name in used}
-    records, rec_train, rec_test = [], {}, {}
-    for n_z in config.n_z_grid:
-        for kind in config.compressor_kinds:
-            domain = domains[domain_for_kind(kind)]
+    n_max = max(config.n_z_grid)
+    records, rec_train, rec_test = {}, {}, {}
+    for kind in config.compressor_kinds:
+        domain = domains[domain_for_kind(kind)]
+        scales = nested_scales(config, compressors, kind)
+        codes = encode(compressors[(kind, n_max)], domain.x_train)
+        code_cov = sample_covariance(codes)
+        if kind != "oib":
+            codes = None    # only the OIB training reconstructions read them
+        for n_z, s in scales.items():
             comp, rx = compressors[(kind, n_z)], reexpanders[(kind, n_z)]
             z_test = encode(comp, domain.x_test)
             if config.encoding == "stochastic":
@@ -416,20 +494,23 @@ def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
                 z_test = z_test + rng.standard_normal(z_test.shape)
             y_rec_test = reexpand(rx, z_test)
             logits = forward_from_layer(domain.model, 1, y_rec_test)
-            z_train = encode(comp, domain.x_train)
-            macs = pipeline_macs(comp.n_x, n_z, config.model_layer_sizes[1:])
-            records.append(EvalRecord(
+            macs = pipeline_macs(comp.n_x, n_z,
+                                 config.model_layer_sizes[1:])
+            records[(kind, n_z)] = EvalRecord(
                 kind=kind, n_z=n_z, rho=comp.rho,
-                accuracy=float(np.mean(logits.argmax(axis=1) == test_labels)),
-                entropy_nats=float(_entropy_of_encodings(z_train)),
+                accuracy=float(np.mean(logits.argmax(axis=1) ==
+                                       test_labels)),
+                entropy_nats=float(_noisy_code_entropy(
+                    s[:, None] * code_cov[:n_z, :n_z] * s)),
                 mi_nats=comp.mi_nats,
-                mse=float(np.mean((y_rec_test - pre_test[domain.name]) ** 2)),
+                mse=float(np.mean((y_rec_test - pre_test[domain.name])
+                                  ** 2)),
                 macs_comp=macs.subtotal(COMPRESSION),
-                macs_class=macs.subtotal(CLASSIFICATION)))
+                macs_class=macs.subtotal(CLASSIFICATION))
             if kind == "oib":
-                rec_train[n_z] = reexpand(rx, z_train)
+                rec_train[n_z] = reexpand(rx, codes[:, :n_z] * s)
                 rec_test[n_z] = y_rec_test
-    return records, rec_train, rec_test
+    return [records[key] for key in _grid_keys(config)], rec_train, rec_test
 
 
 def retrain_heads(config, result):

@@ -4,7 +4,10 @@ Two fitting routes produce the same kind of estimator: the population
 L-MMSE solution theta = C_yz C_zz^-1 when covariances are known, and the
 least-squares solution of the normal equations on training encodings.
 Both fit on centered data and store the offset needed to undo the
-centering, so predictions are theta @ z + target_mean.
+centering, so predictions are theta @ z + target_mean.  ``fit_ls_prefix``
+solves the same normal equations as ``fit_ls`` for a scaled prefix of the
+code columns from the moments of all of them, so every compressor of a
+nested family is fitted from one encode and one Gram matrix.
 """
 
 from dataclasses import dataclass
@@ -57,13 +60,10 @@ def fit_lmmse(c_yz, c_zz):
     return Reexpander(theta=theta, target_mean=np.zeros(theta.shape[0]))
 
 
-def fit_ls(z_train, y_train, ridge=None):
-    """Least-squares fit of the normal equations on training encodings.
-
-    ``ridge=None`` applies the default stabilization
-    DEFAULT_RIDGE_SCALE * tr(Z'Z) / n_z; pass 0.0 for the raw normal
-    equations.  A singular system raises NumericalError.
-    """
+def ls_moments(z_train, y_train):
+    """``(z_mean, y_mean, gram, cross)``: all a least-squares fit reads of
+    training encodings and targets, with gram = Zc'Zc and cross = Zc'Yc of
+    the centered rows."""
     z = np.asarray(z_train, dtype=np.float64)
     y = np.asarray(y_train, dtype=np.float64)
     if len(z) != len(y):
@@ -74,17 +74,44 @@ def fit_ls(z_train, y_train, ridge=None):
                          "than n_z=%d samples, got %d" % (n_z, n))
     z_mean, y_mean = z.mean(axis=0), y.mean(axis=0)
     zc, yc = z - z_mean, y - y_mean
-    gram = zc.T @ zc
+    return z_mean, y_mean, zc.T @ zc, zc.T @ yc
+
+
+def _normal_solve(z_mean, y_mean, gram, cross, ridge):
+    """The estimator of the centered normal equations
+    (gram + ridge*I) theta' = cross, with ``ridge=None`` the default
+    DEFAULT_RIDGE_SCALE * tr(gram) / n_z."""
+    n_z = len(z_mean)
     if ridge is None:
         ridge = DEFAULT_RIDGE_SCALE * np.trace(gram) / n_z
-    gram[np.diag_indices_from(gram)] += ridge
     try:
-        theta = np.linalg.solve(gram, zc.T @ yc).T
+        theta = np.linalg.solve(gram + ridge * np.eye(n_z), cross).T
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Z'Z + ridge*I is singular with ridge %g; "
                              "increase ridge" % ridge) from exc
-    target_mean = y_mean - theta @ z_mean
-    return Reexpander(theta=theta, target_mean=target_mean)
+    return Reexpander(theta=theta, target_mean=y_mean - theta @ z_mean)
+
+
+def fit_ls(z_train, y_train, ridge=None):
+    """Least-squares fit of the normal equations on training encodings.
+
+    ``ridge=None`` applies the default stabilization
+    DEFAULT_RIDGE_SCALE * tr(Z'Z) / n_z; pass 0.0 for the raw normal
+    equations.  A singular system raises NumericalError.
+    """
+    return _normal_solve(*ls_moments(z_train, y_train), ridge)
+
+
+def fit_ls_prefix(moments, scales):
+    """``fit_ls`` of the codes' first ``len(scales)`` columns, column i
+    multiplied by ``scales[i]``, from the ``ls_moments`` of all columns:
+    the same estimator and default ridge, without the codes."""
+    z_mean, y_mean, gram, cross = moments
+    s = np.asarray(scales, dtype=np.float64)
+    k = len(s)
+    return _normal_solve(s * z_mean[:k], y_mean,
+                         s[:, None] * gram[:k, :k] * s,
+                         s[:, None] * cross[:k], None)
 
 
 def reexpand(rx, z):

@@ -437,7 +437,8 @@ def test_a_non_finite_mi_fails_the_fit(cli_run, tmp_path, monkeypatch,
                                        capsys):
     cfg, out_dir = cli_run
     copy = _unfitted_copy(out_dir, tmp_path)
-    monkeypatch.setattr(pipeline, "encoding_mi", lambda *a: float("nan"))
+    monkeypatch.setattr(pipeline, "prefix_mi",
+                        lambda basis, cov: np.full(len(basis), np.nan))
     assert "oib compressor at n_z=5" in _fails_numerically(cfg, copy, capsys)
 
 
@@ -499,7 +500,7 @@ def test_stages_skip_work_they_do_not_use(cli_run, monkeypatch, capsys):
 
     solved = counting(monkeypatch, pipeline, "solve_gib")
     fitted = counting(monkeypatch, pipeline, "fit_domain")
-    measured = counting(monkeypatch, pipeline, "encoding_mi")
+    measured = counting(monkeypatch, pipeline, "prefix_mi")
     fitted_per_command = []
     for command in (["evaluate"], ["retrain"],
                     ["retrain", "--mode", "per_rho_on_z"]):
@@ -507,7 +508,9 @@ def test_stages_skip_work_they_do_not_use(cli_run, monkeypatch, capsys):
         fitted_per_command.append(len(fitted))
         fitted.clear()
     assert solved == [] and trained == [] and rendered == []
-    assert len(loaded) == 3 * 2
+    # evaluate and the per-size heads read both networks; the bank, which
+    # trains on the codes alone, reads none
+    assert len(loaded) == 2 * 2
     # fit-oib fitted the domains and stored each compressor's MI, so no
     # later command fits a domain or measures an MI again
     assert fitted_per_command == [0, 0, 0]
@@ -709,18 +712,21 @@ def test_output_dir_that_is_a_file_exits_2_before_work(tmp_path, monkeypatch,
 
 def test_stages_into_an_empty_out_exit_2_before_rendering(tmp_path,
                                                           monkeypatch, capsys):
-    # the base checkpoints are read before a missing corpus is rendered
+    # the first stored artifact a command reads, a base checkpoint or,
+    # for the bank, which reads no network, the first OIB compressor, is
+    # read before a missing corpus is rendered
     cfg = tiny_config_file(tmp_path)
     empty = tmp_path / "empty"
     empty.mkdir()
     rendered = counting(monkeypatch, pipeline, "synthetic_digits")
     trained = counting(monkeypatch, pipeline, "train")
-    for command in (["fit-oib"], ["evaluate"],
-                    ["retrain", "--mode", "per_rho_head"],
-                    ["retrain", "--mode", "per_rho_on_z"]):
+    for command, first in (
+            (["fit-oib"], "base_transform"), (["evaluate"], "base_transform"),
+            (["retrain", "--mode", "per_rho_head"], "base_transform"),
+            (["retrain", "--mode", "per_rho_on_z"], "oib_005")):
         assert main(command + ["--config", cfg, "--out", str(empty)]) == 2
         err = capsys.readouterr().err
-        assert "base_transform" in err and "train-base" in err, command
+        assert first in err and "train-base" in err, command
     assert rendered == [] and trained == []
     assert list(empty.iterdir()) == []
 

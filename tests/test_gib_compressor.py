@@ -1,5 +1,6 @@
 """Closed-form compressor loadings, critical betas, and baselines."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,10 +8,15 @@ import pytest
 
 from gib_pairs import exact_pair, pipeline_pair
 from oib import pipeline
-from oib.errors import DimensionError
+from oib.config import config_from_dict
+from oib.errors import DataFormatError, DimensionError
 from oib.gib_compressor import (Compressor, beta_for_size, cca_compressor,
                                 compressor_at_beta, compressor_at_size,
                                 encode, pca_basis, pca_compressor, solve_gib)
+from oib.info_metrics import encoding_mi, gaussian_entropy
+from oib.reexpander import fit_ls
+from oib.tensor_stats import sample_covariance
+from test_config_cli import TINY
 
 
 def test_critical_betas_follow_eigenvalues():
@@ -278,3 +284,78 @@ def test_build_compressors_without_pca_leaves_raw_domain_alone():
     compressors = pipeline.build_compressors(config, domains)
     assert sorted(compressors) == [("cca", 2), ("cca", 4), ("oib", 2),
                                    ("oib", 4)]
+
+
+@pytest.fixture(scope="module")
+def tiny_fit(tmp_path_factory):
+    """Stages 1-5 of the tiny CLI config, in memory."""
+    out = tmp_path_factory.mktemp("nested") / "out"
+    config = config_from_dict(dict(TINY, output_dir=str(out)))
+    return pipeline.evaluate(pipeline.fit(pipeline.prepare(config)))
+
+
+def _grid(result):
+    for (kind, n_z), comp in result.compressors.items():
+        yield kind, n_z, comp, result.domains[pipeline.domain_for_kind(kind)]
+
+
+def test_nested_reexpanders_are_the_per_size_least_squares_fits(tiny_fit):
+    for kind, n_z, comp, domain in _grid(tiny_fit):
+        want = fit_ls(encode(comp, domain.x_train), domain.pre_train)
+        got = tiny_fit.reexpanders[(kind, n_z)]
+        for a, b in ((got.theta, want.theta),
+                     (got.target_mean, want.target_mean)):
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b)), \
+                (kind, n_z)
+
+
+def test_prefix_mi_is_each_compressors_own_mi(tiny_fit):
+    for kind, n_z, comp, domain in _grid(tiny_fit):
+        want = encoding_mi(comp.matrix_a, domain.cov)
+        assert comp.mi_nats == pytest.approx(want, rel=1e-9), (kind, n_z)
+        if kind == "oib":
+            assert comp.mi_nats == tiny_fit.compressors[("cca", n_z)].mi_nats
+
+
+def test_entropy_is_that_of_the_sample_covariance_of_the_codes(tiny_fit):
+    for kind, n_z, comp, domain in _grid(tiny_fit):
+        s = sample_covariance(encode(comp, domain.x_train))
+        s[np.diag_indices_from(s)] += 1.0
+        want = gaussian_entropy(s * (n_z / np.trace(s)))
+        got = tiny_fit.record(kind, n_z).entropy_nats
+        assert got == pytest.approx(want, rel=1e-12), (kind, n_z)
+
+
+def test_oib_train_reconstructions_are_those_of_the_own_codes(tiny_fit):
+    domain = tiny_fit.transform
+    for n_z in tiny_fit.config.n_z_grid:
+        rx = tiny_fit.reexpanders[("oib", n_z)]
+        z = encode(tiny_fit.compressors[("oib", n_z)], domain.x_train)
+        want = z @ rx.theta.T + rx.target_mean
+        got = tiny_fit.reconstructions_train[n_z]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["oib", "cca", "pca"])
+def test_a_compressor_off_the_nested_rows_is_refused(tiny_fit, kind):
+    r = tiny_fit
+    n_small = min(r.config.n_z_grid)
+    comp = r.compressors[(kind, n_small)]
+    bent = comp.matrix_a.copy()
+    bent[-1] += 1e-6 * np.max(np.abs(bent))
+    compressors = dict(r.compressors)
+    compressors[(kind, n_small)] = dataclasses.replace(comp, matrix_a=bent)
+    match = "%s compressor at n_z=%d" % (kind, n_small)
+    with pytest.raises(DataFormatError, match=match):
+        pipeline.fit_reexpanders(r.config, r.domains, compressors)
+    with pytest.raises(DataFormatError, match=match):
+        pipeline.evaluate_grid(r.config, r.domains, compressors,
+                               r.reexpanders, r.test_labels)
+    # a positive rescaling of a row keeps the set nested
+    bent = comp.matrix_a.copy()
+    bent[-1] *= 3.0
+    compressors[(kind, n_small)] = dataclasses.replace(comp, matrix_a=bent)
+    scales = pipeline.nested_scales(r.config, compressors, kind)
+    assert scales[n_small][-1] == pytest.approx(
+        3.0 * pipeline.nested_scales(r.config, r.compressors,
+                                     kind)[n_small][-1], rel=1e-12)

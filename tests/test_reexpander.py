@@ -5,7 +5,8 @@ import pytest
 
 from oib.errors import DimensionError, NumericalError
 from oib.info_metrics import gaussian_entropy
-from oib.reexpander import fit_lmmse, fit_ls, mse_entropy_gap, reexpand
+from oib.reexpander import (fit_lmmse, fit_ls, fit_ls_prefix, ls_moments,
+                            mse_entropy_gap, reexpand)
 
 
 def test_fit_lmmse_solves_normal_equations():
@@ -126,3 +127,19 @@ def test_mc_mse_meets_entropy_bound_at_optimum():
     assert gap >= -1e-9
     assert gap <= 3.0 * se
     assert abs(mse - 4 * sigma ** 2) <= 3.0 * se
+
+
+def test_prefix_fit_is_the_fit_of_the_scaled_leading_columns():
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((300, 6)) @ rng.standard_normal((6, 6)) + 2.0
+    y = z @ rng.standard_normal((6, 4)) + rng.standard_normal((300, 4))
+    moments = ls_moments(z, y)
+    whole = fit_ls_prefix(moments, np.ones(6))
+    np.testing.assert_array_equal(whole.theta, fit_ls(z, y).theta)
+    for k in (1, 3, 6):
+        s = rng.uniform(0.1, 10.0, size=k)
+        got = fit_ls_prefix(moments, s)
+        want = fit_ls(z[:, :k] * s, y)
+        np.testing.assert_allclose(got.theta, want.theta, rtol=1e-10)
+        np.testing.assert_allclose(got.target_mean, want.target_mean,
+                                   rtol=1e-10)
