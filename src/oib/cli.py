@@ -22,12 +22,13 @@ one order: the saved corpus, both base checkpoints (``fit-oib``,
 ``retrain --mode per_rho_head``); ``retrain --mode per_rho_on_z`` reads
 only the corpus and the OIB compressors.  An artifact whose manifest key
 is not the one the config gives (``corpus_key`` for the corpus,
-``model_key`` for the rest) exits 2, naming it.  Only then is a missing corpus rendered (IDX
-inputs are always read from their files); ``train-base`` saves
-``dataset.json``/``dataset.bin`` only when it rendered them.  The saved
-corpus is bitwise the rendered one, so commands started in separate
-processes agree bitwise with ``run_experiment`` when they share the
-numpy/BLAS build, CPU kernel and BLAS thread count.
+``model_key`` for the rest) exits 2, naming it.  Only then is a missing
+corpus rendered (IDX inputs are always read from their files);
+``train-base`` saves ``dataset.json``/``dataset.bin`` only when it
+rendered them.  The saved corpus is bitwise the rendered one, so
+commands started in separate processes agree bitwise with
+``run_experiment`` when they share the numpy/BLAS build, CPU kernel and
+BLAS thread count.
 
 Exit codes: 0 success, 2 configuration, input-file or damaged-artifact
 problems, 3 numerical failures.
@@ -75,28 +76,39 @@ def _resolve_config(args):
     return config
 
 
-def _stored(config, *groups, networks=True):
-    """Stages 1-3 on what earlier commands stored in the output directory:
-    the corpus, both base checkpoints unless ``networks`` is false, and
-    every artifact of the grid in each of ``groups`` (``"compressors"``,
-    ``"reexpanders"``), all read before ``prepare`` renders a corpus that
-    was never saved.  Without the checkpoints the domains carry no
-    network; a compressor's key already ties it to the networks."""
+def _stored(config, fitted=False):
+    """Stages 1-3 on what earlier commands stored in the output directory,
+    all read before ``prepare`` renders a corpus that was never saved."""
     image_sets = pipeline.saved_corpus(config)
     out, key = config.output_dir, pipeline.model_key(config)
     models = {name: load_model(pipeline.base_stem(out, name), key)
-              if networks else None for name in (TRANSFORM, RAW)}
-    loaders = {"compressors": load_compressor,
-               "reexpanders": load_reexpander}
-    stored = {group: {} for group in groups}
-    for n_z in config.n_z_grid:
-        for kind in config.compressor_kinds:
-            for group in groups:
-                stored[group][(kind, n_z)] = loaders[group](
-                    artifact_stem(out, group, kind, n_z), key)
+              for name in (TRANSFORM, RAW)}
+    compressors, reexpanders = {}, {}
+    if fitted:
+        for n_z in config.n_z_grid:
+            for kind in config.compressor_kinds:
+                compressors[(kind, n_z)] = load_compressor(
+                    artifact_stem(out, "compressors", kind, n_z), key)
+                reexpanders[(kind, n_z)] = load_reexpander(
+                    artifact_stem(out, "reexpanders", kind, n_z), key)
     result = pipeline.prepare(config, image_sets, models)
-    for group, artifacts in stored.items():
-        setattr(result, group, artifacts)
+    if fitted:
+        result.compressors, result.reexpanders = compressors, reexpanders
+    return result
+
+
+def _stored_bank_inputs(config):
+    """The corpus's domains, without networks, and the OIB compressors:
+    all ``retrain --mode per_rho_on_z`` reads, the compressors before
+    ``prepare`` renders a corpus that was never saved.  A compressor's
+    key already ties it to the base networks."""
+    image_sets = pipeline.saved_corpus(config)
+    compressors = {("oib", n_z): load_compressor(
+        artifact_stem(config.output_dir, "compressors", "oib", n_z),
+        pipeline.model_key(config)) for n_z in config.n_z_grid}
+    result = pipeline.prepare(config, image_sets, {TRANSFORM: None,
+                                                   RAW: None})
+    result.compressors = compressors
     return result
 
 
@@ -128,7 +140,7 @@ def cmd_fit_oib(config):
 
 
 def cmd_evaluate(config):
-    result = _stored(config, "compressors", "reexpanders")
+    result = _stored(config, fitted=True)
     pipeline.evaluate(result)
     pipeline.write_evaluation(result, config.output_dir)
     write_json({"report": os.path.join(config.output_dir, "report.json"),
@@ -142,11 +154,11 @@ def cmd_retrain(config, mode):
         raise ConfigError("retrain needs oib in compressor_kinds")
     config = dataclasses.replace(config, compressor_kinds=["oib"])
     if mode == "per_rho_on_z":
-        heads, records = pipeline.retrain_bank(
-            config, _stored(config, "compressors", networks=False))
+        heads, records = pipeline.retrain_bank(config,
+                                               _stored_bank_inputs(config))
     else:
         heads, records = pipeline.retrain_heads(config, pipeline.evaluate(
-            _stored(config, "compressors", "reexpanders")))
+            _stored(config, fitted=True)))
     write_json(pipeline.write_retrain_artifacts(mode, heads, records,
                                                 config.output_dir),
                sys.stdout)

@@ -5,10 +5,10 @@ matrices: differential entropy ½ log((2πe)^n |Σ|) and mutual information
 as a half log-determinant ratio.  Nothing is estimated from samples drawn
 here: the pipeline's entropy column is ``gaussian_entropy`` of an exact
 covariance (that of the power-normalized noisy encodings), and its MI
-column is ``prefix_mi``, the MI of every row prefix of one basis from one
-pair of Cholesky factors.  ``encoding_mi`` measures one encoder, noisy or
-not, and backs the checks below.  All values are in nats; convert to bits
-only for display.
+column is ``encoding_mi`` with ``prefixes``, the MI of every row prefix
+of one basis from one pair of Cholesky factors.  ``encoding_mi`` also
+measures one encoder, noisy or not, and backs the checks below.  All
+values are in nats; convert to bits only for display.
 
 Two verification helpers back the theory the compressor relies on:
 loading invariance (deterministic mutual information ignores row scaling,
@@ -74,35 +74,31 @@ def gaussian_mi(sigma_z, sigma_z_given_y):
                   - logdet_psd(sigma_c, jitter=0.0))
 
 
-def encoding_mi(matrix_a, cov, noise_std=0.0):
+def encoding_mi(matrix_a, cov, noise_std=0.0, prefixes=False):
     """MI between z = A x̃ + ξ and the regression target y.
 
     Propagates the input covariances through the encoder, with
     AΣ_{x|y}Aᵀ = AΣ_xAᵀ − (AKᵀ)(AKᵀ)ᵀ from the pair's K, and applies the
     Gaussian formula; ``noise_std`` is the standard deviation of ξ.
+
+    With ``prefixes``, returns instead the MI of every row prefix
+    z_k = A[:k] x̃ + ξ_k, k = 1..n_rows.  The leading k×k block of a
+    Cholesky factor is the factor of the leading block, so the cumulative
+    sums of the log-diagonal differences of the factors of Σ_z and
+    Σ_{z|y} are all of them: one pair of factorizations, without jitter
+    as in ``gaussian_mi``.  Noiseless MI ignores positive row loadings, so
+    these are also the MI of every encoder whose rows are scaled prefixes
+    of A's.
     """
     a = np.asarray(matrix_a, dtype=np.float64)
     noise = float(noise_std) ** 2 * np.eye(a.shape[0])
     sigma_z = a @ cov.sigma_x @ a.T + noise
     ak = a @ cov.cross.T
-    return gaussian_mi(sigma_z, sigma_z - ak @ ak.T)
-
-
-def prefix_mi(matrix_b, cov):
-    """I(z_k; y) of every row prefix z_k = B[:k] x̃, k = 1..n_rows, in nats.
-
-    The leading k×k block of a Cholesky factor is the factor of the
-    leading block, so the cumulative sums of the log-diagonal differences
-    of the factors of BΣ_xBᵀ and BΣ_{x|y}Bᵀ are the MI of every prefix:
-    one pair of factorizations, without jitter as in ``gaussian_mi``.  MI
-    ignores positive row loadings, so these are also the MI of every
-    encoder whose rows are scaled prefixes of B's.
-    """
-    b = np.asarray(matrix_b, dtype=np.float64)
-    sigma_z = b @ cov.sigma_x @ b.T
-    bk = b @ cov.cross.T
+    sigma_c = sigma_z - ak @ ak.T
+    if not prefixes:
+        return gaussian_mi(sigma_z, sigma_c)
     log_diags = []
-    for sigma in (sigma_z, sigma_z - bk @ bk.T):
+    for sigma in (sigma_z, sigma_c):
         try:
             log_diags.append(np.log(np.diag(np.linalg.cholesky(sigma))))
         except np.linalg.LinAlgError as exc:

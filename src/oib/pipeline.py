@@ -80,10 +80,8 @@ from .gib_compressor import (cca_compressor, compressor_at_size, encode,
 from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
                             forward_from_layer, init_mlp, train,
                             train_head_on_z, train_multi_rho_head)
-# Nothing here calls ``encoding_mi`` or ``fit_ls``; they are imported
-# because the benchmark traces them under this module.
-from .info_metrics import encoding_mi, gaussian_entropy, prefix_mi
-from .reexpander import fit_ls, fit_ls_prefix, ls_moments, reexpand
+from .info_metrics import encoding_mi, gaussian_entropy
+from .reexpander import fit_ls, reexpand
 from .serialization import (config_hash, load_corpus, save_compressor,
                             save_corpus, save_model, save_reexpander,
                             validate_report, write_json)
@@ -373,7 +371,7 @@ def _grid_keys(config):
 def build_compressors(config, domains):
     """Every (kind, n_z) compressor, each a row prefix of its kind's basis
     and carrying its MI on its domain's covariance pair.  A basis is
-    solved, and the MI of all its prefixes taken from one ``prefix_mi``
+    solved, and the MI of all its prefixes taken from one ``encoding_mi``
     call, only when a kind on the grid reads it; OIB and CCA share the
     GIB basis and so their MI."""
     used = {domain_for_kind(kind) for kind in config.compressor_kinds}
@@ -384,7 +382,8 @@ def build_compressors(config, domains):
     if RAW in used:
         bases[RAW] = pca_basis(domains[RAW].cov.sigma_x)
     n_max = max(config.n_z_grid)
-    prefix = {name: prefix_mi(basis[:n_max], domains[name].cov)
+    prefix = {name: encoding_mi(basis[:n_max], domains[name].cov,
+                                prefixes=True)
               for name, basis in bases.items()}
     compressors = {}
     for kind, n_z in _grid_keys(config):
@@ -445,14 +444,14 @@ def fit_reexpanders(config, domains, compressors):
     with the kind's largest compressor, one Gram matrix of its codes, and
     per size the least-squares fit of its scaled leading codes."""
     n_max = max(config.n_z_grid)
-    scales, moments = {}, {}
+    fits = {}
     for kind in config.compressor_kinds:
         domain = domains[domain_for_kind(kind)]
-        scales[kind] = nested_scales(config, compressors, kind)
-        moments[kind] = ls_moments(encode(compressors[(kind, n_max)],
-                                          domain.x_train), domain.pre_train)
-    return {(kind, n_z): fit_ls_prefix(moments[kind], scales[kind][n_z])
-            for kind, n_z in _grid_keys(config)}
+        scales = nested_scales(config, compressors, kind)
+        fits.update(zip(((kind, n_z) for n_z in scales), fit_ls(
+            encode(compressors[(kind, n_max)], domain.x_train),
+            domain.pre_train, prefixes=scales.values())))
+    return {key: fits[key] for key in _grid_keys(config)}
 
 
 def _noisy_code_entropy(cov_z):

@@ -4,8 +4,8 @@ Two fitting routes produce the same kind of estimator: the population
 L-MMSE solution theta = C_yz C_zz^-1 when covariances are known, and the
 least-squares solution of the normal equations on training encodings.
 Both fit on centered data and store the offset needed to undo the
-centering, so predictions are theta @ z + target_mean.  ``fit_ls_prefix``
-solves the same normal equations as ``fit_ls`` for a scaled prefix of the
+centering, so predictions are theta @ z + target_mean.  ``fit_ls`` with
+``prefixes`` solves the same normal equations for scaled prefixes of the
 code columns from the moments of all of them, so every compressor of a
 nested family is fitted from one encode and one Gram matrix.
 """
@@ -60,23 +60,6 @@ def fit_lmmse(c_yz, c_zz):
     return Reexpander(theta=theta, target_mean=np.zeros(theta.shape[0]))
 
 
-def ls_moments(z_train, y_train):
-    """``(z_mean, y_mean, gram, cross)``: all a least-squares fit reads of
-    training encodings and targets, with gram = Zc'Zc and cross = Zc'Yc of
-    the centered rows."""
-    z = np.asarray(z_train, dtype=np.float64)
-    y = np.asarray(y_train, dtype=np.float64)
-    if len(z) != len(y):
-        raise DimensionError("z and y must have the same number of rows")
-    n, n_z = z.shape
-    if n <= n_z:
-        raise ValueError("the system must be over-determined: need more "
-                         "than n_z=%d samples, got %d" % (n_z, n))
-    z_mean, y_mean = z.mean(axis=0), y.mean(axis=0)
-    zc, yc = z - z_mean, y - y_mean
-    return z_mean, y_mean, zc.T @ zc, zc.T @ yc
-
-
 def _normal_solve(z_mean, y_mean, gram, cross, ridge):
     """The estimator of the centered normal equations
     (gram + ridge*I) theta' = cross, with ``ridge=None`` the default
@@ -92,26 +75,39 @@ def _normal_solve(z_mean, y_mean, gram, cross, ridge):
     return Reexpander(theta=theta, target_mean=y_mean - theta @ z_mean)
 
 
-def fit_ls(z_train, y_train, ridge=None):
+def fit_ls(z_train, y_train, ridge=None, prefixes=None):
     """Least-squares fit of the normal equations on training encodings.
 
     ``ridge=None`` applies the default stabilization
     DEFAULT_RIDGE_SCALE * tr(Z'Z) / n_z; pass 0.0 for the raw normal
     equations.  A singular system raises NumericalError.
+
+    ``prefixes``, a sequence of scale vectors s, fits instead every code
+    prefix ``z_train[:, :len(s)] * s`` from the one Gram matrix of all
+    columns and returns their estimators in order, each the one
+    ``fit_ls`` of those columns gives, ridge rule included.
     """
-    return _normal_solve(*ls_moments(z_train, y_train), ridge)
-
-
-def fit_ls_prefix(moments, scales):
-    """``fit_ls`` of the codes' first ``len(scales)`` columns, column i
-    multiplied by ``scales[i]``, from the ``ls_moments`` of all columns:
-    the same estimator and default ridge, without the codes."""
-    z_mean, y_mean, gram, cross = moments
-    s = np.asarray(scales, dtype=np.float64)
-    k = len(s)
-    return _normal_solve(s * z_mean[:k], y_mean,
-                         s[:, None] * gram[:k, :k] * s,
-                         s[:, None] * cross[:k], None)
+    z = np.asarray(z_train, dtype=np.float64)
+    y = np.asarray(y_train, dtype=np.float64)
+    if len(z) != len(y):
+        raise DimensionError("z and y must have the same number of rows")
+    n, n_z = z.shape
+    if n <= n_z:
+        raise ValueError("the system must be over-determined: need more "
+                         "than n_z=%d samples, got %d" % (n_z, n))
+    z_mean, y_mean = z.mean(axis=0), y.mean(axis=0)
+    zc, yc = z - z_mean, y - y_mean
+    gram, cross = zc.T @ zc, zc.T @ yc
+    if prefixes is None:
+        return _normal_solve(z_mean, y_mean, gram, cross, ridge)
+    fits = []
+    for s in prefixes:
+        s = np.asarray(s, dtype=np.float64)
+        k = len(s)
+        fits.append(_normal_solve(s * z_mean[:k], y_mean,
+                                  s[:, None] * gram[:k, :k] * s,
+                                  s[:, None] * cross[:k], ridge))
+    return fits
 
 
 def reexpand(rx, z):

@@ -437,8 +437,8 @@ def test_a_non_finite_mi_fails_the_fit(cli_run, tmp_path, monkeypatch,
                                        capsys):
     cfg, out_dir = cli_run
     copy = _unfitted_copy(out_dir, tmp_path)
-    monkeypatch.setattr(pipeline, "prefix_mi",
-                        lambda basis, cov: np.full(len(basis), np.nan))
+    monkeypatch.setattr(pipeline, "encoding_mi",
+                        lambda a, cov, prefixes: np.full(len(a), np.nan))
     assert "oib compressor at n_z=5" in _fails_numerically(cfg, copy, capsys)
 
 
@@ -500,7 +500,7 @@ def test_stages_skip_work_they_do_not_use(cli_run, monkeypatch, capsys):
 
     solved = counting(monkeypatch, pipeline, "solve_gib")
     fitted = counting(monkeypatch, pipeline, "fit_domain")
-    measured = counting(monkeypatch, pipeline, "prefix_mi")
+    measured = counting(monkeypatch, pipeline, "encoding_mi")
     fitted_per_command = []
     for command in (["evaluate"], ["retrain"],
                     ["retrain", "--mode", "per_rho_on_z"]):

@@ -309,7 +309,7 @@ def test_nested_reexpanders_are_the_per_size_least_squares_fits(tiny_fit):
                 (kind, n_z)
 
 
-def test_prefix_mi_is_each_compressors_own_mi(tiny_fit):
+def test_nested_mi_is_each_compressors_own_mi(tiny_fit):
     for kind, n_z, comp, domain in _grid(tiny_fit):
         want = encoding_mi(comp.matrix_a, domain.cov)
         assert comp.mi_nats == pytest.approx(want, rel=1e-9), (kind, n_z)

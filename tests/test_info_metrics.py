@@ -10,7 +10,7 @@ from oib.errors import DimensionError, NumericalError
 from oib.gib_compressor import solve_gib
 from oib.info_metrics import (LOG_2PIE, encoding_mi, gaussian_entropy,
                               gaussian_mi, mi_loading_invariance_check,
-                              prefix_mi, random_projection_optimality_check)
+                              random_projection_optimality_check)
 
 
 def knn_entropy(x, k=3):
@@ -121,18 +121,23 @@ def test_projection_optimality_check_margin():
     assert rep.mi_optimal == pytest.approx(want, rel=1e-12)
 
 
-def test_prefix_mi_is_the_mi_of_every_row_prefix():
+def test_encoding_mi_of_every_row_prefix():
     cov = exact_pair(12)[0]
     rng = np.random.default_rng(3)
     b = rng.standard_normal((cov.dim, cov.dim))
-    got = prefix_mi(b, cov)
+    got = encoding_mi(b, cov, prefixes=True)
     assert got.shape == (cov.dim,)
     for k in range(1, cov.dim + 1):
         assert got[k - 1] == pytest.approx(encoding_mi(b[:k], cov),
                                            rel=1e-10)
     # positive row loadings leave every prefix's MI as it is
     w = 10.0 ** rng.uniform(-1.0, 1.0, size=cov.dim)
-    np.testing.assert_allclose(prefix_mi(w[:, None] * b, cov), got,
+    np.testing.assert_allclose(encoding_mi(w[:, None] * b, cov,
+                                           prefixes=True), got,
                                rtol=1e-10)
+    noisy = encoding_mi(b, cov, noise_std=0.5, prefixes=True)
+    for k in (1, cov.dim // 2, cov.dim):
+        assert noisy[k - 1] == pytest.approx(
+            encoding_mi(b[:k], cov, noise_std=0.5), rel=1e-10)
     with pytest.raises(NumericalError):
-        prefix_mi(np.vstack([np.zeros(cov.dim), b]), cov)
+        encoding_mi(np.vstack([np.zeros(cov.dim), b]), cov, prefixes=True)

@@ -5,8 +5,7 @@ import pytest
 
 from oib.errors import DimensionError, NumericalError
 from oib.info_metrics import gaussian_entropy
-from oib.reexpander import (fit_lmmse, fit_ls, fit_ls_prefix, ls_moments,
-                            mse_entropy_gap, reexpand)
+from oib.reexpander import fit_lmmse, fit_ls, mse_entropy_gap, reexpand
 
 
 def test_fit_lmmse_solves_normal_equations():
@@ -133,13 +132,11 @@ def test_prefix_fit_is_the_fit_of_the_scaled_leading_columns():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((300, 6)) @ rng.standard_normal((6, 6)) + 2.0
     y = z @ rng.standard_normal((6, 4)) + rng.standard_normal((300, 4))
-    moments = ls_moments(z, y)
-    whole = fit_ls_prefix(moments, np.ones(6))
-    np.testing.assert_array_equal(whole.theta, fit_ls(z, y).theta)
-    for k in (1, 3, 6):
-        s = rng.uniform(0.1, 10.0, size=k)
-        got = fit_ls_prefix(moments, s)
-        want = fit_ls(z[:, :k] * s, y)
+    scales = [rng.uniform(0.1, 10.0, size=k) for k in (1, 3, 6)]
+    fits = fit_ls(z, y, prefixes=[np.ones(6)] + scales)
+    np.testing.assert_array_equal(fits[0].theta, fit_ls(z, y).theta)
+    for s, got in zip(scales, fits[1:]):
+        want = fit_ls(z[:, :len(s)] * s, y)
         np.testing.assert_allclose(got.theta, want.theta, rtol=1e-10)
         np.testing.assert_allclose(got.target_mean, want.target_mean,
                                    rtol=1e-10)
