@@ -28,7 +28,8 @@ corpus rendered (IDX inputs are always read from their files);
 rendered them.  The saved corpus is bitwise the rendered one, so
 commands started in separate processes agree bitwise with
 ``run_experiment`` when they share the numpy/BLAS build, CPU kernel and
-BLAS thread count.
+BLAS thread count; the base checkpoints agree at any BLAS thread count,
+since training runs on one BLAS thread.
 
 Exit codes: 0 success, 2 configuration, input-file or damaged-artifact
 problems, 3 numerical failures.

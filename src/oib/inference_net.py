@@ -4,10 +4,14 @@ The model is a plain list of (weights, bias) layers with ReLU between them
 and linear logits at the end, trained with mini-batch Adam on softmax
 cross-entropy.  Training is deterministic for a fixed seed: He-uniform
 initialization, shuffle order, and any pool draws all come from one seeded
-generator, and all arithmetic runs in the weight dtype (float32), so
-repeated runs produce bitwise-identical weights on the same numpy/BLAS
-build, CPU kernel and BLAS thread count.  Changing any of these changes
-the rounding of the matrix products and hence the weights.
+generator, and all arithmetic runs in the weight dtype (float32).  Every
+training runs with numpy's OpenBLAS pinned to one thread
+(``BLAS_THREADS``), so repeated runs produce bitwise-identical weights on
+the same numpy/BLAS build and CPU kernel, whatever
+``OPENBLAS_NUM_THREADS`` says; another build or kernel can round the
+matrix products differently and so change the weights.  Under a BLAS
+without OpenBLAS's thread-count functions training runs unpinned, and the
+weights then depend on its thread count too.
 
 The Adam update runs in place on flat buffers, in blocks of ``ADAM_BLOCK``
 elements that stay in cache, with the same float32 operations per element
@@ -29,6 +33,9 @@ with optional validation-split early stopping that keeps the best epoch
 (including the unchanged starting point).
 """
 
+import contextlib
+import ctypes
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +50,78 @@ LR_DECAY_FACTOR = 0.1
 ADAM_BLOCK = 1 << 16
 MOMENT_FLOOR = 1e-30
 MOMENT_FLUSH_EVERY = 16
+
+
+def _openblas_thread_functions():
+    """numpy's OpenBLAS (get, set) thread-count functions, or (None, None).
+
+    The symbol names follow numpy's build config (``scipy-openblas`` adds
+    the ``scipy_`` prefix, a ``USE64BITINT`` build the ``64_`` suffix), and
+    they resolve through numpy's own extension module, which links that
+    library: nothing is searched for on disk.
+    """
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 prints its config only
+        return None, None
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    name = blas.get("name", "")
+    if "openblas" not in name:
+        return None, None
+    prefix = "scipy_" if name.startswith("scipy") else ""
+    suffix = "64_" if "USE64BITINT" in blas.get("openblas configuration",
+                                                "") else ""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+        get = getattr(lib, prefix + "openblas_get_num_threads" + suffix)
+        set_ = getattr(lib, prefix + "openblas_set_num_threads" + suffix)
+    except (OSError, AttributeError):
+        return None, None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+class _BlasThreads:
+    """numpy's OpenBLAS thread count, pinned to one thread while any
+    training runs.
+
+    ``one_thread()`` is reference-counted under a lock: the first holder
+    saves the current count and sets 1, the last one to leave restores the
+    saved count, so trainings that overlap in several threads never race
+    on the process-wide setting.  ``setter`` is None when numpy's BLAS has
+    no OpenBLAS thread-count functions; ``one_thread()`` then changes
+    nothing.
+    """
+
+    def __init__(self):
+        self.getter, self.setter = _openblas_thread_functions()
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = None
+
+    @contextlib.contextmanager
+    def one_thread(self):
+        setter = self.setter
+        if setter is None:
+            yield
+            return
+        with self._lock:
+            if self._holders == 0:
+                self._saved = self.getter()
+                setter(1)
+            self._holders += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    setter(self._saved)
+
+
+BLAS_THREADS = _BlasThreads()
 
 
 @dataclass
@@ -276,69 +355,72 @@ def _train_core(layers, pools, labels, cfg):
     (w, b) a view into it, and ``_FlatAdam`` updates it in place from a
     flat gradient buffer, block by block, flooring tiny first moments (see
     the module docstring for the bound and the conditions under which the
-    weights equal unfloored Adam's bitwise).  Returns the trained layers
-    (views into one buffer) and the per-epoch loss trace.
+    weights equal unfloored Adam's bitwise).  BLAS runs on one thread
+    throughout (``BLAS_THREADS``).  Returns the trained layers (views into
+    one buffer) and the per-epoch loss trace.
     """
-    params = np.concatenate([a.ravel() for pair in layers for a in pair])
-    layers = _layer_views(params, layers)
-    adam = _FlatAdam(params)
-    grads = _layer_views(adam.grad, layers)
-    rng = np.random.default_rng(cfg.seed)
-    n = len(labels)
+    with BLAS_THREADS.one_thread():
+        params = np.concatenate([a.ravel() for pair in layers for a in pair])
+        layers = _layer_views(params, layers)
+        adam = _FlatAdam(params)
+        grads = _layer_views(adam.grad, layers)
+        rng = np.random.default_rng(cfg.seed)
+        n = len(labels)
 
-    if cfg.val_fraction > 0.0:
-        perm = rng.permutation(n)
-        n_val = int(round(cfg.val_fraction * n))
-        val_idx, fit_idx = perm[:n_val], perm[n_val:]
-        fit_pools = [p[fit_idx] for p in pools]
-        fit_labels = labels[fit_idx]
-        val_pools = [p[val_idx] for p in pools]
-        val_labels = labels[val_idx]
-    else:
-        fit_pools, fit_labels = pools, labels
-        val_pools = val_labels = None
+        if cfg.val_fraction > 0.0:
+            perm = rng.permutation(n)
+            n_val = int(round(cfg.val_fraction * n))
+            val_idx, fit_idx = perm[:n_val], perm[n_val:]
+            fit_pools = [p[fit_idx] for p in pools]
+            fit_labels = labels[fit_idx]
+            val_pools = [p[val_idx] for p in pools]
+            val_labels = labels[val_idx]
+        else:
+            fit_pools, fit_labels = pools, labels
+            val_pools = val_labels = None
 
-    def val_accuracy(current):
-        hits = 0.0
-        for p in val_pools:
-            logits = _forward_layers(current, p)
-            hits += float(np.mean(logits.argmax(axis=1) == val_labels))
-        return hits / len(val_pools)
+        def val_accuracy(current):
+            hits = 0.0
+            for p in val_pools:
+                logits = _forward_layers(current, p)
+                hits += float(np.mean(logits.argmax(axis=1) == val_labels))
+            return hits / len(val_pools)
 
-    best = None
-    best_val = -np.inf
-    if val_pools is not None:
-        best = params.copy()
-        best_val = val_accuracy(layers)
-
-    n_fit = len(fit_labels)
-    losses = []
-    for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate
-        if cfg.lr_decay_at is not None and epoch >= cfg.lr_decay_at:
-            lr = lr * LR_DECAY_FACTOR
-        order = rng.permutation(n_fit)
-        total = 0.0
-        for start in range(0, n_fit, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            pool = rng.integers(len(fit_pools)) if len(fit_pools) > 1 else 0
-            xb, yb = fit_pools[pool][idx], fit_labels[idx]
-            loss, _ = _batch_loss_grads(layers, xb, yb, grads)
-            total += loss * len(yb)
-            adam.step(lr)
-        epoch_loss = total / n_fit
-        if not np.isfinite(epoch_loss):
-            raise NumericalError("training diverged: epoch %d loss is %r"
-                                 % (epoch, epoch_loss))
-        losses.append(epoch_loss)
+        best = None
+        best_val = -np.inf
         if val_pools is not None:
-            va = val_accuracy(layers)
-            if va > best_val:
-                best_val = va
-                np.copyto(best, params)
-    if val_pools is not None:
-        layers = _layer_views(best, layers)
-    return layers, losses
+            best = params.copy()
+            best_val = val_accuracy(layers)
+
+        n_fit = len(fit_labels)
+        losses = []
+        for epoch in range(cfg.epochs):
+            lr = cfg.learning_rate
+            if cfg.lr_decay_at is not None and epoch >= cfg.lr_decay_at:
+                lr = lr * LR_DECAY_FACTOR
+            order = rng.permutation(n_fit)
+            total = 0.0
+            for start in range(0, n_fit, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                pool = (rng.integers(len(fit_pools))
+                        if len(fit_pools) > 1 else 0)
+                xb, yb = fit_pools[pool][idx], fit_labels[idx]
+                loss, _ = _batch_loss_grads(layers, xb, yb, grads)
+                total += loss * len(yb)
+                adam.step(lr)
+            epoch_loss = total / n_fit
+            if not np.isfinite(epoch_loss):
+                raise NumericalError("training diverged: epoch %d loss is %r"
+                                     % (epoch, epoch_loss))
+            losses.append(epoch_loss)
+            if val_pools is not None:
+                va = val_accuracy(layers)
+                if va > best_val:
+                    best_val = va
+                    np.copyto(best, params)
+        if val_pools is not None:
+            layers = _layer_views(best, layers)
+        return layers, losses
 
 
 def train(model, x, labels, cfg):

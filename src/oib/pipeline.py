@@ -13,7 +13,8 @@ Stages, in dependency order:
 2. features: orthonormal real-packed 2D-DFT alongside the raw pixels.
 3. base models: one network per domain (the transform domain carries the
    compression experiments; the raw domain exists so the PCA baseline and
-   normality comparison are measured on its native inputs).
+   normality comparison are measured on its native inputs), trained side
+   by side, one training per CPU.
 4. fit: the first layer's noiseless pre-activations, the covariance pair
    through the analytic route (Sigma_xy = Sigma_x W0', Sigma_y = W0
    Sigma_x W0' + lambda^2 I, kept as Sigma_x and L_y^-1 Sigma_yx; the
@@ -58,14 +59,20 @@ compressors and re-expanders ``fit-oib`` stored and fit nothing.
 Fit and deterministic evaluation draw no random numbers; every other
 stage draws randomness only from its named seed in the config, so
 stages rerun in isolation reproduce their outputs bitwise on the same
-numpy/BLAS build, CPU kernel and BLAS thread count; across those, trained
-weights, and the accuracies that depend on them, can differ.
+numpy/BLAS build and CPU kernel.  Every training runs on one BLAS thread
+(``inference_net.BLAS_THREADS``), so trained weights do not depend on the
+BLAS thread count; the float64 products outside training do, so the
+records' ``entropy_nats``, ``mi_nats`` and ``mse`` and the
+reconstructions differ in their last bits between thread counts, and the
+retrained heads, which train on float32 casts of the reconstructions,
+differ with them.
 """
 
 import csv
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
@@ -77,9 +84,9 @@ from .datasets import load_idx, subset, synthetic_digits
 from .errors import ConfigError, DataFormatError, NumericalError
 from .gib_compressor import (cca_compressor, compressor_at_size, encode,
                              pca_basis, pca_compressor, solve_gib)
-from .inference_net import (MlpModel, TrainConfig, accuracy, finetune_head,
-                            forward_from_layer, init_mlp, train,
-                            train_head_on_z, train_multi_rho_head)
+from .inference_net import (BLAS_THREADS, MlpModel, TrainConfig, accuracy,
+                            finetune_head, forward_from_layer, init_mlp,
+                            train, train_head_on_z, train_multi_rho_head)
 from .info_metrics import encoding_mi, gaussian_entropy
 from .reexpander import fit_ls, reexpand
 from .serialization import (config_hash, load_corpus, save_compressor,
@@ -299,16 +306,49 @@ def base_train_config(config):
                        seed=config.seeds.train_shuffle)
 
 
+def training_workers(n_trainings):
+    """How many trainings run at once: one per training, up to the CPUs
+    this process may run on, when BLAS is pinned to one thread per
+    training; else 1, since unpinned, the two base networks took 1.5-1.7x
+    as long side by side as one after the other (2 cores, 2 BLAS
+    threads)."""
+    if BLAS_THREADS.setter is None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(n_trainings, len(os.sched_getaffinity(0)))
+    return min(n_trainings, os.cpu_count() or 1)
+
+
 def train_base_models(config, features, train_labels):
-    """One freshly initialized model per domain, trained identically."""
-    domains = {}
-    for name, (x_tr, x_te) in features.items():
+    """One freshly initialized model per domain, trained identically.
+
+    The domains train side by side: the calling thread trains the first,
+    a pool of ``training_workers - 1`` threads the others, each training
+    on one BLAS thread, so the weights do not depend on how many run at
+    once.  A training's exception re-raises here, and no thread outlives
+    the call.  The inputs are cast to the weight dtype here, so that the
+    casts live in the caller's heap, not a worker thread's.
+    """
+    cfg = base_train_config(config)
+    jobs = []
+    for x_tr, _ in features.values():
         model = init_mlp(config.model_layer_sizes, config.seeds.model_init)
-        model, losses = train(model, x_tr, train_labels,
-                              base_train_config(config))
-        domains[name] = DomainData(name=name, x_train=x_tr, x_test=x_te,
-                                   model=model, losses=losses)
-    return domains
+        jobs.append((model, x_tr.astype(model.dtype, copy=False)))
+
+    def run(job):
+        return train(*job, train_labels, cfg)
+
+    workers = training_workers(len(jobs))
+    if workers == 1:
+        trained = [run(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(run, job) for job in jobs[1:]]
+            trained = [run(jobs[0])] + [f.result() for f in futures]
+    return {name: DomainData(name=name, x_train=x_tr, x_test=x_te,
+                             model=model, losses=losses)
+            for (name, (x_tr, x_te)), (model, losses)
+            in zip(features.items(), trained)}
 
 
 def head_seed(config, n_z):
