@@ -25,18 +25,27 @@ reaches a zeroed moment again absorbs the lost remainder when
 |g| >= 3.4e-22.  Under those two conditions the weights are bitwise those
 of unfloored Adam.
 
+One trainer, ``_train_core``, trains every network: a stack of K
+networks of identical shape in lockstep, their weights (K, out, in)
+arrays in one flat buffer and their products batched matmuls, one GEMM
+per network.  Each network has its own seeded generator, best-epoch
+snapshot and divergence check, and its weights are bitwise those of
+training it alone: a single training is a stack of one.
+
 The first layer L0 doubles as the target of the compression regression:
 its pre-activations are what the re-expanders reconstruct.  Heads
 (everything after L0) can be retrained on re-expanded inputs, either one
 per compression level or as a single head trained across a pool of levels,
 with optional validation-split early stopping that keeps the best epoch
-(including the unchanged starting point).
+(including the unchanged starting point).  The per-level fine-tunes of
+one call to ``finetune_head`` train as one stack, so a head does not
+depend on which levels share its call.
 """
 
 import contextlib
 import ctypes
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -237,15 +246,18 @@ def accuracy(model, x, labels):
     return float(np.mean(forward(model, x).argmax(axis=1) == labels))
 
 
-def _layer_views(flat, layers):
-    """(w, b) views into ``flat`` shaped like ``layers``, packed in order."""
+def _stack_views(flat, layers, n_heads):
+    """(w, b) views into ``flat``, each ``(n_heads,) + shape`` of the
+    layer's, packed layer by layer."""
     views = []
     start = 0
     for w, b in layers:
         pair = []
         for arr in (w, b):
-            pair.append(flat[start:start + arr.size].reshape(arr.shape))
-            start += arr.size
+            size = n_heads * arr.size
+            pair.append(flat[start:start + size].reshape((n_heads,)
+                                                          + arr.shape))
+            start += size
         views.append(tuple(pair))
     return views
 
@@ -253,40 +265,48 @@ def _layer_views(flat, layers):
 def _batch_loss_grads(layers, xb, yb, grads=None):
     """Softmax cross-entropy loss and per-layer gradients for one batch.
 
-    ``grads``, when given, is a list of (w, b) arrays shaped like
-    ``layers`` that receives the gradients in place; otherwise new ones are
-    allocated.  Returns (loss, grads).
+    Works on one network (``xb`` of shape (b, n), ``yb`` (b,)) or on a
+    stack of K networks of identical shape, trained in lockstep: weights
+    (K, out, in), biases (K, out), ``xb`` (K, b, n) and ``yb`` (K, b).  The
+    products are batched matmuls, one GEMM per network, and the reductions
+    run along each network's own axes, so every network's loss and
+    gradients are bitwise those of its own 2-d pass.  ``grads``, when
+    given, is a list of (w, b) arrays shaped like ``layers`` that receives
+    the gradients in place; otherwise new ones are allocated.  Returns
+    (loss, grads), the loss one value per network.
     """
     if grads is None:
         grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
     acts = [xb]
     a = xb
     for i, (w, b) in enumerate(layers):
-        a = a @ w.T
-        a += b
+        a = a @ w.swapaxes(-1, -2)
+        a += b[..., None, :]
         if i < len(layers) - 1:
             np.maximum(a, 0, out=a)
         acts.append(a)
     # The logits are not needed by the backward pass, so the softmax
     # overwrites them.
-    rows = np.arange(len(yb))
+    rows = np.arange(yb.shape[-1])
+    target = (rows, yb) if yb.ndim == 1 else \
+        (np.arange(len(yb))[:, None], rows, yb)
     p = acts.pop()
-    p -= p.max(axis=1, keepdims=True)
+    p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    loss = -np.mean(np.log(p[rows, yb] + 1e-30))
+    p /= p.sum(axis=-1, keepdims=True)
+    loss = -np.mean(np.log(p[target] + 1e-30), axis=-1)
     g = p
-    g[rows, yb] -= 1.0
-    g /= len(yb)
+    g[target] -= 1.0
+    g /= len(rows)
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
         gw, gb = grads[i]
-        np.matmul(g.T, acts[i], out=gw)
-        np.sum(g, axis=0, out=gb)
+        np.matmul(g.swapaxes(-1, -2), acts[i], out=gw)
+        np.sum(g, axis=-2, out=gb)
         if i > 0:
             g = g @ w
             g *= acts[i] > 0
-    return float(loss), grads
+    return loss, grads
 
 
 class _FlatAdam:
@@ -298,33 +318,40 @@ class _FlatAdam:
     ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``.  It runs the same
     in-place ufuncs over blocks of ``ADAM_BLOCK`` elements of the flat
     buffers, so the working set of each pass stays in cache; every element
-    gets the same float32 operations as in one whole-buffer pass.
+    gets the same float32 operations as in one whole-buffer pass.  The
+    scratch of a pass spans one block, not the buffer: Adam holds 16 bytes
+    per float32 parameter (weight, gradient and both moments).
 
     Every ``MOMENT_FLUSH_EVERY`` steps, first moments with
-    |m| < ``MOMENT_FLOOR`` are set to zero: without that, the moments of
-    weights whose gradient stays exactly zero (dead units, unlit pixels)
-    shrink by ``ADAM_BETA1`` per step into float32 subnormals, on which
-    every pass runs several times slower.  A moment that survives a flush
-    shrinks by at most 0.9**16 (about 0.185) before the next one, so m and
-    lr * m / c1 stay normal for any lr >= 1e-7.
+    |m| < ``MOMENT_FLOOR`` are set to zero, block by block: without that,
+    the moments of weights whose gradient stays exactly zero (dead units,
+    unlit pixels) shrink by ``ADAM_BETA1`` per step into float32
+    subnormals, on which every pass runs several times slower.  A moment
+    that survives a flush shrinks by at most 0.9**16 (about 0.185) before
+    the next one, so m and lr * m / c1 stay normal for any lr >= 1e-7.
     """
 
     def __init__(self, params):
         self.grad = np.empty_like(params)
         self.m = np.zeros_like(params)
-        self._denom = np.empty_like(params)
-        self._small = np.empty(params.shape, dtype=bool)
-        buffers = (params, self.grad, self.m, np.zeros_like(params),
-                   np.empty_like(params), self._denom)
-        self._blocks = [tuple(a[s:s + ADAM_BLOCK] for a in buffers)
-                        for s in range(0, params.size, ADAM_BLOCK)]
+        block = min(ADAM_BLOCK, params.size)
+        step = np.empty(block, dtype=params.dtype)
+        denom = np.empty(block, dtype=params.dtype)
+        small = np.empty(block, dtype=bool)
+        v = np.zeros_like(params)
+        self._blocks = []
+        for s in range(0, params.size, ADAM_BLOCK):
+            n = min(ADAM_BLOCK, params.size - s)
+            self._blocks.append(
+                tuple(a[s:s + n] for a in (params, self.grad, self.m, v))
+                + (step[:n], denom[:n], small[:n]))
         self._t = 0
 
     def step(self, lr):
         self._t += 1
         c1 = 1.0 - ADAM_BETA1 ** self._t
         c2 = 1.0 - ADAM_BETA2 ** self._t
-        for params, grad, m, v, step, denom in self._blocks:
+        for params, grad, m, v, step, denom, _ in self._blocks:
             m *= ADAM_BETA1
             np.multiply(1.0 - ADAM_BETA1, grad, out=step)
             m += step
@@ -340,87 +367,119 @@ class _FlatAdam:
             step /= denom
             params -= step
         if self._t % MOMENT_FLUSH_EVERY == 0:
-            np.abs(self.m, out=self._denom)
-            np.less(self._denom, MOMENT_FLOOR, out=self._small)
-            np.copyto(self.m, 0.0, where=self._small)
+            for _, _, m, _, _, magnitude, small in self._blocks:
+                np.abs(m, out=magnitude)
+                np.less(magnitude, MOMENT_FLOOR, out=small)
+                np.copyto(m, 0.0, where=small)
 
 
-def _train_core(layers, pools, labels, cfg):
-    """Adam training over one or more aligned input pools.
+def _train_core(layers, pools, labels, cfgs):
+    """Adam training of K networks of identical shape, side by side.
 
-    Every pool holds one representation of the same samples; each batch
-    draws one pool uniformly (no draw is made for a single pool, so the
-    single-pool case consumes exactly the same random stream as plain
-    training).  All parameters live in one flat buffer, with every layer's
-    (w, b) a view into it, and ``_FlatAdam`` updates it in place from a
-    flat gradient buffer, block by block, flooring tiny first moments (see
-    the module docstring for the bound and the conditions under which the
-    weights equal unfloored Adam's bitwise).  BLAS runs on one thread
-    throughout (``BLAS_THREADS``).  Returns the trained layers (views into
-    one buffer) and the per-epoch loss trace.
+    Network k starts from ``layers`` and trains on the aligned input pools
+    ``pools[k]`` (each one representation of the same samples, labelled by
+    ``labels``) with ``cfgs[k]``; the configs may differ only in their
+    seed.  Each network draws from its own seeded generator, exactly as it
+    would alone: its validation split, its epoch order and, for more than
+    one pool, one pool per batch (no draw is made for a single pool, so
+    the single-pool case consumes exactly the same random stream as plain
+    training).  Batches are gathered from the pools through each
+    network's rows, so no fit rows are copied.
+
+    The K networks run in lockstep: their weights are (K, out, in) views
+    into one flat buffer, the products are batched matmuls
+    (``_batch_loss_grads``) and ``_FlatAdam`` updates the buffer in place,
+    block by block, flooring tiny first moments (see the module docstring
+    for the bound and the conditions under which the weights equal
+    unfloored Adam's bitwise).  Every network's weights and losses are
+    bitwise those of training it alone, however the networks are grouped.
+    Each network keeps its own best-epoch snapshot and its own divergence
+    check.  BLAS runs on one thread throughout (``BLAS_THREADS``).
+    Returns one (layers, per-epoch losses) pair per network, its layers
+    views into one buffer.
     """
+    cfg = cfgs[0]
+    if len(pools) != len(cfgs) or any(replace(c, seed=cfg.seed) != cfg
+                                      for c in cfgs):
+        raise ValueError("stacked networks need one pool list and one "
+                         "config each, alike but for the seed")
+    n_heads = len(cfgs)
     with BLAS_THREADS.one_thread():
-        params = np.concatenate([a.ravel() for pair in layers for a in pair])
-        layers = _layer_views(params, layers)
+        params = np.concatenate([np.repeat(a[None], n_heads, axis=0).ravel()
+                                 for pair in layers for a in pair])
+        stack = _stack_views(params, layers, n_heads)
         adam = _FlatAdam(params)
-        grads = _layer_views(adam.grad, layers)
-        rng = np.random.default_rng(cfg.seed)
+        grads = _stack_views(adam.grad, layers, n_heads)
+        rngs = [np.random.default_rng(c.seed) for c in cfgs]
         n = len(labels)
 
+        fit_rows = np.broadcast_to(np.arange(n), (n_heads, n))
+        val_sets = None
         if cfg.val_fraction > 0.0:
-            perm = rng.permutation(n)
             n_val = int(round(cfg.val_fraction * n))
-            val_idx, fit_idx = perm[:n_val], perm[n_val:]
-            fit_pools = [p[fit_idx] for p in pools]
-            fit_labels = labels[fit_idx]
-            val_pools = [p[val_idx] for p in pools]
-            val_labels = labels[val_idx]
-        else:
-            fit_pools, fit_labels = pools, labels
-            val_pools = val_labels = None
+            perms = [rng.permutation(n) for rng in rngs]
+            fit_rows = np.stack([perm[n_val:] for perm in perms])
+            val_sets = [([p[perm[:n_val]] for p in head_pools],
+                         labels[perm[:n_val]])
+                        for perm, head_pools in zip(perms, pools)]
 
-        def val_accuracy(current):
+        def head_layers(views, k):
+            return [(w[k], b[k]) for w, b in views]
+
+        def val_accuracy(k):
+            val_pools, val_labels = val_sets[k]
             hits = 0.0
             for p in val_pools:
-                logits = _forward_layers(current, p)
+                logits = _forward_layers(head_layers(stack, k), p)
                 hits += float(np.mean(logits.argmax(axis=1) == val_labels))
             return hits / len(val_pools)
 
-        best = None
-        best_val = -np.inf
-        if val_pools is not None:
-            best = params.copy()
-            best_val = val_accuracy(layers)
+        best = best_val = None
+        if val_sets is not None:
+            best = _stack_views(params.copy(), layers, n_heads)
+            best_val = [val_accuracy(k) for k in range(n_heads)]
 
-        n_fit = len(fit_labels)
-        losses = []
+        n_fit = fit_rows.shape[1]
+        n_in = layers[0][0].shape[1]
+        losses = [[] for _ in range(n_heads)]
         for epoch in range(cfg.epochs):
             lr = cfg.learning_rate
             if cfg.lr_decay_at is not None and epoch >= cfg.lr_decay_at:
                 lr = lr * LR_DECAY_FACTOR
-            order = rng.permutation(n_fit)
-            total = 0.0
+            rows = np.take_along_axis(
+                fit_rows, np.stack([rng.permutation(n_fit) for rng in rngs]),
+                axis=1)
+            totals = np.zeros(n_heads)
             for start in range(0, n_fit, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                pool = (rng.integers(len(fit_pools))
-                        if len(fit_pools) > 1 else 0)
-                xb, yb = fit_pools[pool][idx], fit_labels[idx]
-                loss, _ = _batch_loss_grads(layers, xb, yb, grads)
-                total += loss * len(yb)
+                idx = rows[:, start:start + cfg.batch_size]
+                xb = np.empty((n_heads, idx.shape[1], n_in), params.dtype)
+                for k, (rng, head_pools) in enumerate(zip(rngs, pools)):
+                    pool = (rng.integers(len(head_pools))
+                            if len(head_pools) > 1 else 0)
+                    # "clip" gathers straight into xb[k], where the
+                    # default mode would buffer; every row is in range.
+                    np.take(head_pools[pool], idx[k], axis=0, out=xb[k],
+                            mode="clip")
+                loss, _ = _batch_loss_grads(stack, xb, labels[idx], grads)
+                totals += loss.astype(np.float64) * idx.shape[1]
                 adam.step(lr)
-            epoch_loss = total / n_fit
-            if not np.isfinite(epoch_loss):
-                raise NumericalError("training diverged: epoch %d loss is %r"
-                                     % (epoch, epoch_loss))
-            losses.append(epoch_loss)
-            if val_pools is not None:
-                va = val_accuracy(layers)
-                if va > best_val:
-                    best_val = va
-                    np.copyto(best, params)
-        if val_pools is not None:
-            layers = _layer_views(best, layers)
-        return layers, losses
+            for k in range(n_heads):
+                epoch_loss = float(totals[k] / n_fit)
+                if not np.isfinite(epoch_loss):
+                    raise NumericalError(
+                        "training diverged: epoch %d loss is %r (seed %d)"
+                        % (epoch, epoch_loss, cfgs[k].seed))
+                losses[k].append(epoch_loss)
+            if val_sets is not None:
+                for k in range(n_heads):
+                    va = val_accuracy(k)
+                    if va > best_val[k]:
+                        best_val[k] = va
+                        for (bw, bb), (w, b) in zip(best, stack):
+                            bw[k] = w[k]
+                            bb[k] = b[k]
+        final = stack if best is None else best
+        return [(head_layers(final, k), losses[k]) for k in range(n_heads)]
 
 
 def train(model, x, labels, cfg):
@@ -429,12 +488,21 @@ def train(model, x, labels, cfg):
     labels = np.asarray(labels)
     if len(x) != len(labels):
         raise DimensionError("inputs and labels must have equal length")
-    layers, losses = _train_core(model.layers, [x], labels, cfg)
+    [(layers, losses)] = _train_core(model.layers, [[x]], labels, [cfg])
     return MlpModel(layers), losses
 
 
-def _relu32(values, dtype):
-    return np.maximum(np.asarray(values), 0).astype(dtype)
+def head_inputs(values, dtype):
+    """What a head consumes: the ReLU of pre-activations, in ``dtype``.
+
+    An array already of ``dtype`` with no negative entry is its own ReLU
+    and is returned as it is, so inputs made once can be shared by several
+    trainings without a copy each.
+    """
+    values = np.asarray(values)
+    if values.dtype == dtype and (values.size == 0 or values.min() >= 0):
+        return values
+    return np.maximum(values, 0).astype(dtype)
 
 
 def head_model(model):
@@ -444,9 +512,23 @@ def head_model(model):
     return MlpModel([(w.copy(), b.copy()) for w, b in model.layers[1:]])
 
 
-def finetune_head(head, reconstructed, labels, cfg):
-    """Continue training an existing head on re-expanded pre-activations."""
-    return train(head, _relu32(reconstructed, head.dtype), labels, cfg)[0]
+def finetune_head(head, pools, labels, cfg):
+    """Continue training copies of ``head``, one per entry of ``pools``.
+
+    ``pools`` maps a compression size k to its re-expanded pre-activations
+    (or to their ``head_inputs``); the copy for k trains on them with seed
+    ``cfg.seed + k`` and every other setting of ``cfg``.  The copies train
+    as one stack in lockstep (``_train_core``), each bitwise as it would
+    alone, so a head does not depend on which sizes share its call.
+    Returns the trained heads keyed like ``pools``.
+    """
+    sizes = list(pools)
+    trained = _train_core(head.layers,
+                          [[head_inputs(pools[k], head.dtype)]
+                           for k in sizes],
+                          np.asarray(labels),
+                          [replace(cfg, seed=cfg.seed + k) for k in sizes])
+    return {k: MlpModel(layers) for k, (layers, _) in zip(sizes, trained)}
 
 
 def train_head_on_z(z, labels, head_sizes, cfg):
@@ -462,14 +544,15 @@ def train_multi_rho_head(model, pools, labels, cfg):
     """One head trained across re-expanded pools from several sizes.
 
     ``pools`` maps each compression size to that size's re-expanded
-    training matrix (all aligned to the same samples).  Each mini-batch
-    draws one pool uniformly, so the head amortizes over every size.  A
-    single-entry mapping reduces exactly to
-    ``finetune_head(head_model(model), ...)``.
+    training matrix (all aligned to the same samples), or to its
+    ``head_inputs``.  Each mini-batch draws one pool uniformly, so the
+    head amortizes over every size.  A single-entry mapping reduces
+    exactly to ``finetune_head(head_model(model), {0: ...}, ...)``.
     """
     if not pools:
         raise ValueError("pools must contain at least one compression size")
     head = head_model(model)
-    ordered = [_relu32(pools[k], head.dtype) for k in sorted(pools)]
-    layers, _ = _train_core(head.layers, ordered, np.asarray(labels), cfg)
+    ordered = [head_inputs(pools[k], head.dtype) for k in sorted(pools)]
+    [(layers, _)] = _train_core(head.layers, [ordered], np.asarray(labels),
+                                [cfg])
     return MlpModel(layers)

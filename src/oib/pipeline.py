@@ -43,8 +43,11 @@ Stages, in dependency order:
 6. retrain: a single average head trained on the mixture of all grid
    reconstructions, then one fine-tuned head per n_z with early stopping
    on a validation split (keeping the average head when fine-tuning does
-   not help); or one classifier per n_z on the codes themselves.  Each
-   mode's heads and records are saved by one writer into its own report.
+   not help); or one classifier per n_z on the codes themselves.  The
+   per-size fine-tunes train as stacks side by side, one stack per CPU on
+   one BLAS thread, each stack's heads in lockstep; a head is bitwise the
+   same however the grid is split into stacks.  Each mode's heads and
+   records are saved by one writer into its own report.
 7. normality: Henze-Zirkler p-values of random coordinate projections,
    raw versus transform domain.
 
@@ -85,8 +88,9 @@ from .errors import ConfigError, DataFormatError, NumericalError
 from .gib_compressor import (cca_compressor, compressor_at_size, encode,
                              pca_basis, pca_compressor, solve_gib)
 from .inference_net import (BLAS_THREADS, MlpModel, TrainConfig, accuracy,
-                            finetune_head, forward_from_layer, init_mlp,
-                            train, train_head_on_z, train_multi_rho_head)
+                            finetune_head, forward_from_layer, head_inputs,
+                            init_mlp, train, train_head_on_z,
+                            train_multi_rho_head)
 from .info_metrics import encoding_mi, gaussian_entropy
 from .reexpander import fit_ls, reexpand
 from .serialization import (config_hash, load_corpus, save_compressor,
@@ -319,32 +323,35 @@ def training_workers(n_trainings):
     return min(n_trainings, os.cpu_count() or 1)
 
 
+def side_by_side(run, jobs):
+    """``[run(job) for job in jobs]``, with the jobs run at once.
+
+    The calling thread runs the first job and a pool of
+    ``training_workers(len(jobs)) - 1`` threads the others.  A job's
+    exception re-raises here, and no thread outlives the call.
+    """
+    workers = training_workers(len(jobs))
+    if workers == 1:
+        return [run(job) for job in jobs]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(run, job) for job in jobs[1:]]
+        return [run(jobs[0])] + [f.result() for f in futures]
+
+
 def train_base_models(config, features, train_labels):
     """One freshly initialized model per domain, trained identically.
 
-    The domains train side by side: the calling thread trains the first,
-    a pool of ``training_workers - 1`` threads the others, each training
-    on one BLAS thread, so the weights do not depend on how many run at
-    once.  A training's exception re-raises here, and no thread outlives
-    the call.  The inputs are cast to the weight dtype here, so that the
-    casts live in the caller's heap, not a worker thread's.
+    The domains train ``side_by_side``, each training on one BLAS thread,
+    so the weights do not depend on how many run at once.  The inputs are
+    cast to the weight dtype here, so that the casts live in the caller's
+    heap, not a worker thread's.
     """
     cfg = base_train_config(config)
     jobs = []
     for x_tr, _ in features.values():
         model = init_mlp(config.model_layer_sizes, config.seeds.model_init)
         jobs.append((model, x_tr.astype(model.dtype, copy=False)))
-
-    def run(job):
-        return train(*job, train_labels, cfg)
-
-    workers = training_workers(len(jobs))
-    if workers == 1:
-        trained = [run(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(run, job) for job in jobs[1:]]
-            trained = [run(jobs[0])] + [f.result() for f in futures]
+    trained = side_by_side(lambda job: train(*job, train_labels, cfg), jobs)
     return {name: DomainData(name=name, x_train=x_tr, x_test=x_te,
                              model=model, losses=losses)
             for (name, (x_tr, x_te)), (model, losses)
@@ -561,34 +568,48 @@ def retrain_heads(config, result):
     rate.  Each per-size head then fine-tunes from the average on its own
     reconstructions, with a validation split choosing the best epoch; when
     no epoch improves on the starting point, the average head is kept
-    unchanged.
+    unchanged.  The fine-tunes train as ``training_workers`` stacks run
+    ``side_by_side``, one per CPU, each stack one ``finetune_head`` call
+    on one BLAS thread; every head is bitwise the same however the grid
+    is split into stacks.  The reconstructions are cast to head inputs
+    once, and the average head and every stack share that copy.
     """
     rt = config.retrain
     labels_tr = result.train_labels
     labels_te = result.test_labels
     model = result.transform.model
+    inputs = {n_z: head_inputs(rec, model.dtype)
+              for n_z, rec in result.reconstructions_train.items()}
 
     avg_cfg = TrainConfig(epochs=rt.average_epochs,
                           learning_rate=AVERAGE_LEARNING_RATE,
                           seed=config.seeds.head_average,
                           lr_decay_at=rt.average_decay_at)
-    average = train_multi_rho_head(model, result.reconstructions_train,
-                                   labels_tr, avg_cfg)
+    average = train_multi_rho_head(model, inputs, labels_tr, avg_cfg)
+    # finetune_head seeds the head of size n_z with cfg.seed + n_z, which
+    # is head_seed(config, n_z).
+    ft_cfg = TrainConfig(epochs=rt.finetune_epochs,
+                         learning_rate=FINETUNE_LEARNING_RATE,
+                         seed=head_seed(config, 0),
+                         val_fraction=FINETUNE_VAL_FRACTION)
+    grid = list(config.n_z_grid)
+    n_stacks = training_workers(len(grid))
+    tuned = {}
+    for stack in side_by_side(
+            lambda sizes: finetune_head(average,
+                                        {n_z: inputs[n_z] for n_z in sizes},
+                                        labels_tr, ft_cfg),
+            [grid[i::n_stacks] for i in range(n_stacks)]):
+        tuned.update(stack)
     heads, records = {"average": (average, avg_cfg.seed)}, []
-    for n_z in config.n_z_grid:
-        ft_cfg = TrainConfig(epochs=rt.finetune_epochs,
-                             learning_rate=FINETUNE_LEARNING_RATE,
-                             seed=head_seed(config, n_z),
-                             val_fraction=FINETUNE_VAL_FRACTION)
-        head = finetune_head(average, result.reconstructions_train[n_z],
-                             labels_tr, ft_cfg)
-        heads["per_rho_%03d" % n_z] = (head, ft_cfg.seed)
+    for n_z in grid:
+        heads["per_rho_%03d" % n_z] = (tuned[n_z], head_seed(config, n_z))
         relu_te = np.maximum(result.reconstructions_test[n_z], 0)
         records.append(RetrainRecord(
             n_z=n_z,
             accuracy_non_retrained=result.record("oib", n_z).accuracy,
             accuracy_average=accuracy(average, relu_te, labels_te),
-            accuracy_per_rho=accuracy(head, relu_te, labels_te)))
+            accuracy_per_rho=accuracy(tuned[n_z], relu_te, labels_te)))
     return heads, records
 
 

@@ -1,5 +1,7 @@
 """MLP forward/backward, Adam training, and head retraining variants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -216,8 +218,8 @@ def test_head_retraining_on_reconstructions():
     head = head_model(model)
     relu = np.maximum(noisy, 0)
     base_acc = float(np.mean(forward(head, relu).argmax(1) == labels))
-    tuned = finetune_head(head_model(model), noisy, labels,
-                          TrainConfig(epochs=6, learning_rate=1e-3, seed=2))
+    tuned = finetune_head(head_model(model), {0: noisy}, labels,
+                          TrainConfig(epochs=6, learning_rate=1e-3, seed=2))[0]
     tuned_acc = float(np.mean(forward(tuned, relu).argmax(1) == labels))
     assert tuned_acc >= base_acc
     assert tuned.layer_sizes == model.layer_sizes[1:]
@@ -230,7 +232,7 @@ def test_single_pool_multi_rho_equals_plain_finetune():
     pre = x @ model.layers[0][0].T + model.layers[0][1]
     cfg = TrainConfig(epochs=3, learning_rate=1e-3, seed=5)
     multi = train_multi_rho_head(model, {40: pre}, labels, cfg)
-    plain = finetune_head(head_model(model), pre, labels, cfg)
+    plain = finetune_head(head_model(model), {0: pre}, labels, cfg)[0]
     for (w1, b1), (w2, b2) in zip(multi.layers, plain.layers):
         assert np.array_equal(w1, w2)
         assert np.array_equal(b1, b2)
@@ -402,7 +404,7 @@ def test_flat_adam_matches_the_per_tensor_oracle(name):
     if name == "multi_block":
         n_params = sum(w.size + b.size for w, b in layers)
         assert ADAM_BLOCK < n_params < 2 * ADAM_BLOCK
-    got, got_losses = _train_core(layers, pools, labels, cfg)
+    [(got, got_losses)] = _train_core(layers, [pools], labels, [cfg])
     with BLAS_THREADS.one_thread():
         want, want_losses = _oracle_train_core(layers, pools, labels, cfg)
     assert got_losses == want_losses
@@ -458,3 +460,61 @@ def test_moment_floor_removes_subnormals_and_keeps_weights(lr):
         oracle_subnormal |= bool(np.any((m != 0) & (np.abs(m) < tiny)))
     assert oracle_subnormal
     assert np.all(adam.m[1000:2000] == 0)
+
+
+def test_stacked_finetunes_are_each_heads_own_training_for_any_split():
+    """Heads fine-tuned as one stack, as two or one per call are bitwise
+    what the per-tensor oracle trains for each alone.  On clean inputs
+    the head is already perfect, so it keeps its start; on noisy inputs
+    heads can improve and move."""
+    x, labels = blob_data(23, n=300, d=12, classes=4)
+    model = perfect_model(x, labels, [12, 24, 16, 4])
+    w0, b0 = model.layers[0]
+    pre = x @ w0.T + b0
+    noise = np.random.default_rng(24).standard_normal(pre.shape)
+    pools = {0: pre, 3: pre + 3.0 * noise, 7: pre - 3.0 * noise,
+             12: pre + 5.0 * noise}
+    head = head_model(model)
+    cfg = TrainConfig(epochs=3, learning_rate=1e-2, seed=5,
+                      val_fraction=0.2)
+    want = {}
+    with BLAS_THREADS.one_thread():
+        for k, pool in pools.items():
+            want[k], _ = _oracle_train_core(
+                head.layers, [np.maximum(pool, 0).astype(np.float32)],
+                labels, replace(cfg, seed=cfg.seed + k))
+    sizes = list(pools)
+    for split in ([sizes], [sizes[:2], sizes[2:]], [[k] for k in sizes]):
+        got = {}
+        for stack in split:
+            got.update(finetune_head(head, {k: pools[k] for k in stack},
+                                     labels, cfg))
+        assert list(got) == sizes
+        for k in sizes:
+            for (w1, b1), (w2, b2) in zip(got[k].layers, want[k]):
+                assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+    kept = [k for k in sizes
+            if all(np.array_equal(w1, w2) for (w1, _), (w2, _)
+                   in zip(got[k].layers, head.layers))]
+    assert 0 in kept and len(kept) < len(sizes)
+
+
+def test_stacked_configs_must_agree_but_for_the_seed():
+    x, labels = blob_data(25, n=60)
+    layers = init_mlp([6, 8, 3], seed=0).layers
+    cfg = TrainConfig(epochs=1, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        _train_core(layers, [[x], [x]], labels,
+                    [cfg, replace(cfg, seed=2, learning_rate=1e-2)])
+    with pytest.raises(ValueError, match="seed"):
+        _train_core(layers, [[x], [x]], labels, [cfg])
+
+
+def test_a_diverging_head_in_a_stack_raises():
+    x, labels = blob_data(26, n=60)
+    head = init_mlp([6, 8, 3], seed=0)
+    bad = x.copy()
+    bad[:, 0] = np.nan
+    with pytest.raises(NumericalError, match="diverged.*seed 4"):
+        finetune_head(head, {0: x, 3: bad}, labels,
+                      TrainConfig(epochs=2, seed=1))

@@ -1,11 +1,13 @@
-"""Training on one BLAS thread, and the base networks trained side by side.
+"""Training on one BLAS thread, and trainings run side by side.
 
 Every training pins numpy's OpenBLAS to one thread for its duration, so
 the weights do not depend on ``OPENBLAS_NUM_THREADS`` nor on how many
-trainings overlap; ``train_base_models`` trains its domains concurrently.
+trainings overlap; ``train_base_models`` trains its domains concurrently,
+and ``retrain_heads`` its per-size fine-tunes as concurrent stacks.
 """
 
 import contextlib
+import copy
 import os
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from oib import inference_net, pipeline
 from oib.config import config_from_dict
 from oib.errors import NumericalError
 from oib.inference_net import BLAS_THREADS, TrainConfig, init_mlp, train
+from test_config_cli import TINY
 
 needs_pin = pytest.mark.skipif(
     BLAS_THREADS.setter is None,
@@ -234,3 +237,79 @@ def test_the_pin_holds_under_many_overlapping_holders():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+@pytest.fixture(scope="module")
+def evaluated():
+    """Stages 1-5 of a tiny config with three sizes, in memory."""
+    config = config_from_dict(dict(
+        TINY, n_z_grid=[5, 10, 15],
+        retrain={"average_epochs": 2, "average_decay_at": 1,
+                 "finetune_epochs": 2}))
+    return pipeline.evaluate(pipeline.fit(pipeline.prepare(config)))
+
+
+def head_bytes(heads):
+    return {name: (seed, b"".join(w.tobytes() + b.tobytes()
+                                  for w, b in model.layers))
+            for name, (model, seed) in heads.items()}
+
+
+def test_retrained_heads_do_not_depend_on_the_stacks(evaluated,
+                                                     monkeypatch):
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(pipeline, "training_workers",
+                            lambda n, workers=workers: min(n, workers))
+        stacks = []
+        original = pipeline.finetune_head
+
+        def counting(head, pools, *args):
+            stacks.append((threading.get_ident(), sorted(pools)))
+            return original(head, pools, *args)
+        monkeypatch.setattr(pipeline, "finetune_head", counting)
+        heads, records = pipeline.retrain_heads(evaluated.config, evaluated)
+        got[workers] = head_bytes(heads), records
+        assert sorted(n_z for _, sizes in stacks for n_z in sizes) == \
+            [5, 10, 15]
+        assert len(stacks) == len({thread for thread, _ in stacks}) == \
+            workers
+        monkeypatch.undo()
+    assert got[1] == got[2]
+    assert list(got[1][0]) == ["average", "per_rho_005", "per_rho_010",
+                               "per_rho_015"]
+    assert [seed for seed, _ in got[1][0].values()][1:] == [
+        pipeline.head_seed(evaluated.config, n_z) for n_z in (5, 10, 15)]
+
+
+@needs_pin
+def test_a_head_diverging_in_a_worker_stack_raises_in_the_caller(
+        evaluated, monkeypatch):
+    result = copy.copy(evaluated)
+    result.reconstructions_train = dict(evaluated.reconstructions_train)
+    # Size 10 is in the second stack, which a pool thread trains.
+    bad = result.reconstructions_train[10].copy()
+    bad[:, 0] = np.nan
+    result.reconstructions_train[10] = bad
+    # The average head would diverge first on the NaN pool; start the
+    # fine-tunes from the base network's head instead.
+    monkeypatch.setattr(pipeline, "train_multi_rho_head",
+                        lambda model, *args: inference_net.head_model(model))
+    monkeypatch.setattr(pipeline, "training_workers", lambda n: min(n, 2))
+    raised_in = []
+    original = pipeline.finetune_head
+
+    def tracking(*args):
+        try:
+            return original(*args)
+        except NumericalError:
+            raised_in.append(threading.get_ident())
+            raise
+    monkeypatch.setattr(pipeline, "finetune_head", tracking)
+    threads = threading.active_count()
+    with blas_count(2):
+        with pytest.raises(NumericalError, match="diverged"):
+            pipeline.retrain_heads(result.config, result)
+        assert BLAS_THREADS.getter() == 2
+    assert raised_in and raised_in[0] != threading.get_ident()
+    assert threading.active_count() == threads
