@@ -25,6 +25,10 @@ SEED_STRIDE = 100003
 # Coordinates per Henze-Zirkler projection; the test needs more samples
 # than dimensions, so n_test must exceed it.
 HZ_PROJECTION_DIM = 10
+# The share of the training images each per-size fine-tune holds out to
+# choose its best epoch; when oib is on the grid, it must round to at
+# least one image.
+FINETUNE_VAL_FRACTION = 0.1
 
 
 def _is_count(value, least):
@@ -74,8 +78,8 @@ class TrainSection:
 @dataclass
 class RetrainSection:
     """Epoch schedules for the shared average head and the per-size
-    fine-tunes; their learning rates and validation split are constants
-    of ``pipeline``."""
+    fine-tunes; their learning rates are constants of ``pipeline``, and
+    the fine-tunes' validation split is ``FINETUNE_VAL_FRACTION``."""
 
     average_epochs: int = 90
     average_decay_at: int = 60
@@ -170,6 +174,12 @@ class ExperimentConfig:
                               "n_z (%d): the least-squares re-expansion "
                               "needs an over-determined system"
                               % (self.dataset.n_train, self.n_z_grid[-1]))
+        if "oib" in kinds and \
+                round(FINETUNE_VAL_FRACTION * self.dataset.n_train) < 1:
+            raise ConfigError("dataset.n_train (%d) leaves the per-size "
+                              "fine-tunes an empty validation split of "
+                              "%g of the training images"
+                              % (self.dataset.n_train, FINETUNE_VAL_FRACTION))
         if self.dataset.n_test <= HZ_PROJECTION_DIM:
             raise ConfigError("dataset.n_test (%d) must exceed the %d "
                               "coordinates of a normality-test projection"

@@ -495,9 +495,12 @@ def train(model, x, labels, cfg):
 def head_inputs(values, dtype):
     """What a head consumes: the ReLU of pre-activations, in ``dtype``.
 
-    An array already of ``dtype`` with no negative entry is its own ReLU
-    and is returned as it is, so inputs made once can be shared by several
-    trainings without a copy each.
+    The ReLU is taken in the input's precision, then the cast, so a
+    float64 reconstruction rounds once.  An array already of ``dtype``
+    with no negative entry is its own ReLU and is returned as it is: the
+    pipeline's evaluation makes each size's head inputs once, and the
+    average head, the fine-tune stacks and the test accuracies all read
+    that one array without a copy each.
     """
     values = np.asarray(values)
     if values.dtype == dtype and (values.size == 0 or values.min() >= 0):

@@ -40,8 +40,12 @@ Stages, in dependency order:
    and the MACs split, in grid order (n_z outer, kind inner).  The row
    scalings are derived from the compressors alone, so stored and fresh
    compressors take one path, and a set that is not nested is refused.
+   Per OIB size it also hands retraining the head inputs of its training
+   and test reconstructions (``inference_net.head_inputs``: the ReLU in
+   float64, then the float32 cast), made once; no float64 reconstruction
+   outlives the scoring of its record.
 6. retrain: a single average head trained on the mixture of all grid
-   reconstructions, then one fine-tuned head per n_z with early stopping
+   sizes' head inputs, then one fine-tuned head per n_z with early stopping
    on a validation split (keeping the average head when fine-tuning does
    not help); or one classifier per n_z on the codes themselves.  The
    per-size fine-tunes train as stacks side by side, one stack per CPU on
@@ -82,7 +86,7 @@ import numpy as np
 
 from . import gaussianizer
 from .complexity_model import (CLASSIFICATION, COMPRESSION, pipeline_macs)
-from .config import HZ_PROJECTION_DIM, config_to_dict
+from .config import FINETUNE_VAL_FRACTION, HZ_PROJECTION_DIM, config_to_dict
 from .datasets import load_idx, subset, synthetic_digits
 from .errors import ConfigError, DataFormatError, NumericalError
 from .gib_compressor import (cca_compressor, compressor_at_size, encode,
@@ -108,10 +112,10 @@ SIGMA_X_SHRINKAGE = 1e-4
 # pre-activation variance; it keeps Sigma_y positive definite.
 NOISE_FLOOR_SCALE = 0.1
 # Retraining settings no caller varies: the average head's learning rate,
-# and the per-size fine-tunes' smaller rate and validation split.
+# and the per-size fine-tunes' smaller rate (their validation split is
+# config's, which checks it against the training set size).
 AVERAGE_LEARNING_RATE = 1e-3
 FINETUNE_LEARNING_RATE = 1e-4
-FINETUNE_VAL_FRACTION = 0.1
 # The report each retrain mode writes, so that one mode keeps the other's.
 RETRAIN_REPORTS = {"per_rho_head": "retrain_report.json",
                    "per_rho_on_z": "bank_report.json"}
@@ -167,6 +171,14 @@ class HzRecord:
 
 @dataclass
 class ExperimentResult:
+    """What the stages hand on, each field set by the stage that makes it.
+
+    ``head_inputs_train`` and ``head_inputs_test`` map each OIB n_z to the
+    float32 ReLU of its training and test reconstructions, the inputs the
+    retrained heads read; ``evaluate`` makes them once, and no float64
+    reconstruction is kept.
+    """
+
     config: object
     plan: object
     train_labels: np.ndarray
@@ -175,8 +187,8 @@ class ExperimentResult:
     compressors: dict = None
     reexpanders: dict = None
     records: list = None
-    reconstructions_train: dict = None
-    reconstructions_test: dict = None
+    head_inputs_train: dict = None
+    head_inputs_test: dict = None
     heads: dict = None
     retrain_records: list = None
     hz_records: list = None
@@ -510,20 +522,24 @@ def _noisy_code_entropy(cov_z):
 
 
 def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
-    """All (kind, n_z) records, plus the OIB reconstructions for retraining.
+    """All (kind, n_z) records, plus the OIB head inputs for retraining.
 
-    The training side takes one encode per kind, with its largest
-    compressor: each record's entropy comes from the scaled leading block
-    of that code covariance, and the OIB training reconstructions from
-    the scaled leading codes.  Test codes are encoded per record.  Kinds
-    are evaluated one at a time, so only one kind's codes are held, and
-    the records are returned in grid order, n_z outer and kind inner.
+    Returns ``(records, inputs_train, inputs_test)``.  The training side
+    takes one encode per kind, with its largest compressor: each record's
+    entropy comes from the scaled leading block of that code covariance,
+    and the OIB training reconstructions from the scaled leading codes.
+    Test codes are encoded per record.  Kinds are evaluated one at a time,
+    so only one kind's codes are held, and the records are returned in
+    grid order, n_z outer and kind inner.  The two dicts map each OIB n_z
+    to the ``head_inputs`` of its training and test reconstructions,
+    float32 in the transform network's dtype; each float64
+    reconstruction is dropped once its record is scored.
     """
     used = {domain_for_kind(kind) for kind in config.compressor_kinds}
     pre_test = {name: pre_activations(domains[name].model,
                                       domains[name].x_test) for name in used}
     n_max = max(config.n_z_grid)
-    records, rec_train, rec_test = {}, {}, {}
+    records, inputs_tr, inputs_te = {}, {}, {}
     for kind in config.compressor_kinds:
         domain = domains[domain_for_kind(kind)]
         scales = nested_scales(config, compressors, kind)
@@ -554,9 +570,10 @@ def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
                 macs_comp=macs.subtotal(COMPRESSION),
                 macs_class=macs.subtotal(CLASSIFICATION))
             if kind == "oib":
-                rec_train[n_z] = reexpand(rx, codes[:, :n_z] * s)
-                rec_test[n_z] = y_rec_test
-    return [records[key] for key in _grid_keys(config)], rec_train, rec_test
+                inputs_tr[n_z] = head_inputs(reexpand(rx, codes[:, :n_z] * s),
+                                             domain.model.dtype)
+                inputs_te[n_z] = head_inputs(y_rec_test, domain.model.dtype)
+    return [records[key] for key in _grid_keys(config)], inputs_tr, inputs_te
 
 
 def retrain_heads(config, result):
@@ -564,22 +581,22 @@ def retrain_heads(config, result):
     ``(heads, records)``, the heads keyed by their file name.
 
     The average head starts from the base model's head and trains on the
-    mixture of every grid size's reconstructions with a step-down learning
+    mixture of every grid size's head inputs with a step-down learning
     rate.  Each per-size head then fine-tunes from the average on its own
-    reconstructions, with a validation split choosing the best epoch; when
+    head inputs, with a validation split choosing the best epoch; when
     no epoch improves on the starting point, the average head is kept
     unchanged.  The fine-tunes train as ``training_workers`` stacks run
     ``side_by_side``, one per CPU, each stack one ``finetune_head`` call
     on one BLAS thread; every head is bitwise the same however the grid
-    is split into stacks.  The reconstructions are cast to head inputs
-    once, and the average head and every stack share that copy.
+    is split into stacks.  The average head, every stack and the test
+    accuracies read the evaluation's head inputs as they are, without a
+    copy (``evaluate_grid``).
     """
     rt = config.retrain
     labels_tr = result.train_labels
     labels_te = result.test_labels
     model = result.transform.model
-    inputs = {n_z: head_inputs(rec, model.dtype)
-              for n_z, rec in result.reconstructions_train.items()}
+    inputs = result.head_inputs_train
 
     avg_cfg = TrainConfig(epochs=rt.average_epochs,
                           learning_rate=AVERAGE_LEARNING_RATE,
@@ -604,12 +621,12 @@ def retrain_heads(config, result):
     heads, records = {"average": (average, avg_cfg.seed)}, []
     for n_z in grid:
         heads["per_rho_%03d" % n_z] = (tuned[n_z], head_seed(config, n_z))
-        relu_te = np.maximum(result.reconstructions_test[n_z], 0)
+        x_te = result.head_inputs_test[n_z]
         records.append(RetrainRecord(
             n_z=n_z,
             accuracy_non_retrained=result.record("oib", n_z).accuracy,
-            accuracy_average=accuracy(average, relu_te, labels_te),
-            accuracy_per_rho=accuracy(tuned[n_z], relu_te, labels_te)))
+            accuracy_average=accuracy(average, x_te, labels_te),
+            accuracy_per_rho=accuracy(tuned[n_z], x_te, labels_te)))
     return heads, records
 
 
@@ -684,8 +701,8 @@ def fit(result):
 
 def evaluate(result):
     """Stage 5 on the result's compressors and re-expanders."""
-    result.records, result.reconstructions_train, \
-        result.reconstructions_test = evaluate_grid(
+    result.records, result.head_inputs_train, \
+        result.head_inputs_test = evaluate_grid(
             result.config, result.domains, result.compressors,
             result.reexpanders, result.test_labels)
     return result

@@ -140,6 +140,28 @@ def test_configs_that_would_fail_late_fail_at_load(name):
         config_from_dict(LATE_FAILING_CONFIGS[name])
 
 
+def test_an_empty_finetune_validation_split_is_refused_at_load(tmp_path,
+                                                               capsys):
+    # round(0.1 * 5) is 0: every fine-tune would score an empty split
+    # and silently keep the average head.
+    def few(n_train, kinds=("oib", "cca", "pca")):
+        return {"dataset": {"n_train": n_train, "n_test": 20},
+                "n_z_grid": [1, 2], "compressor_kinds": list(kinds)}
+    with pytest.raises(ConfigError, match="empty validation split"):
+        config_from_dict(few(5))
+    config_from_dict(few(6))
+    # only oib fine-tunes heads
+    config_from_dict(few(5, kinds=["cca", "pca"]))
+    for n_train, command, code in ((5, "train-base", 2), (6, "macs", 0)):
+        case_dir = tmp_path / str(n_train)
+        case_dir.mkdir()
+        cfg = tiny_config_file(case_dir, **few(n_train))
+        assert main([command, "--config", cfg]) == code, n_train
+        assert ("empty validation split" in capsys.readouterr().err) == \
+            (code == 2)
+        assert not (case_dir / "out").exists()
+
+
 def test_late_failing_config_exits_2_before_writing(tmp_path, capsys):
     for name, data in sorted(LATE_FAILING_CONFIGS.items()):
         case_dir = tmp_path / name

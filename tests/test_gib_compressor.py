@@ -331,9 +331,12 @@ def test_oib_train_reconstructions_are_those_of_the_own_codes(tiny_fit):
     for n_z in tiny_fit.config.n_z_grid:
         rx = tiny_fit.reexpanders[("oib", n_z)]
         z = encode(tiny_fit.compressors[("oib", n_z)], domain.x_train)
-        want = z @ rx.theta.T + rx.target_mean
-        got = tiny_fit.reconstructions_train[n_z]
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = np.maximum(z @ rx.theta.T + rx.target_mean, 0)
+        got = tiny_fit.head_inputs_train[n_z]
+        assert got.dtype == np.float32
+        assert got.min() >= 0
+        ulp = np.spacing(np.float32(np.max(want)))
+        assert np.max(np.abs(got - want)) <= ulp
 
 
 @pytest.mark.parametrize("kind", ["oib", "cca", "pca"])

@@ -282,15 +282,53 @@ def test_retrained_heads_do_not_depend_on_the_stacks(evaluated,
         pipeline.head_seed(evaluated.config, n_z) for n_z in (5, 10, 15)]
 
 
+def test_retraining_reads_the_evaluations_own_head_inputs(evaluated,
+                                                          monkeypatch):
+    n_train = len(evaluated.train_labels)
+    n_y = evaluated.config.model_layer_sizes[1]
+    # The result's own fields hold no float64 reconstruction (the fit's
+    # target, each DomainData.pre_train, is not one of them).
+    for value in vars(evaluated).values():
+        for array in (value.values() if isinstance(value, dict) else
+                      [value]):
+            assert not (isinstance(array, np.ndarray) and
+                        array.dtype == np.float64 and
+                        array.shape == (n_train, n_y))
+    received = []
+    for name in ("train_multi_rho_head", "finetune_head"):
+        original = getattr(pipeline, name)
+
+        def wrapped(model, pools, *args, original=original):
+            received.extend(pools.items())
+            return original(model, pools, *args)
+        monkeypatch.setattr(pipeline, name, wrapped)
+    trained_on = []
+    core = inference_net._train_core
+
+    def tracking(layers, pools, *args):
+        trained_on.extend(p for head_pools in pools for p in head_pools)
+        return core(layers, pools, *args)
+    monkeypatch.setattr(inference_net, "_train_core", tracking)
+    pipeline.retrain_heads(evaluated.config, evaluated)
+    grid = evaluated.config.n_z_grid
+    assert sorted(n_z for n_z, _ in received) == sorted(2 * grid)
+    for n_z, pool in received:
+        assert pool is evaluated.head_inputs_train[n_z]
+    # head_inputs passes them on to the trainer without a copy
+    own = [evaluated.head_inputs_train[n_z] for n_z in grid]
+    assert len(trained_on) == 2 * len(grid)
+    assert all(any(p is a for a in own) for p in trained_on)
+
+
 @needs_pin
 def test_a_head_diverging_in_a_worker_stack_raises_in_the_caller(
         evaluated, monkeypatch):
     result = copy.copy(evaluated)
-    result.reconstructions_train = dict(evaluated.reconstructions_train)
+    result.head_inputs_train = dict(evaluated.head_inputs_train)
     # Size 10 is in the second stack, which a pool thread trains.
-    bad = result.reconstructions_train[10].copy()
+    bad = result.head_inputs_train[10].copy()
     bad[:, 0] = np.nan
-    result.reconstructions_train[10] = bad
+    result.head_inputs_train[10] = bad
     # The average head would diverge first on the NaN pool; start the
     # fine-tunes from the base network's head instead.
     monkeypatch.setattr(pipeline, "train_multi_rho_head",
