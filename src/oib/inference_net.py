@@ -34,7 +34,8 @@ training it alone: a single training is a stack of one.
 
 The first layer L0 doubles as the target of the compression regression:
 its pre-activations are what the re-expanders reconstruct.  Heads
-(everything after L0) can be retrained on re-expanded inputs, either one
+(everything after L0) read ``head_inputs``, the float32 ReLU of such
+pre-activations, and can be retrained on re-expanded ones, either one
 per compression level or as a single head trained across a pool of levels,
 with optional validation-split early stopping that keeps the best epoch
 (including the unchanged starting point).  The per-level fine-tunes of
@@ -210,35 +211,28 @@ def _forward_layers(layers, a):
     return a
 
 
-def _forward_from(model, start_layer, x):
-    """Logits from ``start_layer`` on: ReLU first when entering after layer
-    0, then the cast to the weight dtype, then the remaining layers."""
-    a, single = as_rows(x, model.layers[start_layer][0].shape[1],
-                        dtype=None)
-    if start_layer > 0:
-        a = np.maximum(a, 0)
-    out = _forward_layers(model.layers[start_layer:],
-                          a.astype(model.dtype, copy=False))
-    return out[0] if single else out
-
-
 def forward(model, x):
     """Logits for one input or a batch of row vectors."""
-    return _forward_from(model, 0, x)
+    return forward_from_layer(model, 0, x)
 
 
 def forward_from_layer(model, start_layer, x):
     """Forward pass entering at ``start_layer``.
 
-    ``start_layer=0`` is the ordinary forward pass.  For ``start_layer>=1``
-    the input is interpreted as the pre-activation that layer
-    ``start_layer - 1`` would have produced: ReLU applies first, then the
-    remaining layers.
+    ``start_layer=0`` is the ordinary forward pass, after a cast to the
+    weight dtype.  For ``start_layer>=1`` the input is interpreted as the
+    pre-activation that layer ``start_layer - 1`` would have produced: its
+    ``head_inputs`` enter the remaining layers.
     """
     if not 0 <= start_layer < len(model.layers):
         raise DimensionError("start_layer %d outside [0, %d)"
                              % (start_layer, len(model.layers)))
-    return _forward_from(model, start_layer, x)
+    a, single = as_rows(x, model.layers[start_layer][0].shape[1],
+                        dtype=None)
+    a = (head_inputs(a, model.dtype) if start_layer > 0
+         else a.astype(model.dtype, copy=False))
+    out = _forward_layers(model.layers[start_layer:], a)
+    return out[0] if single else out
 
 
 def accuracy(model, x, labels):
@@ -378,13 +372,15 @@ def _train_core(layers, pools, labels, cfgs):
 
     Network k starts from ``layers`` and trains on the aligned input pools
     ``pools[k]`` (each one representation of the same samples, labelled by
-    ``labels``) with ``cfgs[k]``; the configs may differ only in their
-    seed.  Each network draws from its own seeded generator, exactly as it
-    would alone: its validation split, its epoch order and, for more than
-    one pool, one pool per batch (no draw is made for a single pool, so
-    the single-pool case consumes exactly the same random stream as plain
-    training).  Batches are gathered from the pools through each
-    network's rows, so no fit rows are copied.
+    ``labels``, in the weights' dtype) with ``cfgs[k]``; the configs may
+    differ only in their seed.  A pool in another dtype is refused, since
+    gathering it into a batch would cast it silently.  Each network draws
+    from its own seeded generator, exactly as it would alone: its
+    validation split, its epoch order and, for more than one pool, one
+    pool per batch (no draw is made for a single pool, so the single-pool
+    case consumes exactly the same random stream as plain training).
+    Batches are gathered from the pools through each network's rows, so
+    no fit rows are copied.
 
     The K networks run in lockstep: their weights are (K, out, in) views
     into one flat buffer, the products are batched matmuls
@@ -403,6 +399,10 @@ def _train_core(layers, pools, labels, cfgs):
                                       for c in cfgs):
         raise ValueError("stacked networks need one pool list and one "
                          "config each, alike but for the seed")
+    dtype = layers[0][0].dtype
+    if any(np.asarray(p).dtype != dtype for ps in pools for p in ps):
+        raise DimensionError("training pools must be in the weights' "
+                             "dtype %s" % dtype)
     n_heads = len(cfgs)
     with BLAS_THREADS.one_thread():
         params = np.concatenate([np.repeat(a[None], n_heads, axis=0).ravel()
@@ -493,19 +493,15 @@ def train(model, x, labels, cfg):
 
 
 def head_inputs(values, dtype):
-    """What a head consumes: the ReLU of pre-activations, in ``dtype``.
+    """What a head reads: the ReLU of pre-activations, in ``dtype``.
 
     The ReLU is taken in the input's precision, then the cast, so a
-    float64 reconstruction rounds once.  An array already of ``dtype``
-    with no negative entry is its own ReLU and is returned as it is: the
-    pipeline's evaluation makes each size's head inputs once, and the
-    average head, the fine-tune stacks and the test accuracies all read
-    that one array without a copy each.
+    float64 reconstruction rounds once.  This is the one rule every head
+    input obeys: ``forward_from_layer`` applies it on entry after layer 0,
+    and the pipeline's evaluation applies it once to each reconstruction
+    it scores; the trainers take their pools as made.
     """
-    values = np.asarray(values)
-    if values.dtype == dtype and (values.size == 0 or values.min() >= 0):
-        return values
-    return np.maximum(values, 0).astype(dtype)
+    return np.maximum(values, 0).astype(dtype, copy=False)
 
 
 def head_model(model):
@@ -518,17 +514,17 @@ def head_model(model):
 def finetune_head(head, pools, labels, cfg):
     """Continue training copies of ``head``, one per entry of ``pools``.
 
-    ``pools`` maps a compression size k to its re-expanded pre-activations
-    (or to their ``head_inputs``); the copy for k trains on them with seed
-    ``cfg.seed + k`` and every other setting of ``cfg``.  The copies train
-    as one stack in lockstep (``_train_core``), each bitwise as it would
-    alone, so a head does not depend on which sizes share its call.
+    ``pools`` maps a compression size k to its head inputs, as
+    ``head_inputs`` makes them in the head's dtype; the copy for k trains
+    on them as given, with seed ``cfg.seed + k`` and every other setting
+    of ``cfg``.  The copies train as one stack in lockstep
+    (``_train_core``), each bitwise as it would alone, so a head does not
+    depend on which sizes share its call.
     Returns the trained heads keyed like ``pools``.
     """
     sizes = list(pools)
     trained = _train_core(head.layers,
-                          [[head_inputs(pools[k], head.dtype)]
-                           for k in sizes],
+                          [[pools[k]] for k in sizes],
                           np.asarray(labels),
                           [replace(cfg, seed=cfg.seed + k) for k in sizes])
     return {k: MlpModel(layers) for k, (layers, _) in zip(sizes, trained)}
@@ -546,16 +542,16 @@ def train_head_on_z(z, labels, head_sizes, cfg):
 def train_multi_rho_head(model, pools, labels, cfg):
     """One head trained across re-expanded pools from several sizes.
 
-    ``pools`` maps each compression size to that size's re-expanded
-    training matrix (all aligned to the same samples), or to its
-    ``head_inputs``.  Each mini-batch draws one pool uniformly, so the
-    head amortizes over every size.  A single-entry mapping reduces
-    exactly to ``finetune_head(head_model(model), {0: ...}, ...)``.
+    ``pools`` maps each compression size to the head inputs of that
+    size's re-expanded training matrix (``head_inputs``, all aligned to
+    the same samples), read as given.  Each mini-batch draws one pool
+    uniformly, so the head amortizes over every size.  A single-entry
+    mapping reduces exactly to ``finetune_head(head_model(model),
+    {0: ...}, ...)``.
     """
     if not pools:
         raise ValueError("pools must contain at least one compression size")
-    head = head_model(model)
-    ordered = [head_inputs(pools[k], head.dtype) for k in sorted(pools)]
-    [(layers, _)] = _train_core(head.layers, [ordered], np.asarray(labels),
-                                [cfg])
+    [(layers, _)] = _train_core(head_model(model).layers,
+                                [[pools[k] for k in sorted(pools)]],
+                                np.asarray(labels), [cfg])
     return MlpModel(layers)

@@ -32,18 +32,18 @@ Stages, in dependency order:
    one encode of the training features with the largest compressor and
    one Gram matrix of its codes give every size's re-expander, each the
    least-squares fit of its scaled leading codes.
-5. evaluate: per (kind, n_z), accuracy through the frozen head on its own
-   test codes, the exact Gaussian entropy of power-normalized stochastic
-   encodings z + xi (computed from the scaled leading block of the
-   kind's one training-code covariance, drawing nothing), the
-   compressor's MI, reconstruction MSE against the test pre-activations,
-   and the MACs split, in grid order (n_z outer, kind inner).  The row
-   scalings are derived from the compressors alone, so stored and fresh
-   compressors take one path, and a set that is not nested is refused.
-   Per OIB size it also hands retraining the head inputs of its training
-   and test reconstructions (``inference_net.head_inputs``: the ReLU in
-   float64, then the float32 cast), made once; no float64 reconstruction
-   outlives the scoring of its record.
+5. evaluate: per (kind, n_z), accuracy of the frozen head on the head
+   inputs of its own test reconstructions, the exact Gaussian entropy of
+   power-normalized stochastic encodings z + xi (computed from the scaled
+   leading block of the kind's one training-code covariance, drawing
+   nothing), the compressor's MI, reconstruction MSE against the test
+   pre-activations, and the MACs split, in grid order (n_z outer, kind
+   inner).  The row scalings are derived from the compressors alone, so
+   stored and fresh compressors take one path, and a set that is not
+   nested is refused.
+   Per OIB size it hands retraining the head inputs of its training
+   reconstructions and those its record was scored from, each made once;
+   no float64 reconstruction outlives the scoring of its record.
 6. retrain: a single average head trained on the mixture of all grid
    sizes' head inputs, then one fine-tuned head per n_z with early stopping
    on a validation split (keeping the average head when fine-tuning does
@@ -91,9 +91,11 @@ from .datasets import load_idx, subset, synthetic_digits
 from .errors import ConfigError, DataFormatError, NumericalError
 from .gib_compressor import (cca_compressor, compressor_at_size, encode,
                              pca_basis, pca_compressor, solve_gib)
+# No function here calls ``forward_from_layer``; it is imported because the
+# benchmark traces it under this module.
 from .inference_net import (BLAS_THREADS, MlpModel, TrainConfig, accuracy,
                             finetune_head, forward_from_layer, head_inputs,
-                            init_mlp, train, train_head_on_z,
+                            head_model, init_mlp, train, train_head_on_z,
                             train_multi_rho_head)
 from .info_metrics import encoding_mi, gaussian_entropy
 from .reexpander import fit_ls, reexpand
@@ -531,13 +533,14 @@ def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
     Test codes are encoded per record.  Kinds are evaluated one at a time,
     so only one kind's codes are held, and the records are returned in
     grid order, n_z outer and kind inner.  The two dicts map each OIB n_z
-    to the ``head_inputs`` of its training and test reconstructions,
-    float32 in the transform network's dtype; each float64
-    reconstruction is dropped once its record is scored.
+    to the ``head_inputs`` of its training reconstructions and to the test
+    ones its record was scored from, float32 in the transform network's
+    dtype; each float64 reconstruction is dropped once it is scored.
     """
     used = {domain_for_kind(kind) for kind in config.compressor_kinds}
     pre_test = {name: pre_activations(domains[name].model,
                                       domains[name].x_test) for name in used}
+    heads = {name: head_model(domains[name].model) for name in used}
     n_max = max(config.n_z_grid)
     records, inputs_tr, inputs_te = {}, {}, {}
     for kind in config.compressor_kinds:
@@ -555,13 +558,12 @@ def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
                     [config.seeds.entropy_base, n_z, 1])
                 z_test = z_test + rng.standard_normal(z_test.shape)
             y_rec_test = reexpand(rx, z_test)
-            logits = forward_from_layer(domain.model, 1, y_rec_test)
+            x_test = head_inputs(y_rec_test, domain.model.dtype)
             macs = pipeline_macs(comp.n_x, n_z,
                                  config.model_layer_sizes[1:])
             records[(kind, n_z)] = EvalRecord(
                 kind=kind, n_z=n_z, rho=comp.rho,
-                accuracy=float(np.mean(logits.argmax(axis=1) ==
-                                       test_labels)),
+                accuracy=accuracy(heads[domain.name], x_test, test_labels),
                 entropy_nats=float(_noisy_code_entropy(
                     s[:, None] * code_cov[:n_z, :n_z] * s)),
                 mi_nats=comp.mi_nats,
@@ -572,7 +574,7 @@ def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
             if kind == "oib":
                 inputs_tr[n_z] = head_inputs(reexpand(rx, codes[:, :n_z] * s),
                                              domain.model.dtype)
-                inputs_te[n_z] = head_inputs(y_rec_test, domain.model.dtype)
+                inputs_te[n_z] = x_test
     return [records[key] for key in _grid_keys(config)], inputs_tr, inputs_te
 
 

@@ -7,8 +7,8 @@ bit-exactly; manifests carry enough shape information to validate the blob
 length before anything is read, and loaders read the blob straight into
 the arrays they return.  The loaders raise DataFormatError, naming the
 stem, for any damaged artifact: a manifest that is not a JSON object or
-lacks a field, a missing blob or one of the wrong length,
-or values the loaded object rejects.
+lacks a field, a missing blob or one of the wrong length, or a blob
+holding a NaN or an infinity.
 
 Every manifest has a ``key`` field: the hash of the settings the artifact
 was made from, or null.  A loader given a key checks it in ``_artifact``,
@@ -95,7 +95,8 @@ def _artifact(stem, fmt, key=None):
 def _read_arrays(stem, blob, specs):
     """One array per ``(shape, dtype)`` of ``specs``, read in order from
     the open ``blob`` straight into its own memory; a blob of any other
-    length raises DataFormatError before anything is allocated."""
+    length raises DataFormatError before anything is allocated, and one
+    holding a NaN or an infinity raises it once read."""
     expected = sum(math.prod(shape) * dtype.itemsize
                    for shape, dtype in specs)
     size = os.fstat(blob.fileno()).st_size
@@ -105,6 +106,8 @@ def _read_arrays(stem, blob, specs):
     arrays = [np.empty(shape, dtype) for shape, dtype in specs]
     for a in arrays:
         blob.readinto(memoryview(a).cast("B"))
+        if not np.isfinite(a).all():
+            raise DataFormatError("%s.bin holds a non-finite value" % stem)
     return arrays
 
 

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oib import cli, pipeline
 from oib.cli import main
@@ -421,6 +422,44 @@ def test_damaged_artifact_exits_2(cli_run, tmp_path, capsys):
     assert "oib_010" in capsys.readouterr().err
 
 
+def _with_nan(blob, offset, dtype):
+    """``blob`` with a NaN of ``dtype`` written at element ``offset``."""
+    values = np.fromfile(blob, dtype=dtype)
+    values[offset] = np.nan
+    values.tofile(blob)
+
+
+@pytest.mark.parametrize("command, blob, offset, dtype", [
+    ("fit-oib", "base_transform.bin", 0, "<f4"),
+    ("fit-oib", "base_raw.bin", 0, "<f4"),
+    ("evaluate", "base_raw.bin", 0, "<f4"),
+    ("evaluate", "base_transform.bin", -1, "<f4"),
+    ("retrain", "base_transform.bin", -1, "<f4"),
+    ("train-base", "dataset.bin", 0, "<f8"),
+    ("fit-oib", "dataset.bin", 0, "<f8"),
+    ("hz-test", "dataset.bin", -1, "<f8"),
+    ("evaluate", "dataset.bin", -1, "<f8"),
+    ("evaluate", "compressors/oib_010.bin", 0, "<f8"),
+    ("evaluate", "reexpanders/oib_005.bin", -1, "<f8")])
+def test_a_non_finite_value_in_an_artifact_exits_2(
+        cli_run, tmp_path, capsys, command, blob, offset, dtype):
+    cfg, out_dir = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy)
+    if blob == "dataset.bin" and offset == -1:
+        # the last test pixel: the labels follow the pixels
+        manifest = json.loads((copy / "dataset.json").read_text())
+        offset = (manifest["n_train"] + manifest["n_test"]) \
+            * manifest["height"] * manifest["width"] - 1
+    _with_nan(copy / blob, offset, dtype)
+    before = {p: p.stat().st_mtime_ns for p in copy.rglob("*")}
+    assert main([command, "--config", cfg, "--out", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert blob + " holds a non-finite value" in err
+    assert err.count("\n") == 1
+    assert {p: p.stat().st_mtime_ns for p in copy.rglob("*")} == before
+
+
 def test_each_retrain_mode_keeps_its_own_report(cli_run, tmp_path, capsys):
     cfg, out_dir = cli_run
     copy = tmp_path / "out"
@@ -464,7 +503,8 @@ def test_a_non_finite_mi_fails_the_fit(cli_run, tmp_path, monkeypatch,
     assert "oib compressor at n_z=5" in _fails_numerically(cfg, copy, capsys)
 
 
-@pytest.mark.parametrize("decomposition", ["eigh", "svd"])
+@pytest.mark.parametrize("decomposition", ["eigh", "svd", "solve",
+                                           "cholesky"])
 def test_a_decomposition_that_does_not_converge_exits_3(
         cli_run, tmp_path, monkeypatch, capsys, decomposition):
     cfg, out_dir = cli_run
@@ -474,6 +514,23 @@ def test_a_decomposition_that_does_not_converge_exits_3(
         raise np.linalg.LinAlgError("did not converge")
     monkeypatch.setattr(np.linalg, decomposition, diverges)
     _fails_numerically(cfg, copy, capsys)
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("evaluate", np.linalg, "cholesky"),
+    ("hz-test", scipy.linalg, "cho_factor")])
+def test_a_factorization_failing_after_the_fit_exits_3(
+        cli_run, tmp_path, monkeypatch, capsys, command, module, name):
+    cfg, out_dir = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out_dir, copy)
+
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+    monkeypatch.setattr(module, name, fails)
+    assert main([command, "--config", cfg, "--out", str(copy)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and err.count("\n") == 1
 
 
 def test_evaluate_is_deterministic_across_runs(cli_run, capsys):

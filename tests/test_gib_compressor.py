@@ -13,6 +13,7 @@ from oib.errors import DataFormatError, DimensionError
 from oib.gib_compressor import (Compressor, beta_for_size, cca_compressor,
                                 compressor_at_beta, compressor_at_size,
                                 encode, pca_basis, pca_compressor, solve_gib)
+from oib.inference_net import accuracy, head_model
 from oib.info_metrics import encoding_mi, gaussian_entropy
 from oib.reexpander import fit_ls
 from oib.tensor_stats import sample_covariance
@@ -337,6 +338,16 @@ def test_oib_train_reconstructions_are_those_of_the_own_codes(tiny_fit):
         assert got.min() >= 0
         ulp = np.spacing(np.float32(np.max(want)))
         assert np.max(np.abs(got - want)) <= ulp
+
+
+def test_oib_records_are_scored_from_the_test_head_inputs_they_hand_on(
+        tiny_fit):
+    head = head_model(tiny_fit.transform.model)
+    for n_z in tiny_fit.config.n_z_grid:
+        x_test = tiny_fit.head_inputs_test[n_z]
+        assert x_test.dtype == np.float32 and x_test.min() >= 0
+        assert tiny_fit.record("oib", n_z).accuracy == accuracy(
+            head, x_test, tiny_fit.test_labels)
 
 
 @pytest.mark.parametrize("kind", ["oib", "cca", "pca"])

@@ -11,8 +11,8 @@ from oib.inference_net import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
                                TrainConfig, _batch_loss_grads, _FlatAdam,
                                _forward_layers, _train_core, accuracy,
                                finetune_head, forward, forward_from_layer,
-                               head_model, init_mlp, train, train_head_on_z,
-                               train_multi_rho_head)
+                               head_inputs, head_model, init_mlp, train,
+                               train_head_on_z, train_multi_rho_head)
 
 
 def blob_data(seed, n=240, d=6, classes=3):
@@ -80,6 +80,27 @@ def test_forward_from_layer_matches_full_pass():
         forward_from_layer(model, 4, pre)
     with pytest.raises(DimensionError):
         forward_from_layer(model, 1, pre[:, :, None])
+
+
+def test_forward_from_layer_enters_on_the_head_inputs():
+    model = init_mlp([6, 5, 4, 3], seed=4)
+    y = np.random.default_rng(5).standard_normal((9, 5))
+    assert y.dtype == np.float64 and y.min() < 0
+    np.testing.assert_array_equal(
+        forward_from_layer(model, 1, y),
+        forward(head_model(model), head_inputs(y, model.dtype)))
+
+
+def test_head_trainers_refuse_pools_in_another_dtype():
+    x, labels = blob_data(19, n=60)
+    model = init_mlp([6, 8, 3], seed=0)
+    pre = (x @ model.layers[0][0].T).astype(np.float64)
+    cfg = TrainConfig(epochs=1, seed=1)
+    with pytest.raises(DimensionError, match="dtype"):
+        finetune_head(head_model(model), {0: pre}, labels, cfg)
+    with pytest.raises(DimensionError, match="dtype"):
+        train_multi_rho_head(model, {10: head_inputs(pre, model.dtype),
+                                     20: pre}, labels, cfg)
 
 
 def test_analytic_gradients_match_finite_differences():
@@ -218,7 +239,8 @@ def test_head_retraining_on_reconstructions():
     head = head_model(model)
     relu = np.maximum(noisy, 0)
     base_acc = float(np.mean(forward(head, relu).argmax(1) == labels))
-    tuned = finetune_head(head_model(model), {0: noisy}, labels,
+    tuned = finetune_head(head_model(model),
+                          {0: head_inputs(noisy, model.dtype)}, labels,
                           TrainConfig(epochs=6, learning_rate=1e-3, seed=2))[0]
     tuned_acc = float(np.mean(forward(tuned, relu).argmax(1) == labels))
     assert tuned_acc >= base_acc
@@ -231,8 +253,9 @@ def test_single_pool_multi_rho_equals_plain_finetune():
     model = init_mlp([6, 10, 3], seed=0)
     pre = x @ model.layers[0][0].T + model.layers[0][1]
     cfg = TrainConfig(epochs=3, learning_rate=1e-3, seed=5)
-    multi = train_multi_rho_head(model, {40: pre}, labels, cfg)
-    plain = finetune_head(head_model(model), {0: pre}, labels, cfg)[0]
+    pool = head_inputs(pre, model.dtype)
+    multi = train_multi_rho_head(model, {40: pool}, labels, cfg)
+    plain = finetune_head(head_model(model), {0: pool}, labels, cfg)[0]
     for (w1, b1), (w2, b2) in zip(multi.layers, plain.layers):
         assert np.array_equal(w1, w2)
         assert np.array_equal(b1, b2)
@@ -487,8 +510,9 @@ def test_stacked_finetunes_are_each_heads_own_training_for_any_split():
     for split in ([sizes], [sizes[:2], sizes[2:]], [[k] for k in sizes]):
         got = {}
         for stack in split:
-            got.update(finetune_head(head, {k: pools[k] for k in stack},
-                                     labels, cfg))
+            got.update(finetune_head(
+                head, {k: head_inputs(pools[k], head.dtype) for k in stack},
+                labels, cfg))
         assert list(got) == sizes
         for k in sizes:
             for (w1, b1), (w2, b2) in zip(got[k].layers, want[k]):

@@ -150,6 +150,38 @@ def test_load_rejects_corrupt_artifacts(tmp_path):
     with pytest.raises(DataFormatError, match=re.escape(rx_stem)):
         load_reexpander(rx_stem)
 
+    # a NaN or an infinity anywhere in a blob of the right length is
+    # refused by the reader, whatever object the blob would build
+    def non_finite(name, save, offset, value):
+        damaged = str(tmp_path / name)
+        save(damaged)
+        path = tmp_path / (name + ".bin")
+        blob = path.read_bytes()
+        path.write_bytes(blob[:offset] + value + blob[offset + len(value):])
+        return damaged
+
+    nan64 = np.array([np.nan], dtype="<f8").tobytes()
+    train_set, test_set = synthetic_digits(3, 1, size=4), \
+        synthetic_digits(2, 2, size=4)
+    for name, save, offset, value, load in (
+            ("nan_model", lambda st: save_model(init_mlp([3, 2, 2], 0), st),
+             0, np.array([np.nan], dtype="<f4").tobytes(), load_model),
+            ("inf_model_bias", lambda st: save_model(init_mlp([3, 2, 2], 0),
+                                                     st),
+             4 * 11, np.array([np.inf], dtype="<f4").tobytes(), load_model),
+            ("nan_corpus", lambda st: save_corpus(train_set, test_set, "k",
+                                                  st),
+             0, nan64, lambda st: load_corpus(st, "k")),
+            ("nan_comp", lambda st: save_compressor(comp, st), 0, nan64,
+             load_compressor),
+            ("nan_rx_mean", lambda st: save_reexpander(
+                Reexpander(theta=np.ones((2, 3)), target_mean=np.zeros(2)),
+                st), 6 * 8, nan64, load_reexpander)):
+        damaged = non_finite(name, save, offset, value)
+        with pytest.raises(DataFormatError, match=re.escape(
+                damaged + ".bin holds a non-finite value")):
+            load(damaged)
+
 
 def test_keyed_loaders_check_the_key_before_the_blob(tmp_path):
     comp = Compressor(matrix_a=np.eye(3))

@@ -314,7 +314,7 @@ def test_retraining_reads_the_evaluations_own_head_inputs(evaluated,
     assert sorted(n_z for n_z, _ in received) == sorted(2 * grid)
     for n_z, pool in received:
         assert pool is evaluated.head_inputs_train[n_z]
-    # head_inputs passes them on to the trainer without a copy
+    # and the trainers hand them to _train_core without a copy
     own = [evaluated.head_inputs_train[n_z] for n_z in grid]
     assert len(trained_on) == 2 * len(grid)
     assert all(any(p is a for a in own) for p in trained_on)
