@@ -422,13 +422,6 @@ def test_damaged_artifact_exits_2(cli_run, tmp_path, capsys):
     assert "oib_010" in capsys.readouterr().err
 
 
-def _with_nan(blob, offset, dtype):
-    """``blob`` with a NaN of ``dtype`` written at element ``offset``."""
-    values = np.fromfile(blob, dtype=dtype)
-    values[offset] = np.nan
-    values.tofile(blob)
-
-
 @pytest.mark.parametrize("command, blob, offset, dtype", [
     ("fit-oib", "base_transform.bin", 0, "<f4"),
     ("fit-oib", "base_raw.bin", 0, "<f4"),
@@ -451,7 +444,9 @@ def test_a_non_finite_value_in_an_artifact_exits_2(
         manifest = json.loads((copy / "dataset.json").read_text())
         offset = (manifest["n_train"] + manifest["n_test"]) \
             * manifest["height"] * manifest["width"] - 1
-    _with_nan(copy / blob, offset, dtype)
+    values = np.fromfile(copy / blob, dtype=dtype)
+    values[offset] = np.nan
+    values.tofile(copy / blob)
     before = {p: p.stat().st_mtime_ns for p in copy.rglob("*")}
     assert main([command, "--config", cfg, "--out", str(copy)]) == 2
     err = capsys.readouterr().err
