@@ -27,12 +27,13 @@ corpus rendered (IDX inputs are always read from their files);
 ``train-base`` saves ``dataset.json``/``dataset.bin`` only when it
 rendered them.  The saved corpus is bitwise the rendered one, so
 commands started in separate processes agree bitwise with
-``run_experiment`` when they share the numpy/BLAS build, CPU kernel and
-BLAS thread count; the base checkpoints agree at any BLAS thread count,
-since training runs on one BLAS thread.
+``run_experiment`` when they share the numpy/BLAS build and CPU kernel,
+at any BLAS thread count, since training, fit and evaluation run on one
+BLAS thread per job.
 
 Exit codes: 0 success, 2 configuration, input-file or damaged-artifact
-problems, 3 numerical failures.
+problems (a damaged artifact's message starts "damaged data", the others
+"config error"), 3 numerical failures.
 """
 
 import argparse
@@ -47,7 +48,7 @@ from .complexity_model import (macs_rows, macs_table, network_macs,
                                saving_baseline)
 from .config import ExperimentConfig, apply_overrides, load_config
 from .datasets import SyntheticGaussianSpec, synth_gaussian
-from .errors import ConfigError, NumericalError, OibError
+from .errors import ConfigError, DataFormatError, NumericalError, OibError
 from .gib_compressor import (cca_compressor, compressor_at_beta,
                              compressor_at_size, solve_gib)
 from .info_metrics import (gaussian_entropy, mi_loading_invariance_check,
@@ -306,6 +307,9 @@ def main(argv=None):
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
+    except DataFormatError as exc:
+        print("damaged data: %s" % exc, file=sys.stderr)
+        return 2
     except OibError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -116,25 +116,28 @@ def compressor_at_size(sol, n_z):
 
 
 def cca_compressor(sol, n_z):
-    """Unit-loading compressor on the first n_z eigendirections."""
+    """Unit-loading compressor on the first n_z eigendirections; its matrix
+    is a view of their leading rows, not a copy."""
     _check_size(n_z, sol.eigen.dim)
-    return Compressor(matrix_a=sol.eigen.left_eigenvectors[:n_z].copy())
+    return Compressor(matrix_a=sol.eigen.left_eigenvectors[:n_z])
 
 
 def pca_basis(sigma_x):
-    """Eigenvectors of sigma_x as rows, in descending order of variance."""
+    """Eigenvectors of sigma_x as C-contiguous rows, in descending order of
+    variance."""
     try:
         _, vecs = np.linalg.eigh(np.asarray(sigma_x, dtype=np.float64))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition of sigma_x did not "
                              "converge") from exc
-    return vecs[:, ::-1].T
+    return np.ascontiguousarray(vecs[:, ::-1].T)
 
 
 def pca_compressor(basis, n_z):
-    """Projection on the first n_z rows of a ``pca_basis``."""
+    """Projection on the first n_z rows of a ``pca_basis``; its matrix is a
+    view of those rows, not a copy."""
     _check_size(n_z, basis.shape[0])
-    return Compressor(matrix_a=basis[:n_z].copy())
+    return Compressor(matrix_a=basis[:n_z])
 
 
 def encode(comp, x):

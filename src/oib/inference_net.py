@@ -95,7 +95,7 @@ def _openblas_thread_functions():
 
 class _BlasThreads:
     """numpy's OpenBLAS thread count, pinned to one thread while any
-    training runs.
+    training, fit or evaluation runs.
 
     ``one_thread()`` is reference-counted under a lock: the first holder
     saves the current count and sets 1, the last one to leave restores the

@@ -31,7 +31,10 @@ Stages, in dependency order:
    Gaussian MI I(z; y) of every size (OIB and CCA share it), and per kind
    one encode of the training features with the largest compressor and
    one Gram matrix of its codes give every size's re-expander, each the
-   least-squares fit of its scaled leading codes.
+   least-squares fit of its scaled leading codes.  The domains' covariances
+   and the bases are computed one after the other on one BLAS thread; the
+   kinds' re-expanders are fitted side by side, one kind per CPU on one
+   BLAS thread.
 5. evaluate: per (kind, n_z), accuracy of the frozen head on the head
    inputs of its own test reconstructions, the exact Gaussian entropy of
    power-normalized stochastic encodings z + xi (computed from the scaled
@@ -43,7 +46,8 @@ Stages, in dependency order:
    nested is refused.
    Per OIB size it hands retraining the head inputs of its training
    reconstructions and those its record was scored from, each made once;
-   no float64 reconstruction outlives the scoring of its record.
+   no float64 reconstruction outlives the scoring of its record.  The
+   kinds are evaluated side by side, one kind per CPU on one BLAS thread.
 6. retrain: a single average head trained on the mixture of all grid
    sizes' head inputs, then one fine-tuned head per n_z with early stopping
    on a validation split (keeping the average head when fine-tuning does
@@ -66,13 +70,12 @@ compressors and re-expanders ``fit-oib`` stored and fit nothing.
 Fit and deterministic evaluation draw no random numbers; every other
 stage draws randomness only from its named seed in the config, so
 stages rerun in isolation reproduce their outputs bitwise on the same
-numpy/BLAS build and CPU kernel.  Every training runs on one BLAS thread
-(``inference_net.BLAS_THREADS``), so trained weights do not depend on the
-BLAS thread count; the float64 products outside training do, so the
-records' ``entropy_nats``, ``mi_nats`` and ``mse`` and the
-reconstructions differ in their last bits between thread counts, and the
-retrained heads, which train on float32 casts of the reconstructions,
-differ with them.
+numpy/BLAS build and CPU kernel.  Every training, fit and evaluation runs
+on one BLAS thread (``inference_net.BLAS_THREADS``), so no output file
+depends on the BLAS thread count, nor on how many jobs run side by side.
+Under a BLAS without OpenBLAS's thread-count functions nothing is pinned
+and every job runs one after the other, so the float64 fit and what
+follows it can differ in their last bits between thread counts.
 """
 
 import csv
@@ -324,32 +327,38 @@ def base_train_config(config):
                        seed=config.seeds.train_shuffle)
 
 
-def training_workers(n_trainings):
-    """How many trainings run at once: one per training, up to the CPUs
-    this process may run on, when BLAS is pinned to one thread per
-    training; else 1, since unpinned, the two base networks took 1.5-1.7x
-    as long side by side as one after the other (2 cores, 2 BLAS
-    threads)."""
+def training_workers(n_jobs):
+    """How many of ``side_by_side``'s jobs (trainings, or one kind's fit or
+    evaluation) run at once: one per job, up to the CPUs this process may
+    run on, when BLAS is pinned to one thread per job; else 1, since
+    unpinned, the two base networks took 1.5-1.7x as long side by side as
+    one after the other (2 cores, 2 BLAS threads)."""
     if BLAS_THREADS.setter is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
-        return min(n_trainings, len(os.sched_getaffinity(0)))
-    return min(n_trainings, os.cpu_count() or 1)
+        return min(n_jobs, len(os.sched_getaffinity(0)))
+    return min(n_jobs, os.cpu_count() or 1)
 
 
 def side_by_side(run, jobs):
-    """``[run(job) for job in jobs]``, with the jobs run at once.
+    """``[run(job) for job in jobs]``, each job on one BLAS thread, with
+    the jobs run at once.
 
     The calling thread runs the first job and a pool of
     ``training_workers(len(jobs)) - 1`` threads the others.  A job's
-    exception re-raises here, and no thread outlives the call.
+    exception re-raises here, and no thread outlives the call.  Under a
+    BLAS without OpenBLAS's thread-count functions the jobs run one after
+    the other, unpinned.
     """
+    def pinned(job):
+        with BLAS_THREADS.one_thread():
+            return run(job)
     workers = training_workers(len(jobs))
     if workers == 1:
-        return [run(job) for job in jobs]
+        return [pinned(job) for job in jobs]
     with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(run, job) for job in jobs[1:]]
-        return [run(jobs[0])] + [f.result() for f in futures]
+        futures = [pool.submit(pinned, job) for job in jobs[1:]]
+        return [pinned(jobs[0])] + [f.result() for f in futures]
 
 
 def train_base_models(config, features, train_labels):
@@ -415,11 +424,15 @@ def domain_for_kind(kind):
 
 
 def fit_all_domains(config, domains):
-    """Fit each domain the grid's kinds run on, the transform one first."""
+    """Fit each domain the grid's kinds run on, the transform one first, on
+    one BLAS thread.  The domains fit one after the other: side by side
+    both domains' fit temporaries are held at once, and peak memory
+    grows."""
     used = {domain_for_kind(kind) for kind in config.compressor_kinds}
-    for name in (TRANSFORM, RAW):
-        if name in used:
-            fit_domain(config, domains[name])
+    with BLAS_THREADS.one_thread():
+        for name in (TRANSFORM, RAW):
+            if name in used:
+                fit_domain(config, domains[name])
     return domains
 
 
@@ -434,18 +447,20 @@ def build_compressors(config, domains):
     and carrying its MI on its domain's covariance pair.  A basis is
     solved, and the MI of all its prefixes taken from one ``encoding_mi``
     call, only when a kind on the grid reads it; OIB and CCA share the
-    GIB basis and so their MI."""
+    GIB basis and so their MI.  The bases are solved one after the other,
+    on one BLAS thread: side by side they saved no measurable time."""
     used = {domain_for_kind(kind) for kind in config.compressor_kinds}
     bases = {}
-    if TRANSFORM in used:
-        gib = solve_gib(domains[TRANSFORM].cov)
-        bases[TRANSFORM] = gib.eigen.left_eigenvectors
-    if RAW in used:
-        bases[RAW] = pca_basis(domains[RAW].cov.sigma_x)
     n_max = max(config.n_z_grid)
-    prefix = {name: encoding_mi(basis[:n_max], domains[name].cov,
-                                prefixes=True)
-              for name, basis in bases.items()}
+    with BLAS_THREADS.one_thread():
+        if TRANSFORM in used:
+            gib = solve_gib(domains[TRANSFORM].cov)
+            bases[TRANSFORM] = gib.eigen.left_eigenvectors
+        if RAW in used:
+            bases[RAW] = pca_basis(domains[RAW].cov.sigma_x)
+        prefix = {name: encoding_mi(basis[:n_max], domains[name].cov,
+                                    prefixes=True)
+                  for name, basis in bases.items()}
     compressors = {}
     for kind, n_z in _grid_keys(config):
         if kind == "oib":
@@ -503,15 +518,19 @@ def nested_scales(config, compressors, kind):
 def fit_reexpanders(config, domains, compressors):
     """Every (kind, n_z) re-expander: one encode of the training features
     with the kind's largest compressor, one Gram matrix of its codes, and
-    per size the least-squares fit of its scaled leading codes."""
+    per size the least-squares fit of its scaled leading codes.  The kinds
+    fit ``side_by_side``, one job per kind."""
     n_max = max(config.n_z_grid)
-    fits = {}
-    for kind in config.compressor_kinds:
+
+    def fit_kind(kind):
         domain = domains[domain_for_kind(kind)]
         scales = nested_scales(config, compressors, kind)
-        fits.update(zip(((kind, n_z) for n_z in scales), fit_ls(
+        return dict(zip(((kind, n_z) for n_z in scales), fit_ls(
             encode(compressors[(kind, n_max)], domain.x_train),
             domain.pre_train, prefixes=scales.values())))
+    fits = {}
+    for kind_fits in side_by_side(fit_kind, list(config.compressor_kinds)):
+        fits.update(kind_fits)
     return {key: fits[key] for key in _grid_keys(config)}
 
 
@@ -530,20 +549,24 @@ def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
     takes one encode per kind, with its largest compressor: each record's
     entropy comes from the scaled leading block of that code covariance,
     and the OIB training reconstructions from the scaled leading codes.
-    Test codes are encoded per record.  Kinds are evaluated one at a time,
-    so only one kind's codes are held, and the records are returned in
-    grid order, n_z outer and kind inner.  The two dicts map each OIB n_z
-    to the ``head_inputs`` of its training reconstructions and to the test
+    Test codes are encoded per record.  The kinds are evaluated
+    ``side_by_side``, one job per kind, so at most ``training_workers``
+    kinds' codes are held at once, and the records are returned in grid
+    order, n_z outer and kind inner.  The two dicts map each OIB n_z to
+    the ``head_inputs`` of its training reconstructions and to the test
     ones its record was scored from, float32 in the transform network's
     dtype; each float64 reconstruction is dropped once it is scored.
     """
     used = {domain_for_kind(kind) for kind in config.compressor_kinds}
-    pre_test = {name: pre_activations(domains[name].model,
-                                      domains[name].x_test) for name in used}
+    with BLAS_THREADS.one_thread():
+        pre_test = {name: pre_activations(domains[name].model,
+                                          domains[name].x_test)
+                    for name in used}
     heads = {name: head_model(domains[name].model) for name in used}
     n_max = max(config.n_z_grid)
-    records, inputs_tr, inputs_te = {}, {}, {}
-    for kind in config.compressor_kinds:
+
+    def evaluate_kind(kind):
+        records, inputs_tr, inputs_te = {}, {}, {}
         domain = domains[domain_for_kind(kind)]
         scales = nested_scales(config, compressors, kind)
         codes = encode(compressors[(kind, n_max)], domain.x_train)
@@ -575,6 +598,11 @@ def evaluate_grid(config, domains, compressors, reexpanders, test_labels):
                 inputs_tr[n_z] = head_inputs(reexpand(rx, codes[:, :n_z] * s),
                                              domain.model.dtype)
                 inputs_te[n_z] = x_test
+        return records, inputs_tr, inputs_te
+    records, inputs_tr, inputs_te = {}, {}, {}
+    for done in side_by_side(evaluate_kind, list(config.compressor_kinds)):
+        for merged, part in zip((records, inputs_tr, inputs_te), done):
+            merged.update(part)
     return [records[key] for key in _grid_keys(config)], inputs_tr, inputs_te
 
 

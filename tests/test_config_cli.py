@@ -450,6 +450,7 @@ def test_a_non_finite_value_in_an_artifact_exits_2(
     before = {p: p.stat().st_mtime_ns for p in copy.rglob("*")}
     assert main([command, "--config", cfg, "--out", str(copy)]) == 2
     err = capsys.readouterr().err
+    assert err.startswith("damaged data: ")
     assert blob + " holds a non-finite value" in err
     assert err.count("\n") == 1
     assert {p: p.stat().st_mtime_ns for p in copy.rglob("*")} == before

@@ -258,6 +258,25 @@ def test_build_compressors_solves_pca_basis_once(monkeypatch):
     assert len(compressors) == 3 * len(config.n_z_grid)
 
 
+def test_cca_and_pca_compressors_are_views_of_their_basis():
+    cov, _ = exact_pair(6)
+    sol = solve_gib(cov)
+    basis = pca_basis(cov.sigma_x)
+    assert basis.flags.c_contiguous
+    for n_z in (1, 3):
+        assert np.shares_memory(cca_compressor(sol, n_z).matrix_a,
+                                sol.eigen.left_eigenvectors)
+        assert np.shares_memory(pca_compressor(basis, n_z).matrix_a, basis)
+    config = SimpleNamespace(n_z_grid=[1, 2, 3],
+                             compressor_kinds=["oib", "cca", "pca"])
+    compressors = pipeline.build_compressors(config, _grid_domains(cov))
+    for kind in ("cca", "pca"):
+        largest = compressors[(kind, 3)].matrix_a
+        for n_z in (1, 2):
+            assert np.shares_memory(compressors[(kind, n_z)].matrix_a,
+                                    largest)
+
+
 def test_build_compressors_solves_the_gib_once_when_a_kind_reads_it(
         monkeypatch):
     cov, _ = exact_pair(12)

@@ -1,13 +1,16 @@
-"""Training on one BLAS thread, and trainings run side by side.
+"""Training, fit and evaluation on one BLAS thread, and jobs side by side.
 
-Every training pins numpy's OpenBLAS to one thread for its duration, so
-the weights do not depend on ``OPENBLAS_NUM_THREADS`` nor on how many
-trainings overlap; ``train_base_models`` trains its domains concurrently,
-and ``retrain_heads`` its per-size fine-tunes as concurrent stacks.
+Every training, fit and evaluation pins numpy's OpenBLAS to one thread
+for its duration, so no output depends on ``OPENBLAS_NUM_THREADS`` nor on
+how many jobs overlap; ``train_base_models`` trains its domains
+concurrently, ``retrain_heads`` its per-size fine-tunes as concurrent
+stacks, and ``fit_reexpanders`` and ``evaluate_grid`` run one job per
+compressor kind.
 """
 
 import contextlib
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -88,6 +91,52 @@ for name, domain in sorted(domains.items()):
         digest.update(w.tobytes() + b.tobytes())
     print(name, digest.hexdigest())
 """
+
+
+EXPERIMENT = """
+import sys
+from oib import pipeline
+from oib.config import ExperimentConfig, apply_overrides
+config = apply_overrides(ExperimentConfig(), out=sys.argv[1], subset_n=120)
+pipeline.run_experiment(config, out_dir=sys.argv[1])
+"""
+
+
+def tree_contents(root):
+    """Every file under ``root`` by relative path: its bytes, or for
+    ``report.json`` its parsed content without the ``created`` time."""
+    contents = {}
+    for path in sorted(root.rglob("*")):
+        if not path.is_file():
+            continue
+        if path.name == "report.json":
+            report = json.loads(path.read_text())
+            del report["metadata"]["created"]
+            contents[str(path.relative_to(root))] = report
+        else:
+            contents[str(path.relative_to(root))] = path.read_bytes()
+    return contents
+
+
+@needs_pin
+def test_every_output_is_the_same_bytes_at_one_and_two_blas_threads(
+        tmp_path):
+    src = os.path.dirname(os.path.dirname(oib.__file__))
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", EXPERIMENT, str(out)],
+                       capture_output=True, text=True, env=env, check=True,
+                       timeout=300)
+        trees.append(tree_contents(out))
+    assert {"records.csv", "report.json", "hz_report.json",
+            "retrain_report.json", "compressors/oib_010.bin",
+            "reexpanders/pca_010.bin", "heads/per_rho_010.bin"} <= \
+        set(trees[0])
+    assert list(trees[0]) == list(trees[1])
+    assert [name for name in trees[0]
+            if trees[0][name] != trees[1][name]] == []
 
 
 @needs_pin
@@ -350,4 +399,87 @@ def test_a_head_diverging_in_a_worker_stack_raises_in_the_caller(
             pipeline.retrain_heads(result.config, result)
         assert BLAS_THREADS.getter() == 2
     assert raised_in and raised_in[0] != threading.get_ident()
+    assert threading.active_count() == threads
+
+
+def fit_and_evaluate(result):
+    """``fit_reexpanders`` and ``evaluate_grid`` on the result's fit, as
+    bytes: every theta and target mean, the records and the head inputs."""
+    config, domains = result.config, result.domains
+    reexpanders = pipeline.fit_reexpanders(config, domains,
+                                           result.compressors)
+    records, inputs_tr, inputs_te = pipeline.evaluate_grid(
+        config, domains, result.compressors, reexpanders,
+        result.test_labels)
+    return ({key: rx.theta.tobytes() + rx.target_mean.tobytes()
+             for key, rx in reexpanders.items()}, records,
+            {n_z: a.tobytes() for n_z, a in inputs_tr.items()},
+            {n_z: a.tobytes() for n_z, a in inputs_te.items()})
+
+
+def test_one_worker_fits_and_evaluates_the_same_bytes_as_two(evaluated,
+                                                             monkeypatch):
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(pipeline, "training_workers",
+                            lambda n, workers=workers: min(n, workers))
+        threads = []
+        recording(monkeypatch, pipeline, "nested_scales",
+                  lambda: threads.append(threading.get_ident()))
+        got[workers] = fit_and_evaluate(evaluated)
+        # one nested_scales call per kind in each of the two stages
+        kinds = evaluated.config.compressor_kinds
+        assert len(threads) == 2 * len(kinds)
+        assert len(set(threads)) == workers
+        monkeypatch.undo()
+    assert got[1] == got[2]
+    assert sorted(got[1][2]) == sorted(got[1][3]) == [5, 10, 15]
+
+
+@needs_pin
+def test_fit_and_evaluation_run_on_one_blas_thread(evaluated, monkeypatch):
+    result = copy.copy(evaluated)
+    result.domains = {name: copy.copy(domain)
+                      for name, domain in evaluated.domains.items()}
+    monkeypatch.setattr(pipeline, "training_workers", lambda n: min(n, 2))
+    seen = {}
+    for name in ("pre_activations", "sample_covariance", "solve_gib",
+                 "pca_basis", "encoding_mi", "nested_scales", "fit_ls",
+                 "reexpand", "gaussian_entropy"):
+        recording(monkeypatch, pipeline, name,
+                  lambda name=name: seen.setdefault(name, set()).add(
+                      BLAS_THREADS.getter()))
+    with blas_count(2):
+        pipeline.evaluate(pipeline.fit(result))
+        assert BLAS_THREADS.getter() == 2
+    assert len(seen) == 9
+    assert all(counts == {1} for counts in seen.values()), seen
+
+
+@needs_pin
+@pytest.mark.parametrize("stage, site", [
+    ("fit_reexpanders", "fit_ls"), ("evaluate_grid", "gaussian_entropy")])
+def test_a_kind_failing_in_a_pool_thread_raises_in_the_caller(
+        evaluated, monkeypatch, stage, site):
+    monkeypatch.setattr(pipeline, "training_workers", lambda n: min(n, 2))
+    caller = threading.get_ident()
+    raised_in = []
+    original = getattr(pipeline, site)
+
+    def failing(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raised_in.append(threading.get_ident())
+            raise NumericalError("injected")
+        return original(*args, **kwargs)
+    monkeypatch.setattr(pipeline, site, failing)
+    args = {"fit_reexpanders": (evaluated.compressors,),
+            "evaluate_grid": (evaluated.compressors, evaluated.reexpanders,
+                              evaluated.test_labels)}[stage]
+    threads = threading.active_count()
+    with blas_count(2):
+        with pytest.raises(NumericalError, match="injected"):
+            getattr(pipeline, stage)(evaluated.config, evaluated.domains,
+                                     *args)
+        assert BLAS_THREADS.getter() == 2
+    assert raised_in
     assert threading.active_count() == threads
