@@ -4,13 +4,11 @@ Subcommands run the pipeline's own stages and compose through the output
 directory: ``train-base`` writes the base model checkpoints, ``fit-oib``
 reads them and writes compressors (each with its MI) and re-expanders,
 ``evaluate`` reads everything and writes the report, ``retrain``
-fine-tunes the shared and per-size heads (``per_rho_head``, reported in
-``retrain_report.json``) or trains one classifier per size on the codes
-themselves (``per_rho_on_z``, reported in ``bank_report.json``),
-``hz-test`` compares domain normality without any network, ``macs``
-prints the complexity table, and ``synth-check`` runs the
-synthetic-Gaussian oracle suites.  Only ``fit-oib`` fits: ``evaluate``
-and ``retrain`` apply what it stored.
+trains the shared head and fine-tunes the per-size heads (``per_rho_head``,
+its one mode, reported in ``retrain_report.json``), ``hz-test`` compares
+domain normality without any network, ``macs`` prints the complexity
+table, and ``synth-check`` runs the synthetic-Gaussian oracle suites.
+Only ``fit-oib`` fits: ``evaluate`` and ``retrain`` apply what it stored.
 
 Before any work, a command checks its config, that the output directory
 or its nearest existing parent is a directory (except ``macs`` and
@@ -18,12 +16,10 @@ or its nearest existing parent is a directory (except ``macs`` and
 ``oib`` is on the grid.  It then reads what earlier commands stored, in
 one order: the saved corpus, both base checkpoints (``fit-oib``,
 ``evaluate`` and ``retrain``), and every compressor of the grid
-(``evaluate`` and ``retrain``) with its re-expander (``evaluate`` and
-``retrain --mode per_rho_head``); ``retrain --mode per_rho_on_z`` reads
-only the corpus and the OIB compressors.  An artifact whose manifest key
-is not the one the config gives (``corpus_key`` for the corpus,
-``model_key`` for the rest) exits 2, naming it.  Only then is a missing
-corpus rendered (IDX inputs are always read from their files);
+(``evaluate`` and ``retrain``) with its re-expander.  An artifact whose
+manifest key is not the one the config gives (``corpus_key`` for the
+corpus, ``model_key`` for the rest) exits 2, naming it.  Only then is a
+missing corpus rendered (IDX inputs are always read from their files);
 ``train-base`` saves ``dataset.json``/``dataset.bin`` only when it
 rendered them.  The saved corpus is bitwise the rendered one, so
 commands started in separate processes agree bitwise with
@@ -99,21 +95,6 @@ def _stored(config, fitted=False):
     return result
 
 
-def _stored_bank_inputs(config):
-    """The corpus's domains, without networks, and the OIB compressors:
-    all ``retrain --mode per_rho_on_z`` reads, the compressors before
-    ``prepare`` renders a corpus that was never saved.  A compressor's
-    key already ties it to the base networks."""
-    image_sets = pipeline.saved_corpus(config)
-    compressors = {("oib", n_z): load_compressor(
-        artifact_stem(config.output_dir, "compressors", "oib", n_z),
-        pipeline.model_key(config)) for n_z in config.n_z_grid}
-    result = pipeline.prepare(config, image_sets, {TRANSFORM: None,
-                                                   RAW: None})
-    result.compressors = compressors
-    return result
-
-
 def cmd_train_base(config):
     saved = pipeline.saved_corpus(config)
     image_sets = saved or build_dataset(config)
@@ -151,17 +132,13 @@ def cmd_evaluate(config):
     return 0
 
 
-def cmd_retrain(config, mode):
+def cmd_retrain(config):
     if "oib" not in config.compressor_kinds:
         raise ConfigError("retrain needs oib in compressor_kinds")
     config = dataclasses.replace(config, compressor_kinds=["oib"])
-    if mode == "per_rho_on_z":
-        heads, records = pipeline.retrain_bank(config,
-                                               _stored_bank_inputs(config))
-    else:
-        heads, records = pipeline.retrain_heads(config, pipeline.evaluate(
-            _stored(config, fitted=True)))
-    write_json(pipeline.write_retrain_artifacts(mode, heads, records,
+    heads, records = pipeline.retrain_heads(config, pipeline.evaluate(
+        _stored(config, fitted=True)))
+    write_json(pipeline.write_retrain_artifacts(heads, records,
                                                 config.output_dir),
                sys.stdout)
     return 0
@@ -294,7 +271,7 @@ def make_parser():
         command = sub.add_parser(name, parents=[common], help=text)
         if name == "retrain":
             command.add_argument("--mode", default="per_rho_head",
-                                 choices=list(pipeline.RETRAIN_REPORTS))
+                                 choices=["per_rho_head"])
     return parser
 
 
@@ -302,8 +279,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        modes = [args.mode] if args.command == "retrain" else []
-        return command(_resolve_config(args), *modes)
+        return command(_resolve_config(args))
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3

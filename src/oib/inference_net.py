@@ -530,6 +530,8 @@ def finetune_head(head, pools, labels, cfg):
     return {k: MlpModel(layers) for k, (layers, _) in zip(sizes, trained)}
 
 
+# Nothing in the package calls this; it is kept because the benchmark traces
+# it under ``pipeline``.
 def train_head_on_z(z, labels, head_sizes, cfg):
     """Train a fresh classifier that consumes compressed features directly."""
     z = np.asarray(z)

@@ -51,11 +51,10 @@ Stages, in dependency order:
 6. retrain: a single average head trained on the mixture of all grid
    sizes' head inputs, then one fine-tuned head per n_z with early stopping
    on a validation split (keeping the average head when fine-tuning does
-   not help); or one classifier per n_z on the codes themselves.  The
-   per-size fine-tunes train as stacks side by side, one stack per CPU on
-   one BLAS thread, each stack's heads in lockstep; a head is bitwise the
-   same however the grid is split into stacks.  Each mode's heads and
-   records are saved by one writer into its own report.
+   not help).  The per-size fine-tunes train as stacks side by side, one
+   stack per CPU on one BLAS thread, each stack's heads in lockstep; a
+   head is bitwise the same however the grid is split into stacks.  The
+   heads and records are saved by one writer into ``retrain_report.json``.
 7. normality: Henze-Zirkler p-values of random coordinate projections,
    raw versus transform domain.
 
@@ -94,8 +93,8 @@ from .datasets import load_idx, subset, synthetic_digits
 from .errors import ConfigError, DataFormatError, NumericalError
 from .gib_compressor import (cca_compressor, compressor_at_size, encode,
                              pca_basis, pca_compressor, solve_gib)
-# No function here calls ``forward_from_layer``; it is imported because the
-# benchmark traces it under this module.
+# No function here calls ``forward_from_layer`` or ``train_head_on_z``; they
+# are imported because the benchmark traces them under this module.
 from .inference_net import (BLAS_THREADS, MlpModel, TrainConfig, accuracy,
                             finetune_head, forward_from_layer, head_inputs,
                             head_model, init_mlp, train, train_head_on_z,
@@ -121,9 +120,6 @@ NOISE_FLOOR_SCALE = 0.1
 # config's, which checks it against the training set size).
 AVERAGE_LEARNING_RATE = 1e-3
 FINETUNE_LEARNING_RATE = 1e-4
-# The report each retrain mode writes, so that one mode keeps the other's.
-RETRAIN_REPORTS = {"per_rho_head": "retrain_report.json",
-                   "per_rho_on_z": "bank_report.json"}
 
 
 @dataclass
@@ -159,12 +155,6 @@ class RetrainRecord:
     accuracy_non_retrained: float
     accuracy_average: float
     accuracy_per_rho: float
-
-
-@dataclass
-class BankRecord:
-    n_z: int
-    accuracy_bank: float
 
 
 @dataclass
@@ -660,28 +650,6 @@ def retrain_heads(config, result):
     return heads, records
 
 
-def retrain_bank(config, result):
-    """One fresh classifier per n_z consuming compressed features directly.
-
-    Unlike re-expansion plus the shared head, the bank trains a separate
-    network whose input width is n_z, so deployment needs one model per
-    compression size.  Returns ``(heads, records)`` as ``retrain_heads``.
-    """
-    heads, records = {}, []
-    for n_z in config.n_z_grid:
-        comp = result.compressors[("oib", n_z)]
-        z_train = encode(comp, result.transform.x_train)
-        z_test = encode(comp, result.transform.x_test)
-        sizes = [n_z] + list(config.model_layer_sizes[2:])
-        cfg = replace(base_train_config(config),
-                      seed=head_seed(config, n_z))
-        head = train_head_on_z(z_train, result.train_labels, sizes, cfg)
-        heads["bank_%03d" % n_z] = (head, cfg.seed)
-        records.append(BankRecord(n_z, accuracy(head, z_test,
-                                                result.test_labels)))
-    return heads, records
-
-
 def hz_compare(config, x_raw, x_tf):
     """Henze-Zirkler p-values on shared coordinate projections.
 
@@ -847,15 +815,15 @@ def write_evaluation(result, out_dir):
     write_records_csv(result.records, os.path.join(out_dir, "records.csv"))
 
 
-def write_retrain_artifacts(mode, heads, records, out_dir):
+def write_retrain_artifacts(heads, records, out_dir):
     """Each ``(model, seed)`` of ``heads`` under ``heads/`` by its name,
-    and the mode's report in ``RETRAIN_REPORTS``; returns the report."""
+    and ``retrain_report.json``; returns the report."""
     os.makedirs(os.path.join(out_dir, "heads"), exist_ok=True)
     for name, (head, seed) in heads.items():
         save_model(head, os.path.join(out_dir, "heads", name), seed=seed)
-    return _write_report({"mode": mode,
+    return _write_report({"mode": "per_rho_head",
                           "records": [asdict(r) for r in records]},
-                         out_dir, RETRAIN_REPORTS[mode])
+                         out_dir, "retrain_report.json")
 
 
 def write_hz_report(hz_records, out_dir):
@@ -871,6 +839,6 @@ def write_artifacts(result, out_dir):
     write_fit_artifacts(result, out_dir)
     write_evaluation(result, out_dir)
     if result.retrain_records is not None:
-        write_retrain_artifacts("per_rho_head", result.heads,
-                                result.retrain_records, out_dir)
+        write_retrain_artifacts(result.heads, result.retrain_records,
+                                out_dir)
     write_hz_report(result.hz_records, out_dir)

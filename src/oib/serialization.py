@@ -40,9 +40,6 @@ from .inference_net import MlpModel
 from .reexpander import Reexpander
 from .tensor_stats import DataMatrix
 
-# What to do about an artifact that does not belong to the caller's settings.
-_REMEDY = ("run train-base and fit-oib with these settings into --out, or "
-          "use another --out")
 F64 = np.dtype("<f8")
 F32 = np.dtype("<f4")
 I64 = np.dtype("<i8")
@@ -64,6 +61,18 @@ def _write_pair(stem, manifest, *parts):
             fh.write(part)
 
 
+def _remedy(stem, fmt):
+    """What to do about an artifact that does not belong to the caller's
+    settings.  A corpus is only ever written where there is none, and
+    ``train-base`` refuses one of other settings, so rerunning cannot
+    replace it."""
+    if fmt == "corpus-v1":
+        return "use another --out, or remove %s.json and %s.bin" % (stem,
+                                                                     stem)
+    return ("run train-base and fit-oib with these settings into --out, or "
+            "use another --out")
+
+
 @contextmanager
 def _artifact(stem, fmt, key=None):
     """The manifest and open blob file of ``stem`` for the body of a with
@@ -73,17 +82,18 @@ def _artifact(stem, fmt, key=None):
     or one of another key raises ConfigError before the blob is opened."""
     path = str(stem) + ".json"
     try:
-        manifest = {}
-        if key is None or os.path.exists(path):
-            with open(path) as fh:
-                manifest = json.load(fh)
-            if manifest.get("format") != fmt:
-                raise DataFormatError("%s declares format %r, expected %r; "
-                                      "%s" % (path, manifest.get("format"),
-                                              fmt, _REMEDY))
+        if key is not None and not os.path.exists(path):
+            raise ConfigError("%s is missing; %s" % (path,
+                                                     _remedy(stem, fmt)))
+        with open(path) as fh:
+            manifest = json.load(fh)
+        if manifest.get("format") != fmt:
+            raise DataFormatError("%s declares format %r, expected %r; %s"
+                                  % (path, manifest.get("format"), fmt,
+                                     _remedy(stem, fmt)))
         if key is not None and manifest.get("key") != key:
-            raise ConfigError("%s is missing or was written for other "
-                              "settings; %s" % (path, _REMEDY))
+            raise ConfigError("%s was written for other settings; %s"
+                              % (path, _remedy(stem, fmt)))
         with open(str(stem) + ".bin", "rb") as blob:
             yield manifest, blob
     except (AttributeError, KeyError, OSError, TypeError, ValueError,

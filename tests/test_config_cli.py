@@ -17,11 +17,9 @@ from oib.config import (ExperimentConfig, SEED_STRIDE, apply_overrides,
                         config_from_dict, config_to_dict, load_config)
 from oib.datasets import LabeledImageSet, save_idx
 from oib.errors import ConfigError
-from oib.gib_compressor import encode
-from oib.inference_net import accuracy
 from oib.info_metrics import LOG_2PIE
 from oib.reexpander import fit_lmmse
-from oib.serialization import config_hash, load_compressor, load_model
+from oib.serialization import config_hash
 from oib.tensor_stats import DataMatrix
 
 TINY = {
@@ -312,9 +310,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     pca_dir = tmp_path / "pca"
     pca_dir.mkdir()
     pca_only = tiny_config_file(pca_dir, compressor_kinds=["pca"])
-    for mode in ("per_rho_head", "per_rho_on_z"):
-        assert main(["retrain", "--mode", mode, "--config", pca_only]) == 2
-        assert "needs oib" in capsys.readouterr().err
+    assert main(["retrain", "--mode", "per_rho_head",
+                 "--config", pca_only]) == 2
+    assert "needs oib" in capsys.readouterr().err
     assert not (pca_dir / "out").exists()
 
 
@@ -369,13 +367,15 @@ def test_cli_stage_composition(cli_run, capsys):
                             "mse,macs_comp,macs_class")
     assert len(csv_lines) == 7
 
-    assert main(["retrain", "--config", cfg, "--mode", "per_rho_on_z"]) == 0
-    assert (out_dir / "heads" / "bank_005.json").exists()
-    assert (out_dir / "heads" / "bank_010.json").exists()
-
-    with pytest.raises(SystemExit) as exc:
-        main(["retrain", "--config", cfg, "--mode", "average"])
-    assert exc.value.code == 2
+    # per_rho_head is the one retrain mode; any other exits 2 and writes
+    # nothing
+    before = _files(out_dir)
+    for mode in ("average", "per_rho_on_z"):
+        with pytest.raises(SystemExit) as exc:
+            main(["retrain", "--config", cfg, "--mode", mode])
+        assert exc.value.code == 2
+    assert _files(out_dir) == before
+    assert not list(out_dir.rglob("bank*"))
     assert main(["retrain", "--config", cfg]) == 0
     retrain_report = json.loads((out_dir / "retrain_report.json").read_text())
     assert retrain_report["mode"] == "per_rho_head"
@@ -389,26 +389,6 @@ def test_cli_stage_composition(cli_run, capsys):
     assert hz["total"] == 20
     assert 0 <= hz["transform_wins"] <= 20
     capsys.readouterr()
-
-
-def test_bank_accuracies_are_those_of_the_saved_heads(cli_run, capsys):
-    cfg, out_dir = cli_run
-    assert main(["retrain", "--config", cfg, "--mode", "per_rho_on_z"]) == 0
-    capsys.readouterr()
-    report = json.loads((out_dir / "bank_report.json").read_text())
-    assert report["mode"] == "per_rho_on_z"
-    config = load_config(cfg)
-    train_set, test_set = pipeline.build_dataset(config)
-    _, features = pipeline.domain_features(config, train_set, test_set)
-    x_test = features[pipeline.TRANSFORM][1]
-    assert [r["n_z"] for r in report["records"]] == config.n_z_grid
-    for record in report["records"]:
-        n_z = record["n_z"]
-        head = load_model(str(out_dir / "heads" / ("bank_%03d" % n_z)))
-        comp = load_compressor(str(out_dir / "compressors"
-                                   / ("oib_%03d" % n_z)))
-        assert record["accuracy_bank"] == accuracy(
-            head, encode(comp, x_test), test_set.labels)
 
 
 def test_damaged_artifact_exits_2(cli_run, tmp_path, capsys):
@@ -454,22 +434,6 @@ def test_a_non_finite_value_in_an_artifact_exits_2(
     assert blob + " holds a non-finite value" in err
     assert err.count("\n") == 1
     assert {p: p.stat().st_mtime_ns for p in copy.rglob("*")} == before
-
-
-def test_each_retrain_mode_keeps_its_own_report(cli_run, tmp_path, capsys):
-    cfg, out_dir = cli_run
-    copy = tmp_path / "out"
-    shutil.copytree(out_dir, copy)
-    common = ["--config", cfg, "--out", str(copy)]
-    assert main(["retrain"] + common) == 0
-    per_size = (copy / "retrain_report.json").read_bytes()
-    assert main(["retrain", "--mode", "per_rho_on_z"] + common) == 0
-    capsys.readouterr()
-    assert (copy / "retrain_report.json").read_bytes() == per_size
-    assert json.loads(per_size)["mode"] == "per_rho_head"
-    bank = json.loads((copy / "bank_report.json").read_text())
-    assert bank["mode"] == "per_rho_on_z"
-    assert [r["n_z"] for r in bank["records"]] == TINY["n_z_grid"]
 
 
 def _unfitted_copy(out_dir, tmp_path):
@@ -577,18 +541,16 @@ def test_stages_skip_work_they_do_not_use(cli_run, monkeypatch, capsys):
     fitted = counting(monkeypatch, pipeline, "fit_domain")
     measured = counting(monkeypatch, pipeline, "encoding_mi")
     fitted_per_command = []
-    for command in (["evaluate"], ["retrain"],
-                    ["retrain", "--mode", "per_rho_on_z"]):
+    for command in (["evaluate"], ["retrain"]):
         assert main(command + ["--config", cfg]) == 0
         fitted_per_command.append(len(fitted))
         fitted.clear()
     assert solved == [] and trained == [] and rendered == []
-    # evaluate and the per-size heads read both networks; the bank, which
-    # trains on the codes alone, reads none
+    # evaluate and retrain each read both networks
     assert len(loaded) == 2 * 2
     # fit-oib fitted the domains and stored each compressor's MI, so no
     # later command fits a domain or measures an MI again
-    assert fitted_per_command == [0, 0, 0]
+    assert fitted_per_command == [0, 0]
     assert measured == []
     capsys.readouterr()
 
@@ -634,6 +596,8 @@ def test_corpus_of_other_settings_is_refused(cli_run, tmp_path, monkeypatch,
         assert main(command + ["--out", str(copy)]) == 2, command
         err = capsys.readouterr().err
         assert str(copy / "dataset") in err and "--out" in err
+        # the corpus exists, and train-base refuses it too
+        assert "is missing" not in err and "run train-base" not in err
     assert rendered == [] and trained == []
     assert _files(copy) == saved
 
@@ -710,8 +674,7 @@ def test_fitted_artifacts_of_other_base_networks_exit_2(cli_run, tmp_path,
     capsys.readouterr()
     saved = _files(copy)
     fitted = counting(monkeypatch, pipeline, "fit_domain")
-    for command in (["evaluate"], ["retrain"],
-                    ["retrain", "--mode", "per_rho_on_z"]):
+    for command in (["evaluate"], ["retrain"]):
         assert main(command + ["--config", str(longer),
                                "--out", str(copy)]) == 2, command
         err = capsys.readouterr().err
@@ -787,9 +750,8 @@ def test_output_dir_that_is_a_file_exits_2_before_work(tmp_path, monkeypatch,
 
 def test_stages_into_an_empty_out_exit_2_before_rendering(tmp_path,
                                                           monkeypatch, capsys):
-    # the first stored artifact a command reads, a base checkpoint or,
-    # for the bank, which reads no network, the first OIB compressor, is
-    # read before a missing corpus is rendered
+    # the first stored artifact a command reads, a base checkpoint, is read
+    # before a missing corpus is rendered
     cfg = tiny_config_file(tmp_path)
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -797,8 +759,7 @@ def test_stages_into_an_empty_out_exit_2_before_rendering(tmp_path,
     trained = counting(monkeypatch, pipeline, "train")
     for command, first in (
             (["fit-oib"], "base_transform"), (["evaluate"], "base_transform"),
-            (["retrain", "--mode", "per_rho_head"], "base_transform"),
-            (["retrain", "--mode", "per_rho_on_z"], "oib_005")):
+            (["retrain", "--mode", "per_rho_head"], "base_transform")):
         assert main(command + ["--config", cfg, "--out", str(empty)]) == 2
         err = capsys.readouterr().err
         assert first in err and "train-base" in err, command
